@@ -319,6 +319,8 @@ def _load_cli_instance(token):
 def cmd_sdp_feas(cfg):
     if not 0.0 < cfg["epsilon"] <= 1.0:
         raise UsageError("epsilon must lie in (0, 1]")
+    if not 0.0 < cfg["delta"] < 1.0:
+        raise UsageError("delta must lie in (0, 1)")
     instance = _load_cli_instance(cfg["instance"])
     seeds = _resolve_seeds(cfg)
     out_dir = _output_dir(cfg)

@@ -88,9 +88,12 @@ def lanczos_decompose(a, b, k, reorthogonalize=True):
     j = 1
     for i in range(k):
         w = op.matvec(q)
-        if not np.all(np.isfinite(w)):
+        w_norm = float(np.linalg.norm(w))
+        # a NaN or inf entry makes the norm non-finite; only then is the scan
+        # needed, to tell it apart from finite entries whose squares overflow
+        if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
-        scale = max(scale, float(np.linalg.norm(w)))
+        scale = max(scale, w_norm)
         w = w - beta_prev * q_prev
         alpha = float(w @ q)
         w = w - alpha * q

@@ -162,9 +162,6 @@ class SparseSymOperator:
             self.n, lambda v: self.matvec(v) + c * v, nnz_hint=self.nnz_hint + self.n
         )
 
-    def negated(self):
-        return self.scaled(-1.0)
-
 
 def as_operator(a):
     """Coerce dense/sparse symmetric input to a :class:`SparseSymOperator`."""

@@ -32,13 +32,6 @@ MC_SAMPLES_SMOKE = 1_000
 _CHUNK = 20_000
 
 
-def lse(v):
-    """log-sum-exp with max-shift stability."""
-    v = np.asarray(v, dtype=float)
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
 def softmax_grad(c):
     """Gradient of log-sum-exp: the multiplicative-weights simplex projection."""
     c = np.asarray(c, dtype=float)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,14 @@ VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; message carries the offending line number."""
+
+
+class ConstraintStack(NamedTuple):
+    """Constraint values over the union CSR pattern (see :meth:`SdpInstance.stack`)."""
+
+    values: sp.csc_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
 
 
 class SdpInstance:
@@ -79,6 +88,7 @@ class SdpInstance:
             self.vals.append(np.array([e[2] for e in entries], dtype=float))
         self.width = None if width is None else float(width)
         self._csr = [None] * self.m
+        self._stack = None
 
     @classmethod
     def from_dense_list(cls, mats, width=None):
@@ -123,8 +133,41 @@ class SdpInstance:
             self._csr[i] = sp.csr_matrix((vv, (rr, cc)), shape=(self.n, self.n))
         return self._csr[i]
 
-    def nnz(self):
-        return int(sum(len(v) + np.count_nonzero(r != c) for v, r, c in zip(self.vals, self.rows, self.cols)))
+    def stack(self):
+        """All constraints over one sparsity pattern; built once, then cached.
+
+        Returns a :class:`ConstraintStack` whose ``indices``/``indptr`` are the
+        full symmetric CSR pattern of the union of the supports of the
+        ``A_i``, and whose sparse ``values`` (``nnz_union x m``) hold in
+        column ``i`` the entries of ``A_i`` on that pattern.  Any weighted
+        sum ``sum_i w_i A_i`` is then the CSR matrix with data
+        ``values @ w``.  Mirrored entries sit in rows of ``values`` with
+        identical contents, so every such sum is bitwise symmetric.
+        """
+        if self._stack is None:
+            n = self.n
+            # every stored entry and its mirror, keyed by row * n + col, constraint by constraint
+            ends = np.cumsum(
+                [0] + [len(v) + np.count_nonzero(r != c) for r, c, v in zip(self.rows, self.cols, self.vals)]
+            )
+            keys = np.empty(ends[-1], dtype=np.int64)
+            data = np.empty(ends[-1])
+            for i, (r, c, v) in enumerate(zip(self.rows, self.cols, self.vals)):
+                off = r != c
+                upper, mirror = slice(ends[i], ends[i] + len(v)), slice(ends[i] + len(v), ends[i + 1])
+                keys[upper], keys[mirror] = r * n + c, c[off] * n + r[off]
+                data[upper], data[mirror] = v, v[off]
+            union = np.unique(keys)
+            index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
+            slot = np.searchsorted(union, keys).astype(index)
+            del keys
+            indptr = np.searchsorted(union, np.arange(n + 1) * n).astype(index)
+            indices = (union % n).astype(index)
+            del union
+            # column i of ``values`` lists A_i's entries at their union slots
+            values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), self.m))
+            self._stack = ConstraintStack(values, indices, indptr)
+        return self._stack
 
     def compute_width(self, tol=1e-8, dense_limit=DENSE_LIMIT):
         """Width ``max_i |A_i|_inf``; cached on the instance."""
@@ -225,51 +268,41 @@ def adjoint_apply(instance, y):
     return _adjoint_operator(instance, weights)
 
 
+def _adjoint_csr(instance, weights):
+    """``sum_i w_i A_i`` as one CSR matrix over the instance's union pattern."""
+    stack = instance.stack()
+    return sp.csr_matrix(
+        (stack.values @ weights, stack.indices, stack.indptr), shape=(instance.n, instance.n)
+    )
+
+
 def _adjoint_operator(instance, weights):
-    mats = [instance.csr(i) for i in range(instance.m)]
-
-    def apply_fn(v):
-        out = np.zeros_like(v)
-        for w, a in zip(weights, mats):
-            if w != 0.0:
-                out += w * (a @ v)
-        return out
-
-    return SparseSymOperator(instance.n, apply_fn, nnz_hint=instance.nnz())
+    a = _adjoint_csr(instance, weights)
+    return SparseSymOperator(instance.n, lambda v: a @ v, nnz_hint=a.nnz)
 
 
 def _adjoint_dense(instance, weights):
-    out = np.zeros((instance.n, instance.n))
-    for i, w in enumerate(weights):
-        if w != 0.0:
-            out += w * instance.dense(i)
-    return 0.5 * (out + out.T)
+    return _adjoint_csr(instance, weights).toarray()
 
 
 def costs(instance, action):
     """Cost vector ``c_i = <A_i, X>`` for a spectrahedron action.
 
-    Rank-1 actions use one sparse quadratic form per constraint.  When the
-    instance width is known, any cost exceeding it signals a broken action
-    and raises.
+    All constraints are paired with ``X`` in one sparse product over the
+    union pattern; a rank-1 action ``x x'`` is read on the pattern as
+    ``x[row] * x[col]``.  When the instance width is known, any cost
+    exceeding it signals a broken action and raises.
     """
     if action.n != instance.n:
         raise ValueError("dimension mismatch")
-    out = np.empty(instance.m)
+    stack = instance.stack()
+    row_len = np.diff(stack.indptr)
     if action.is_rank1:
         x = action.factor
-        for i in range(instance.m):
-            r, c, v = instance.rows[i], instance.cols[i], instance.vals[i]
-            prod = v * x[r] * x[c]
-            off = r != c
-            out[i] = prod.sum() + prod[off].sum()
+        on_pattern = np.repeat(x, row_len) * x[stack.indices]
     else:
-        xm = action.matrix
-        for i in range(instance.m):
-            r, c, v = instance.rows[i], instance.cols[i], instance.vals[i]
-            prod = v * xm[r, c]
-            off = r != c
-            out[i] = prod.sum() + prod[off].sum()
+        on_pattern = action.matrix[np.repeat(np.arange(instance.n), row_len), stack.indices]
+    out = stack.values.T @ on_pattern
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:
@@ -382,21 +415,21 @@ def solve_feasibility(
     the strict system ``<A_i, X> > 0`` for all i has the witness ``X_avg``,
     'infeasible' means ``y_avg`` certifies that no such X exists.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     if rng is None:
         rng = SeededRng(0)
     eta, horizon = feasibility_schedule(instance, epsilon, dense_limit=dense_limit)
     omega = instance.compute_width(dense_limit=dense_limit)
     n, m = instance.n, instance.m
-    dense_mode = n <= dense_limit
-    if not use_lanczos and not dense_mode:
+    if not use_lanczos and n > dense_limit:
         raise ValueError("exact projections require n <= dense limit; pass use_lanczos=True")
 
     start_ns = time.perf_counter_ns()
     x_avg = np.zeros((n, n))
     y_avg = np.zeros(m)
     cost_sum = np.zeros(m)
-    eta_y_sum = np.zeros(m)  # accumulated eta * y_i, the dual weights of the gain sum
-    gain_sum_dense = np.zeros((n, n)) if dense_mode else None
+    eta_y_sum = np.zeros(m)  # accumulated eta * y_i: the scaled gain sum is A* eta_y_sum
     cost_history = np.zeros((horizon, m)) if keep_history else None
     y_history = np.zeros((horizon, m)) if keep_history else None
     played_gain = np.zeros(horizon) if keep_history else None
@@ -407,15 +440,12 @@ def solve_feasibility(
     for t in range(1, horizon + 1):
         u = sample_unit_sphere(n, rng)
         if use_lanczos:
-            if eta_y_sum.sum() > 0.0:
-                base_op = _adjoint_operator(instance, eta_y_sum)
-            else:
-                base_op = SparseSymOperator(n, lambda v: np.zeros_like(v), nnz_hint=0)
+            base_op = _adjoint_operator(instance, eta_y_sum)
             k = min(required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n), n)
             action = rank1_projection_lanczos(base_op, u, k)
             matvecs += base_op.matvec_count
         else:
-            action = rank1_projection(eta * gain_sum_dense, u, dense_limit=dense_limit)
+            action = rank1_projection(_adjoint_dense(instance, eta_y_sum), u, dense_limit=dense_limit)
         y = softmax_grad(-eta * cost_sum)
         yw = y.weights
 
@@ -429,8 +459,6 @@ def solve_feasibility(
             x_factor_history[t - 1] = action.factor
         cost_sum += cost
         eta_y_sum += eta * yw
-        if dense_mode and not use_lanczos:
-            gain_sum_dense += _adjoint_dense(instance, yw)
         steps_done = t
         if time_budget_s is not None and (time.perf_counter_ns() - start_ns) > time_budget_s * 1e9:
             break

@@ -185,6 +185,14 @@ class TestSdpFeas:
     def test_missing_instance_exits_one(self, tmp_path):
         assert run_cli(["sdp-feas", "--instance", "nowhere.sdpi", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("extra", [["--delta", "2"], ["--lanczos", "--delta", "0"]])
+    def test_delta_outside_unit_interval_is_usage_error(self, tmp_path, capsys, extra):
+        args = ["sdp-feas", "--instance", "builtin:sym2x2", "--out", str(tmp_path)]
+        assert run_cli(args + extra) == 1
+        err = capsys.readouterr().err
+        assert err == "error: delta must lie in (0, 1)\n"
+        assert not (tmp_path / "sdp-feas-summary.json").exists()
+
     def test_mean_gap_aggregate_within_epsilon(self, tmp_path):
         out = tmp_path / "agg"
         code = run_cli(

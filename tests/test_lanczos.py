@@ -67,6 +67,33 @@ class TestDecomposition:
         with pytest.raises(ConvergenceError, match="iteration 1"):
             lanczos_decompose(op, rng.standard_normal(3), 2)
 
+        a = random_symmetric(rng, 6)
+
+        def poisoned_on_call(bad_call, value):
+            calls = []
+
+            def apply(v):
+                calls.append(None)
+                out = a @ v
+                if len(calls) == bad_call:
+                    out[2] = value
+                return out
+
+            return SparseSymOperator(6, apply)
+
+        with pytest.raises(ConvergenceError, match="iteration 3"):
+            lanczos_decompose(poisoned_on_call(3, np.nan), rng.standard_normal(6), 5)
+        # the last requested iteration skips the beta check; the matvec check must still fire
+        with pytest.raises(ConvergenceError, match="iteration 5"):
+            lanczos_decompose(poisoned_on_call(5, np.inf), rng.standard_normal(6), 5)
+
+    def test_overflowing_finite_matvec_is_not_nonfinite(self):
+        # entries near 1e300 are finite, but their squared norm overflows
+        op = SparseSymOperator(2, lambda v: 1e300 * v)
+        with np.errstate(over="ignore"):
+            dec = lanczos_decompose(op, np.array([1.0, 0.0]), 2)
+        assert dec.alphas[0] == pytest.approx(1e300, rel=1e-12)
+
     def test_oversized_k_clamped(self, rng):
         dec = lanczos_decompose(random_symmetric(rng, 5), rng.standard_normal(5), 50)
         assert dec.iterations <= 5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwsketch import (
     SdpInstance,
@@ -20,6 +22,7 @@ from mmwsketch import (
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.sdp import (
     InstanceFormatError,
+    _adjoint_dense,
     make_random_instance,
     simplex_regret_certificate,
 )
@@ -156,6 +159,98 @@ class TestAdjointApply:
         inst = SdpInstance.from_dense_list(mats)
         op = adjoint_apply(inst, softmax_grad(rng.standard_normal(3)))
         assert symmetry_defect(op, rng) <= 1e-8
+
+
+def _sym(n, entries):
+    a = np.zeros((n, n))
+    for (r, c), v in entries.items():
+        a[r, c] = a[c, r] = v
+    return a
+
+
+@st.composite
+def stacked_cases(draw):
+    """Constraint lists mixing empty, diagonal, random and repeated patterns, plus a seed."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    upper = [(r, c) for r in range(n) for c in range(r, n)]
+    value = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda v: v != 0.0)
+    mats = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["empty", "diagonal", "random", "same_pattern"]))
+        if kind == "empty":
+            pattern = []
+        elif kind == "diagonal":
+            pattern = [(r, r) for r in range(n)]
+        elif kind == "same_pattern" and mats:
+            pattern = [tuple(p) for p in zip(*np.nonzero(np.triu(mats[-1])))]
+        else:
+            pattern = draw(st.lists(st.sampled_from(upper), unique=True))
+        mats.append(_sym(n, {p: draw(value) for p in pattern}))
+    return mats, draw(st.integers(0, 2**32 - 1))
+
+
+def _example(*mats):
+    return example(([np.asarray(a, dtype=float) for a in mats], 7))
+
+
+class TestConstraintStack:
+    """The stacked constraints against ``sum_i w_i A_i`` built from ``dense(i)``."""
+
+    @settings(deadline=None)
+    @given(stacked_cases())
+    @_example(np.zeros((3, 3)), np.zeros((3, 3)))  # the all-zero instance
+    @_example([[0.5, -1.0], [-1.0, 0.0]])  # m = 1
+    @_example(np.zeros((3, 3)), np.diag([1.0, -2.0, 0.5]))  # empty and diagonal-only
+    @_example(_sym(4, {(0, 1): 1.0, (1, 1): 0.5}), _sym(4, {(2, 3): -1.0, (3, 3): 2.0}))  # disjoint
+    @_example(_sym(3, {(0, 2): 1.0, (1, 1): 0.5}), _sym(3, {(0, 2): -0.3, (1, 1): 0.9}))  # identical
+    def test_matches_dense_oracle(self, case):
+        mats, seed = case
+        inst = SdpInstance.from_dense_list(mats)
+        n, m = inst.n, inst.m
+        gen = np.random.default_rng(seed)
+        w = gen.dirichlet(np.ones(m))
+        oracle = sum(w_i * inst.dense(i) for i, w_i in enumerate(w))
+
+        dense = _adjoint_dense(inst, w)
+        assert np.allclose(dense, oracle, rtol=0.0, atol=1e-12)
+        assert np.array_equal(dense, dense.T)
+        op = adjoint_apply(inst, w)
+        v = gen.standard_normal(n)
+        assert np.allclose(op.matvec(v), oracle @ v, rtol=0.0, atol=1e-12)
+
+        x = sample_unit_sphere(n, SeededRng(seed))
+        g = gen.standard_normal((n, n))
+        xm = g @ g.T / np.trace(g @ g.T)
+        for action, xd in (
+            (SpectrahedronAction.rank1(x), np.outer(x, x)),
+            (SpectrahedronAction.dense(xm), xm),
+        ):
+            expected = np.array([np.vdot(inst.dense(i), xd) for i in range(m)])
+            assert np.allclose(costs(inst, action), expected, rtol=0.0, atol=1e-12)
+
+    def test_operators_do_not_alias(self, rng):
+        inst = make_random_instance(6, 3, rng, density=0.6)
+        v = rng.standard_normal(6)
+        first = adjoint_apply(inst, np.array([1.0, 0.0, 0.0]))
+        before = first.matvec(v)
+        adjoint_apply(inst, np.array([0.0, 0.5, 0.5])).matvec(v)
+        _adjoint_dense(inst, np.array([0.0, 0.0, 1.0]))
+        assert np.array_equal(first.matvec(v), before)
+        assert np.allclose(before, inst.dense(0) @ v, rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(stacked_cases())
+    def test_operator_gap_matches_dense_gap(self, case):
+        mats, seed = case
+        inst = SdpInstance.from_dense_list(mats)
+        gen = np.random.default_rng(seed)
+        y = gen.dirichlet(np.ones(inst.m))
+        x = SpectrahedronAction.rank1(sample_unit_sphere(inst.n, SeededRng(seed)))
+        exact = duality_gap(inst, x, y)
+        assert exact.lo == exact.hi == exact.value
+        estimated = duality_gap(inst, x, y, dense_limit=inst.n - 1)
+        assert estimated.lo <= exact.value <= estimated.hi
 
 
 class TestCosts:
@@ -304,6 +399,12 @@ class TestSolveFeasibility:
         assert result.matvecs > 0
         assert result.gap.value <= 0.5
         assert result.s_lower <= 0.0 <= result.s_upper
+
+    @pytest.mark.parametrize("use_lanczos", [False, True])
+    def test_delta_validated(self, use_lanczos):
+        for delta in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+                solve_feasibility(_simple_instance(), 0.5, delta=delta, use_lanczos=use_lanczos)
 
     def test_time_budget_flags_partial_result(self):
         inst = builtin_instance("rand20x10")

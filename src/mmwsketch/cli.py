@@ -61,11 +61,12 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v1"
+TRACE_SCHEMA = "online-eig-trace-v2"
 BENCH_SCHEMA = "bench-lanczos-v1"
 ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v1"
 SDP_SUMMARY_SCHEMA = "sdp-feas-v1"
-KNOWN_CSV_SCHEMAS = frozenset({TRACE_SCHEMA, BENCH_SCHEMA})
+#: v1 traces (no ``k_cap``/``krylov_err_est``, ``k_used`` the scheduled depth) stay readable.
+KNOWN_CSV_SCHEMAS = frozenset({"online-eig-trace-v1", TRACE_SCHEMA, BENCH_SCHEMA})
 
 STRATEGY_TOKENS = {
     "exact-mmw": "exact_mmw",
@@ -215,6 +216,10 @@ def cmd_online_eig(cfg):
         raise UsageError(f"unknown adversary {cfg['adversary']!r}")
     if not 0.0 < cfg["delta"] < 1.0:
         raise UsageError("delta must lie in (0, 1)")
+    if not 0.0 < cfg["hp_delta"] < 1.0:
+        raise UsageError("hp-delta must lie in (0, 1)")
+    if cfg["eta"] is not None and not (math.isfinite(cfg["eta"]) and cfg["eta"] > 0.0):
+        raise UsageError("eta must be a positive finite number")
     strategy = STRATEGY_TOKENS[cfg["strategy"]]
     if strategy in ("exact_mmw", "rank1_exact", "averaged_mc") and n > cfg["dense_limit"]:
         raise UsageError(

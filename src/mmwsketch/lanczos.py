@@ -6,6 +6,11 @@ then evaluates exp on the small tridiagonal matrix.  Exponentials are always
 taken after subtracting the top Ritz value so that large spectra cannot
 overflow; the scalar is reapplied multiplicatively, or dropped entirely in
 normalized mode for callers that only need the direction.
+
+Given an error budget ``tol``, the recurrence stops as soon as Saad's a
+posteriori estimate of the relative error of ``exp(A) b`` (Saad, SIAM J.
+Numer. Anal. 1992) is at most ``tol``; the requested depth is then a cap.
+The estimate is the first term of an error expansion, not a certified bound.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ BREAKDOWN_RTOL = 1e-12
 #: log(float64 max); exp arguments are clamped here to avoid overflow to inf.
 EXP_CLAMP = 709.0
 
+#: With an error budget, the estimate is checked after every iteration up to
+#: this depth, then after every ``j // 2`` further iterations (and at the cap),
+#: so that a run reaching a deep cap pays for few tridiagonal eigensolves.
+CHECK_EVERY_UNTIL = 8
+
 
 @dataclass
 class LanczosDecomposition:
@@ -35,7 +45,10 @@ class LanczosDecomposition:
     ``basis`` is n-by-j with ``basis[:, 0] = b/||b||``; ``alphas`` (length j)
     and ``betas`` (length j-1) are the tridiagonal diagonal/off-diagonal.
     ``terminated_early`` flags a breakdown (off-diagonal vanished) before the
-    requested iteration count.
+    requested iteration count.  Runs with an error budget also carry the
+    estimate at the stop (``error_estimate``) and the eigenpairs of the
+    final tridiagonal matrix from that check (``ritz``); both are ``None``
+    for fixed-depth runs.
     """
 
     basis: np.ndarray
@@ -43,6 +56,8 @@ class LanczosDecomposition:
     betas: np.ndarray
     input_norm: float
     terminated_early: bool
+    error_estimate: float | None = None
+    ritz: tuple | None = None
 
     @property
     def iterations(self):
@@ -56,13 +71,17 @@ class LanczosDecomposition:
         return t
 
 
-def lanczos_decompose(a, b, k, reorthogonalize=True):
+def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
     """Run k iterations of symmetric Lanczos on operator ``a`` from vector ``b``.
 
-    Stops early only when the new off-diagonal vanishes (the Krylov space is
-    exhausted).  Requests with ``k > n`` are clamped to ``n``.  Raises on a
-    zero start vector, and raises :class:`ConvergenceError` naming the
-    iteration index if non-finite values appear.
+    Without ``tol``, stops early only when the new off-diagonal vanishes (the
+    Krylov space is exhausted).  With ``tol``, also stops after iteration j
+    once the relative error estimate ``beta_j |c_j| / ||c||`` of the Krylov
+    approximation of ``exp(a) b``, where ``c = exp(T_j - theta_max I) e_1``,
+    is at most ``tol``; k is then the cap.  Requests with ``k > n`` are
+    clamped to ``n``.  Raises on a zero start vector, and raises
+    :class:`ConvergenceError` naming the iteration index if non-finite values
+    appear.
     """
     op = as_operator(a)
     n = op.n
@@ -85,6 +104,8 @@ def lanczos_decompose(a, b, k, reorthogonalize=True):
     beta_prev = 0.0
     scale = 1.0
     terminated = False
+    estimate = ritz = None
+    next_check = 1
     j = 1
     for i in range(k):
         w = op.matvec(q)
@@ -103,12 +124,20 @@ def lanczos_decompose(a, b, k, reorthogonalize=True):
                 w -= basis[:, : i + 1] @ (basis[:, : i + 1].T @ w)
         alphas[i] = alpha
         j = i + 1
-        if i == k - 1:
+        if j == k and tol is None:
             break
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
-        if beta <= BREAKDOWN_RTOL * scale:
+        breakdown = beta <= BREAKDOWN_RTOL * scale
+        if tol is not None and (breakdown or j == k or j >= next_check):
+            ritz = _check_eigh(alphas[:j], betas[: j - 1])
+            estimate = _error_estimate(beta, *ritz)
+            if estimate <= tol or j == k:
+                terminated = breakdown and j < k
+                break
+            next_check = j + 1 if j < CHECK_EVERY_UNTIL else j + j // 2
+        if breakdown:
             terminated = True
             break
         betas[i] = beta
@@ -123,6 +152,8 @@ def lanczos_decompose(a, b, k, reorthogonalize=True):
         betas=betas[: j - 1].copy(),
         input_norm=input_norm,
         terminated_early=terminated,
+        error_estimate=estimate,
+        ritz=ritz,
     )
 
 
@@ -133,29 +164,56 @@ def ritz_values(dec):
     return scipy.linalg.eigvalsh_tridiagonal(dec.alphas, dec.betas)
 
 
-def _tridiagonal_eigh(dec):
-    if dec.iterations == 1:
-        return dec.alphas.copy(), np.ones((1, 1))
-    return scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
+def _tridiagonal_eigh(alphas, betas):
+    if len(alphas) == 1:
+        return alphas.copy(), np.ones((1, 1))
+    return scipy.linalg.eigh_tridiagonal(alphas, betas)
 
 
-def expm_multiply(a, b, k, reorthogonalize=True, normalized=False):
-    """Approximate ``exp(a) @ b`` from k Krylov iterations.
+def _check_eigh(alphas, betas):
+    """Eigenpairs of a tridiagonal matrix from LAPACK's divide and conquer (``stevd``).
+
+    Used by the error checks: at the depths where they run, the input
+    validation of ``eigh_tridiagonal`` costs several times the solve.
+    """
+    if len(alphas) == 1:
+        return alphas.copy(), np.ones((1, 1))
+    theta, v, info = scipy.linalg.lapack.dstevd(alphas, betas, compute_v=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed (info={info})")
+    return theta, v
+
+
+def _shifted_exp_e1(theta, v):
+    """``exp(T - theta_max I) e_1`` from the eigenpairs ``(theta, v)`` of T."""
+    return v @ (np.exp(theta - theta.max()) * v[0, :])
+
+
+def _error_estimate(beta, theta, v):
+    """Saad's relative error estimate ``beta |c_j| / ||c||`` with ``c = exp(T - theta_max I) e_1``."""
+    c = _shifted_exp_e1(theta, v)
+    return beta * abs(float(c[-1])) / float(np.linalg.norm(c))
+
+
+def expm_multiply(a, b, k, reorthogonalize=True, normalized=False, tol=None, full_output=False):
+    """Approximate ``exp(a) @ b`` from at most k Krylov iterations.
 
     The tridiagonal eigenvalues are exponentiated after subtracting their
     maximum; the scalar ``exp(max)`` is reapplied multiplicatively (clamped at
     the float64 overflow threshold).  With ``normalized=True`` the scalar is
     dropped and the result equals ``exp(a - max I) @ b`` restricted to the
     Krylov space, which callers that renormalize anyway should prefer.
+    ``tol`` is the relative error budget passed to :func:`lanczos_decompose`
+    (None runs exactly k iterations).  With ``full_output=True`` the result
+    is ``(y, decomposition)``.
     """
-    dec = lanczos_decompose(a, b, k, reorthogonalize=reorthogonalize)
-    theta, v = _tridiagonal_eigh(dec)
+    dec = lanczos_decompose(a, b, k, reorthogonalize=reorthogonalize, tol=tol)
+    theta, v = dec.ritz if dec.ritz is not None else _tridiagonal_eigh(dec.alphas, dec.betas)
     shift = float(theta.max())
-    coeff = v @ (np.exp(theta - shift) * v[0, :])
-    y = dec.basis @ (dec.input_norm * coeff)
-    if normalized:
-        return y
-    return y * math.exp(min(shift, EXP_CLAMP))
+    y = dec.basis @ (dec.input_norm * _shifted_exp_e1(theta, v))
+    if not normalized:
+        y = y * math.exp(min(shift, EXP_CLAMP))
+    return (y, dec) if full_output else y
 
 
 def required_iterations(op_norm_bound, epsilon, delta, n, k0=DEFAULT_K0):

@@ -137,6 +137,17 @@ class SpectrahedronAction:
             raise ValueError("matrix trace differs from 1")
 
 
+class KrylovAction(SpectrahedronAction):
+    """A rank-1 action from a Krylov exponential, with the depth it took.
+
+    ``depth`` is the number of Lanczos iterations run (one matvec each);
+    ``error_estimate`` is the relative error estimate at the stop, or
+    ``None`` for a fixed-depth run.
+    """
+
+    __slots__ = ("depth", "error_estimate")
+
+
 @dataclass
 class DualState:
     """Accumulated dual point of the online game: eta times the gain sum."""
@@ -198,18 +209,28 @@ def rank1_projection(y, u, dense_limit=DENSE_LIMIT):
     return SpectrahedronAction.rank1(v / nrm)
 
 
-def rank1_projection_lanczos(y, u, k):
-    """Approximate rank-1 sketch with a k-step Krylov exponential."""
+def rank1_projection_lanczos(y, u, k, tol=None):
+    """Approximate rank-1 sketch from a Krylov exponential of depth at most k.
+
+    Without ``tol`` exactly k iterations run (fewer only on breakdown).  With
+    ``tol`` the Lanczos loop stops once its estimate of the relative error of
+    ``exp(Y/2) u`` is at most ``tol``; the trace distance of the rank-1
+    sketch is at most twice the relative error of its vector.  Returns a
+    :class:`KrylovAction` recording the depth run and the estimate.
+    """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
     if not isinstance(y, SparseSymOperator):
         y = SparseSymOperator.from_dense(y)
-    v = expm_multiply(y.scaled(0.5), u, k, normalized=True)
+    v, dec = expm_multiply(y.scaled(0.5), u, k, normalized=True, tol=tol, full_output=True)
     nrm = np.linalg.norm(v)
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ArithmeticError("Krylov exponential returned a zero vector")
-    return SpectrahedronAction.rank1(v / nrm)
+    action = KrylovAction.rank1(v / nrm)
+    action.depth = dec.iterations
+    action.error_estimate = dec.error_estimate
+    return action
 
 
 def trace_norm_distance(x1, x2):

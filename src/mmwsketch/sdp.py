@@ -36,6 +36,10 @@ from .projections import (
 
 VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 
+#: Played unit factors are buffered in blocks of this many rows and folded
+#: into the dense average with one ``F' F`` product per block.
+X_AVG_BLOCK = 64
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; message carries the offending line number."""
@@ -413,7 +417,9 @@ def solve_feasibility(
     ``<A_i, X>``.  Averages of both players feed the duality gap.  The sign
     interval is ``[min_i <A_i, X_avg>, lam_max(A* y_avg)]``; 'feasible' means
     the strict system ``<A_i, X> > 0`` for all i has the witness ``X_avg``,
-    'infeasible' means ``y_avg`` certifies that no such X exists.
+    'infeasible' means ``y_avg`` certifies that no such X exists.  Krylov
+    projections stop once their error estimate is at most ``1/(4 T)``, with
+    :func:`required_iterations` as the cap.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -427,6 +433,8 @@ def solve_feasibility(
 
     start_ns = time.perf_counter_ns()
     x_avg = np.zeros((n, n))
+    x_block = np.empty((min(X_AVG_BLOCK, horizon), n))  # played factors not yet in x_avg
+    in_block = 0
     y_avg = np.zeros(m)
     cost_sum = np.zeros(m)
     eta_y_sum = np.zeros(m)  # accumulated eta * y_i: the scaled gain sum is A* eta_y_sum
@@ -442,7 +450,7 @@ def solve_feasibility(
         if use_lanczos:
             base_op = _adjoint_operator(instance, eta_y_sum)
             k = min(required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n), n)
-            action = rank1_projection_lanczos(base_op, u, k)
+            action = rank1_projection_lanczos(base_op, u, k, tol=0.25 / horizon)
             matvecs += base_op.matvec_count
         else:
             action = rank1_projection(_adjoint_dense(instance, eta_y_sum), u, dense_limit=dense_limit)
@@ -450,7 +458,11 @@ def solve_feasibility(
         yw = y.weights
 
         cost = costs(instance, action)
-        x_avg += action.densify()
+        x_block[in_block] = action.factor
+        in_block += 1
+        if in_block == len(x_block):
+            x_avg += x_block.T @ x_block
+            in_block = 0
         y_avg += yw
         if keep_history:
             cost_history[t - 1] = cost
@@ -463,6 +475,7 @@ def solve_feasibility(
         if time_budget_s is not None and (time.perf_counter_ns() - start_ns) > time_budget_s * 1e9:
             break
 
+    x_avg += x_block[:in_block].T @ x_block[:in_block]
     x_avg /= steps_done
     y_avg /= steps_done
     x_action = SpectrahedronAction.dense(0.5 * (x_avg + x_avg.T))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmwsketch import (
     ConvergenceError,
@@ -11,6 +12,7 @@ from mmwsketch import (
     lanczos_decompose,
     required_iterations,
 )
+from mmwsketch import lanczos
 from conftest import expm_dense, random_symmetric
 
 
@@ -68,24 +70,11 @@ class TestDecomposition:
             lanczos_decompose(op, rng.standard_normal(3), 2)
 
         a = random_symmetric(rng, 6)
-
-        def poisoned_on_call(bad_call, value):
-            calls = []
-
-            def apply(v):
-                calls.append(None)
-                out = a @ v
-                if len(calls) == bad_call:
-                    out[2] = value
-                return out
-
-            return SparseSymOperator(6, apply)
-
         with pytest.raises(ConvergenceError, match="iteration 3"):
-            lanczos_decompose(poisoned_on_call(3, np.nan), rng.standard_normal(6), 5)
+            lanczos_decompose(_poisoned_on_call(a, 3, np.nan), rng.standard_normal(6), 5)
         # the last requested iteration skips the beta check; the matvec check must still fire
         with pytest.raises(ConvergenceError, match="iteration 5"):
-            lanczos_decompose(poisoned_on_call(5, np.inf), rng.standard_normal(6), 5)
+            lanczos_decompose(_poisoned_on_call(a, 5, np.inf), rng.standard_normal(6), 5)
 
     def test_overflowing_finite_matvec_is_not_nonfinite(self):
         # entries near 1e300 are finite, but their squared norm overflows
@@ -170,6 +159,113 @@ class TestExpmMultiply:
         assert np.all(np.isfinite(y))
         # the dominant eigendirection wins by an astronomical margin
         assert abs(y[-1]) / np.linalg.norm(y) >= 1.0 - 1e-12
+
+
+def _poisoned_on_call(a, bad_call, value):
+    """Operator ``a`` whose ``bad_call``-th matvec has one entry replaced by ``value``."""
+    calls = []
+
+    def apply(v):
+        calls.append(None)
+        out = a @ v
+        if len(calls) == bad_call:
+            out[2] = value
+        return out
+
+    return SparseSymOperator(a.shape[0], apply)
+
+
+def _count_eigensolves(monkeypatch):
+    """Record the tridiagonal sizes solved by error checks and by the fixed-depth route."""
+    checks, solves = [], []
+    check_eigh, eigh = lanczos._check_eigh, lanczos._tridiagonal_eigh
+    monkeypatch.setattr(lanczos, "_check_eigh", lambda al, be: checks.append(len(al)) or check_eigh(al, be))
+    monkeypatch.setattr(lanczos, "_tridiagonal_eigh", lambda al, be: solves.append(len(al)) or eigh(al, be))
+    return checks, solves
+
+
+class TestErrorBudget:
+    def test_check_eigensolver_matches_eigh_tridiagonal(self, rng):
+        for j in (1, 2, 5, 17, 60):
+            alphas, betas = rng.standard_normal(j), np.abs(rng.standard_normal(j - 1)) + 0.1
+            theta, v = lanczos._check_eigh(alphas, betas)
+            ref_theta, ref_v = lanczos._tridiagonal_eigh(alphas, betas)
+            assert np.abs(theta - ref_theta).max() <= 1e-12
+            assert np.abs(np.abs(v) - np.abs(ref_v)).max() <= 1e-10
+
+    def test_no_budget_is_fixed_depth(self, rng):
+        a = random_symmetric(rng, 12, op_norm=6.0)
+        b = rng.standard_normal(12)
+        dec = lanczos_decompose(a, b, 7, tol=None)
+        assert dec.iterations == 7
+        assert dec.error_estimate is None and dec.ritz is None
+        # the product is the textbook formula on the k-step tridiagonal, bit for bit
+        theta, v = scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
+        coeff = v @ (np.exp(theta - theta.max()) * v[0, :])
+        expected = dec.basis @ (dec.input_norm * coeff)
+        assert np.array_equal(expm_multiply(a, b, 7, normalized=True), expected)
+        assert np.array_equal(expm_multiply(a, b, 7, normalized=True, tol=None), expected)
+
+    def test_stop_reuses_the_last_check(self, rng, monkeypatch):
+        a = random_symmetric(rng, 40, op_norm=1.0)
+        b = rng.standard_normal(40)
+        checks, solves = _count_eigensolves(monkeypatch)
+        y, dec = expm_multiply(a, b, 40, tol=1e-6, full_output=True)
+        j = dec.iterations
+        assert j <= lanczos.CHECK_EVERY_UNTIL
+        # one check per iteration at this depth, and no second eigensolve after the stop
+        assert checks == list(range(1, j + 1))
+        assert solves == []
+        assert dec.error_estimate <= 1e-6
+        fixed = expm_multiply(a, b, j)
+        assert np.linalg.norm(y - fixed) <= 1e-13 * np.linalg.norm(fixed)
+        exact = expm_dense(a) @ b
+        assert np.linalg.norm(y - exact) <= 10 * 1e-6 * np.linalg.norm(exact)
+
+    def test_estimate_that_never_fires_stops_at_cap(self, monkeypatch):
+        # a wide spectrum keeps the estimate far above the budget for 6 iterations
+        a = np.diag(np.linspace(-60.0, 60.0, 50))
+        b = np.ones(50)
+        op = SparseSymOperator.from_dense(a)
+        checks, _ = _count_eigensolves(monkeypatch)
+        y, dec = expm_multiply(op, b, 6, tol=1e-10, full_output=True)
+        assert dec.iterations == 6 and op.matvec_count == 6
+        assert not dec.terminated_early
+        assert dec.error_estimate > 1e-10
+        assert checks == [1, 2, 3, 4, 5, 6]
+        # the recurrence itself is the fixed-depth one, bit for bit
+        fixed = lanczos_decompose(a, b, 6)
+        assert np.array_equal(dec.alphas, fixed.alphas)
+        assert np.array_equal(dec.betas, fixed.betas)
+        assert np.array_equal(dec.basis, fixed.basis)
+        fixed_y = expm_multiply(a, b, 6)
+        assert np.linalg.norm(y - fixed_y) <= 1e-13 * np.linalg.norm(fixed_y)
+
+    def test_checks_thin_out_past_the_dense_phase(self, monkeypatch):
+        a = np.diag(np.linspace(-400.0, 400.0, 120))
+        checks, _ = _count_eigensolves(monkeypatch)
+        dec = lanczos_decompose(a, np.ones(120), 50, tol=1e-12)
+        assert dec.iterations == 50
+        assert checks == [1, 2, 3, 4, 5, 6, 7, 8, 12, 18, 27, 40, 50]
+
+    def test_breakdown_still_flagged(self, rng):
+        dec = lanczos_decompose(np.zeros((4, 4)), rng.standard_normal(4), 3, tol=1e-3)
+        assert dec.iterations == 1 and dec.terminated_early
+        dec = lanczos_decompose(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 2, tol=1e-12)
+        assert dec.iterations == 1 and dec.terminated_early
+        assert dec.error_estimate == 0.0
+        # reaching the cap on an exhausted space is not an early termination
+        dec = lanczos_decompose(random_symmetric(rng, 5), rng.standard_normal(5), 5, tol=0.0)
+        assert dec.iterations == 5 and not dec.terminated_early
+
+    def test_nonfinite_checks_fire_with_budget(self, rng):
+        a = random_symmetric(rng, 6)
+        with pytest.raises(ConvergenceError, match="iteration 1"):
+            lanczos_decompose(SparseSymOperator(3, lambda v: v * np.nan), rng.standard_normal(3), 2, tol=0.1)
+        with pytest.raises(ConvergenceError, match="iteration 3"):
+            lanczos_decompose(_poisoned_on_call(a, 3, np.nan), rng.standard_normal(6), 5, tol=1e-300)
+        with pytest.raises(ConvergenceError, match="iteration 5"):
+            lanczos_decompose(_poisoned_on_call(a, 5, np.inf), rng.standard_normal(6), 5, tol=1e-300)
 
 
 class TestRequiredIterations:

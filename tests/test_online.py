@@ -163,7 +163,9 @@ class TestRunOnline:
             return run_online(adv, strategy, Schedule(eta=0.2, T=25), play_rng)
 
         t1, t2 = one_run(), one_run()
-        for name in ("step_gain", "cum_gain", "lam_max_running", "k_used", "matvecs"):
+        for name in (
+            "step_gain", "cum_gain", "lam_max_running", "k_used", "k_cap", "matvecs", "krylov_err_est",
+        ):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
         assert t1.total_regret == t2.total_regret
 
@@ -192,6 +194,29 @@ class TestRunOnline:
         adv = builtin_adversaries("random_rotation", 6, rng)
         trace = run_online(adv, "rank1_exact", Schedule(eta=0.2, T=40), rng)
         trace.validate()
+
+    @pytest.mark.parametrize("dense_limit", [2048, 8])
+    def test_krylov_depth_records(self, dense_limit):
+        n, horizon = 24, 60
+        adv_rng, play_rng = SeededRng(17).spawn(2)
+        adv = builtin_adversaries("random_rotation", n, adv_rng)
+        eta = default_eta(n, horizon)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=eta, T=horizon), play_rng, dense_limit=dense_limit)
+        rule = kt_schedule(n, horizon, eta, 0.1)
+        assert np.array_equal(trace.matvecs, trace.k_used)
+        assert np.array_equal(trace.k_cap, [min(rule(t), n) for t in range(1, horizon + 1)])
+        assert np.all((trace.k_used >= 1) & (trace.k_used <= trace.k_cap))
+        # every run that stopped below its cap met the 1/(4T) budget
+        below = trace.k_used < trace.k_cap
+        assert below.any()
+        assert np.all(trace.krylov_err_est[below] <= 0.25 / horizon)
+        assert np.all(trace.krylov_err_est >= 0.0)
+
+    def test_dense_strategy_records_no_depth(self, rng):
+        adv = builtin_adversaries("random_rotation", 6, rng)
+        trace = run_online(adv, "rank1_exact", Schedule(eta=0.2, T=10), rng)
+        for name in ("k_used", "k_cap", "matvecs", "krylov_err_est"):
+            assert not getattr(trace, name).any(), name
 
     def test_dense_strategy_needs_dense_scale(self, rng):
         adv = builtin_adversaries("random_rotation", 12, rng)

@@ -6,18 +6,24 @@ import pytest
 from mmwsketch import (
     SeededRng,
     SparseSymOperator,
+    builtin_adversaries,
+    default_eta,
     estimate_avg_projection_direct,
     estimate_avg_projection_dirichlet,
     estimate_bregman,
     estimate_potential,
+    kt_schedule,
     mmw_projection,
     rank1_projection,
     rank1_projection_lanczos,
     sample_unit_sphere,
     softmax_grad,
+    solve_feasibility,
     trace_norm_distance,
 )
-from mmwsketch.projections import DualState, SimplexWeights, SpectrahedronAction
+from mmwsketch.online import REFINED_ETA_MAX
+from mmwsketch.projections import DualState, KrylovAction, SimplexWeights, SpectrahedronAction
+from mmwsketch.sdp import _adjoint_dense, make_random_instance
 from conftest import expm_dense, haar_orthogonal, random_symmetric, trace_norm
 
 
@@ -175,6 +181,73 @@ class TestRank1ProjectionLanczos:
         u = sample_unit_sphere(8, rng)
         rank1_projection_lanczos(base.scaled(0.5), u, 6)
         assert base.matvec_count == 6
+
+    def test_reports_depth_and_estimate(self, rng):
+        y = random_symmetric(rng, 20, op_norm=3.0)
+        u = sample_unit_sphere(20, rng)
+        fixed = rank1_projection_lanczos(y, u, 9)
+        assert isinstance(fixed, KrylovAction)
+        assert fixed.depth == 9 and fixed.error_estimate is None
+        budgeted = rank1_projection_lanczos(y, u, 20, tol=1e-4)
+        assert budgeted.depth < 20 and budgeted.error_estimate <= 1e-4
+        # stopping early changes only where the loop ends, not what it computes
+        same = rank1_projection_lanczos(y, u, budgeted.depth)
+        assert np.abs(budgeted.factor - same.factor).max() <= 1e-12
+
+
+#: (adversary, n, T) of the budgeted-sketch check; eta and the depth cap follow the CLI defaults.
+BUDGET_GAMES = [
+    ("streaming_pca", 128, 600),
+    ("random_rotation", 64, 2000),
+    ("psd_random", 64, 1000),
+    ("fixed_matrix", 64, 1000),
+]
+
+
+class TestBudgetedKrylovSketch:
+    """At a budget of 1/(4T) the Krylov sketch stays within 1/T of the exact sketch."""
+
+    @pytest.mark.parametrize("kind,n,horizon", BUDGET_GAMES)
+    def test_gain_sums_of_builtin_adversaries(self, kind, n, horizon):
+        adv_rng, u_rng = SeededRng(5).spawn(2)
+        adversary = builtin_adversaries(kind, n, adv_rng)
+        eta = default_eta(n, horizon)
+        if adversary.gain_class == "psd_unit":
+            eta = min(eta, REFINED_ETA_MAX)
+        rule = kt_schedule(n, horizon, eta, 0.1)
+        sampled = set(np.linspace(1, horizon, 12).round().astype(int).tolist())
+        gain_sum = np.zeros((n, n))
+        worst = 0.0
+        for t in range(1, horizon + 1):
+            if t in sampled:
+                y = eta * gain_sum
+                op = SparseSymOperator.from_dense(y)
+                cap = min(rule(t), n)
+                for _ in range(4):
+                    u = sample_unit_sphere(n, u_rng)
+                    approx = rank1_projection_lanczos(op, u, cap, tol=0.25 / horizon)
+                    assert approx.depth <= cap
+                    worst = max(worst, trace_norm_distance(approx, rank1_projection(y, u)))
+            gain_sum += adversary.next_gain(())
+        assert worst <= 1.0 / horizon
+
+    def test_sdp_solve_plays_within_budget(self):
+        instance = make_random_instance(60, 8, SeededRng(31), density=0.1)
+        result = solve_feasibility(instance, 0.5, rng=SeededRng(4), use_lanczos=True)
+        horizon, eta = result.T, result.eta
+        # replay the solver's sphere draws and dual points, and sketch each step exactly
+        rng = SeededRng(4)
+        eta_y_sum = np.zeros(instance.m)
+        worst = 0.0
+        for t in range(1, horizon + 1):
+            u = sample_unit_sphere(instance.n, rng)
+            if t % 5 == 1:
+                exact = rank1_projection(_adjoint_dense(instance, eta_y_sum), u)
+                played = SpectrahedronAction.rank1(result.x_factor_history[t - 1])
+                worst = max(worst, trace_norm_distance(played, exact))
+            eta_y_sum += eta * result.y_history[t - 1]
+        assert worst <= 1.0 / horizon
+        assert result.matvecs < 20 * horizon
 
 
 class TestTraceNormDistance:

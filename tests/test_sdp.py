@@ -411,6 +411,9 @@ class TestSolveFeasibility:
         result = solve_feasibility(inst, 0.25, rng=SeededRng(3), time_budget_s=1e-9)
         assert not result.completed
         assert result.T < 856
+        # the average covers exactly the steps played, including a partly filled block
+        replay = result.x_factor_history.T @ result.x_factor_history / result.T
+        assert np.abs(replay - result.x_avg.matrix).max() <= 1e-12
 
     def test_determinism(self):
         r1 = solve_feasibility(builtin_instance("sym2x2"), 0.5, rng=SeededRng(6))

@@ -32,11 +32,6 @@ BREAKDOWN_RTOL = 1e-12
 #: log(float64 max); exp arguments are clamped here to avoid overflow to inf.
 EXP_CLAMP = 709.0
 
-#: With an error budget, the estimate is checked after every iteration up to
-#: this depth, then after every ``j // 2`` further iterations (and at the cap),
-#: so that a run reaching a deep cap pays for few tridiagonal eigensolves.
-CHECK_EVERY_UNTIL = 8
-
 
 @dataclass
 class LanczosDecomposition:
@@ -69,6 +64,20 @@ class LanczosDecomposition:
         if j > 1:
             t += np.diag(self.betas, 1) + np.diag(self.betas, -1)
         return t
+
+    def expm(self, normalized=False):
+        """Krylov approximation of ``exp(a) @ b`` from this decomposition.
+
+        The tridiagonal eigenvalues are exponentiated after subtracting their
+        maximum; the scalar ``exp(max)`` is reapplied multiplicatively
+        (clamped at the float64 overflow threshold), or dropped with
+        ``normalized=True``.  Reuses the eigenpairs of the last error check.
+        """
+        theta, v = self.ritz if self.ritz is not None else _tridiagonal_eigh(self.alphas, self.betas)
+        y = self.basis @ (self.input_norm * _shifted_exp_e1(theta, v))
+        if not normalized:
+            y = y * math.exp(min(float(theta.max()), EXP_CLAMP))
+        return y
 
 
 def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
@@ -105,7 +114,6 @@ def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
     scale = 1.0
     terminated = False
     estimate = ritz = None
-    next_check = 1
     j = 1
     for i in range(k):
         w = op.matvec(q)
@@ -130,13 +138,12 @@ def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
         if not math.isfinite(beta):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
         breakdown = beta <= BREAKDOWN_RTOL * scale
-        if tol is not None and (breakdown or j == k or j >= next_check):
-            ritz = _check_eigh(alphas[:j], betas[: j - 1])
+        if tol is not None:
+            ritz = _tridiagonal_eigh(alphas[:j], betas[: j - 1])
             estimate = _error_estimate(beta, *ritz)
             if estimate <= tol or j == k:
                 terminated = breakdown and j < k
                 break
-            next_check = j + 1 if j < CHECK_EVERY_UNTIL else j + j // 2
         if breakdown:
             terminated = True
             break
@@ -165,16 +172,11 @@ def ritz_values(dec):
 
 
 def _tridiagonal_eigh(alphas, betas):
-    if len(alphas) == 1:
-        return alphas.copy(), np.ones((1, 1))
-    return scipy.linalg.eigh_tridiagonal(alphas, betas)
+    """Eigenpairs of a tridiagonal matrix from LAPACK ``stevd``.
 
-
-def _check_eigh(alphas, betas):
-    """Eigenpairs of a tridiagonal matrix from LAPACK's divide and conquer (``stevd``).
-
-    Used by the error checks: at the depths where they run, the input
-    validation of ``eigh_tridiagonal`` costs several times the solve.
+    ``stevd`` is the driver that SciPy 1.17's ``eigh_tridiagonal`` selects for
+    all eigenpairs; calling it directly skips that wrapper's input validation,
+    which costs several times the solve at the depths an error check runs.
     """
     if len(alphas) == 1:
         return alphas.copy(), np.ones((1, 1))
@@ -195,25 +197,17 @@ def _error_estimate(beta, theta, v):
     return beta * abs(float(c[-1])) / float(np.linalg.norm(c))
 
 
-def expm_multiply(a, b, k, reorthogonalize=True, normalized=False, tol=None, full_output=False):
+def expm_multiply(a, b, k, reorthogonalize=True, normalized=False, tol=None):
     """Approximate ``exp(a) @ b`` from at most k Krylov iterations.
 
-    The tridiagonal eigenvalues are exponentiated after subtracting their
-    maximum; the scalar ``exp(max)`` is reapplied multiplicatively (clamped at
-    the float64 overflow threshold).  With ``normalized=True`` the scalar is
-    dropped and the result equals ``exp(a - max I) @ b`` restricted to the
-    Krylov space, which callers that renormalize anyway should prefer.
-    ``tol`` is the relative error budget passed to :func:`lanczos_decompose`
-    (None runs exactly k iterations).  With ``full_output=True`` the result
-    is ``(y, decomposition)``.
+    With ``normalized=True`` the result equals ``exp(a - max I) @ b``
+    restricted to the Krylov space, ``max`` the top Ritz value, which callers
+    that renormalize anyway should prefer (see
+    :meth:`LanczosDecomposition.expm`).  ``tol`` is the relative error budget
+    passed to :func:`lanczos_decompose` (None runs exactly k iterations).
     """
     dec = lanczos_decompose(a, b, k, reorthogonalize=reorthogonalize, tol=tol)
-    theta, v = dec.ritz if dec.ritz is not None else _tridiagonal_eigh(dec.alphas, dec.betas)
-    shift = float(theta.max())
-    y = dec.basis @ (dec.input_norm * _shifted_exp_e1(theta, v))
-    if not normalized:
-        y = y * math.exp(min(shift, EXP_CLAMP))
-    return (y, dec) if full_output else y
+    return dec.expm(normalized=normalized)
 
 
 def required_iterations(op_norm_bound, epsilon, delta, n, k0=DEFAULT_K0):

@@ -357,9 +357,8 @@ def run_online(
             )
             k_cap[t - 1] = min(kt_rule(t), n)
             action = rank1_projection_lanczos(base_op.scaled(eta), u, k_cap[t - 1], tol=0.25 / T)
-            k_used[t - 1] = action.depth
+            matvecs[t - 1] = k_used[t - 1] = base_op.matvec_count
             krylov_err_est[t - 1] = action.error_estimate
-            matvecs[t - 1] = base_op.matvec_count
         wall_ns[t - 1] = time.perf_counter_ns() - t0
 
         earned = action.inner(gain)

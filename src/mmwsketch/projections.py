@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import expm_multiply
+from .lanczos import lanczos_decompose
 from .linalg import (
     DENSE_LIMIT,
     SparseSymOperator,
@@ -73,15 +73,18 @@ class SpectrahedronAction:
     Rank-1 actions store the unit factor with canonical sign (first nonzero
     coordinate positive); all downstream quantities depend only on the outer
     product, so the sign convention is observable only through equality tests.
+    ``error_estimate`` is the relative error estimate at the stop of a Krylov
+    sketch run with an error budget, and ``None`` otherwise.
     """
 
-    __slots__ = ("factor", "matrix")
+    __slots__ = ("factor", "matrix", "error_estimate")
 
     def __init__(self, factor=None, matrix=None):
         if (factor is None) == (matrix is None):
             raise ValueError("exactly one of factor/matrix must be given")
         self.factor = factor
         self.matrix = matrix
+        self.error_estimate = None
 
     @classmethod
     def rank1(cls, x):
@@ -135,17 +138,6 @@ class SpectrahedronAction:
             raise ValueError(f"matrix has eigenvalue {lam.min():.3e} below -{psd_tol}")
         if abs(np.trace(self.matrix) - 1.0) > trace_tol:
             raise ValueError("matrix trace differs from 1")
-
-
-class KrylovAction(SpectrahedronAction):
-    """A rank-1 action from a Krylov exponential, with the depth it took.
-
-    ``depth`` is the number of Lanczos iterations run (one matvec each);
-    ``error_estimate`` is the relative error estimate at the stop, or
-    ``None`` for a fixed-depth run.
-    """
-
-    __slots__ = ("depth", "error_estimate")
 
 
 @dataclass
@@ -215,20 +207,20 @@ def rank1_projection_lanczos(y, u, k, tol=None):
     Without ``tol`` exactly k iterations run (fewer only on breakdown).  With
     ``tol`` the Lanczos loop stops once its estimate of the relative error of
     ``exp(Y/2) u`` is at most ``tol``; the trace distance of the rank-1
-    sketch is at most twice the relative error of its vector.  Returns a
-    :class:`KrylovAction` recording the depth run and the estimate.
+    sketch is at most twice the relative error of its vector.  The estimate
+    at the stop is recorded as the action's ``error_estimate``.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
     if not isinstance(y, SparseSymOperator):
         y = SparseSymOperator.from_dense(y)
-    v, dec = expm_multiply(y.scaled(0.5), u, k, normalized=True, tol=tol, full_output=True)
+    dec = lanczos_decompose(y.scaled(0.5), u, k, tol=tol)
+    v = dec.expm(normalized=True)
     nrm = np.linalg.norm(v)
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ArithmeticError("Krylov exponential returned a zero vector")
-    action = KrylovAction.rank1(v / nrm)
-    action.depth = dec.iterations
+    action = SpectrahedronAction.rank1(v / nrm)
     action.error_estimate = dec.error_estimate
     return action
 

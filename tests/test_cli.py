@@ -255,51 +255,6 @@ class TestSdpFeas:
         assert payload["aggregate"]["within_epsilon"] is True
         assert payload["aggregate"]["mean_gap"] <= 0.5
 
-    def test_lanczos_trace_records_depth_cap_and_estimate(self, tmp_path):
-        out = tmp_path / "krylov"
-        code = run_cli(
-            ["online-eig", "--n", "12", "--T", "30", "--strategy", "rank1-lanczos",
-             "--seed", "2", "--out", str(out)]
-        )
-        assert code == 0
-        meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v2"
-        assert header == [
-            "t", "step_gain", "cum_gain", "lam_max_running",
-            "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
-        ]
-        col = {name: i for i, name in enumerate(header)}
-        for row in rows:
-            k_used, k_cap = int(row[col["k_used"]]), int(row[col["k_cap"]])
-            assert 1 <= k_used <= k_cap <= 12
-            assert int(row[col["matvecs"]]) == k_used
-            assert float(row[col["krylov_err_est"]]) >= 0.0
-
-    def test_v1_trace_still_readable(self, tmp_path):
-        path = tmp_path / "old.csv"
-        cli.write_csv(
-            path, "online-eig-trace-v1", {}, ["t", "step_gain", "k_used", "matvecs"], [[1, "0.5", 3, 3]]
-        )
-        meta, header, rows = cli.read_csv(path)
-        assert meta["schema"] == "online-eig-trace-v1"
-        assert rows == [["1", "0.5", "3", "3"]]
-
-    @pytest.mark.parametrize(
-        "extra,message",
-        [
-            (["--eta", "-1"], "error: eta must be a positive finite number\n"),
-            (["--eta", "0"], "error: eta must be a positive finite number\n"),
-            (["--eta", "inf"], "error: eta must be a positive finite number\n"),
-            (["--hp-delta", "0"], "error: hp-delta must lie in (0, 1)\n"),
-            (["--hp-delta", "1.5"], "error: hp-delta must lie in (0, 1)\n"),
-        ],
-    )
-    def test_bad_eta_or_hp_delta_is_usage_error(self, tmp_path, capsys, extra, message):
-        args = ["online-eig", "--n", "4", "--T", "5", "--out", str(tmp_path)]
-        assert run_cli(args + extra) == 1
-        assert capsys.readouterr().err == message
-        assert not (tmp_path / "online-eig-summary.json").exists()
-
     def test_rerun_identical_modulo_timestamps(self, tmp_path):
         out = tmp_path / "sdpdet"
         args = [

@@ -21,7 +21,6 @@ from .linalg import (  # noqa: F401
     LinalgError,
     SeededRng,
     SparseSymOperator,
-    SymmetricMatrix,
     dense_eigh,
     op_norm_bounds,
     sample_dirichlet_half,
@@ -35,7 +34,6 @@ from .lanczos import (  # noqa: F401
     required_iterations,
 )
 from .projections import (  # noqa: F401
-    DualState,
     SimplexWeights,
     SpectrahedronAction,
     estimate_avg_projection_direct,

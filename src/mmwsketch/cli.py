@@ -220,6 +220,10 @@ def cmd_online_eig(cfg):
         raise UsageError("hp-delta must lie in (0, 1)")
     if cfg["eta"] is not None and not (math.isfinite(cfg["eta"]) and cfg["eta"] > 0.0):
         raise UsageError("eta must be a positive finite number")
+    if not (math.isfinite(cfg["k0"]) and cfg["k0"] > 0.0):
+        raise UsageError("k0 must be a positive finite number")
+    if cfg["mc_samples"] < 1:
+        raise UsageError("mc-samples must be >= 1")
     strategy = STRATEGY_TOKENS[cfg["strategy"]]
     if strategy in ("exact_mmw", "rank1_exact", "averaged_mc") and n > cfg["dense_limit"]:
         raise UsageError(
@@ -418,8 +422,11 @@ def cmd_bench_lanczos(cfg):
                 a = _bench_matrix(kind, n, cfg["op_norm"], rng)
                 lam, q = np.linalg.eigh(a)
                 b = sample_unit_sphere(n, rng)
-                exact = (q * np.exp(lam)) @ (q.T @ b)
-                exact_norm = np.linalg.norm(exact)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    exact = (q * np.exp(lam)) @ (q.T @ b)
+                    exact_norm = np.linalg.norm(exact)
+                if not math.isfinite(exact_norm):
+                    raise OverflowError(f"oracle |exp(A) b| overflows float64 at op-norm {cfg['op_norm']:g}")
                 for k in ks:
                     if k > n:
                         continue

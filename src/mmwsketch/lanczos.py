@@ -4,8 +4,8 @@ The core routine tridiagonalizes a symmetric operator against a start vector
 via the three-term recurrence (optionally with full reorthogonalization),
 then evaluates exp on the small tridiagonal matrix.  Exponentials are always
 taken after subtracting the top Ritz value so that large spectra cannot
-overflow; the scalar is reapplied multiplicatively, or dropped entirely in
-normalized mode for callers that only need the direction.
+overflow; the scalar is reapplied multiplicatively (an overflow there raises),
+or dropped entirely in normalized mode for callers that only need the direction.
 
 Given an error budget ``tol``, the recurrence stops as soon as Saad's a
 posteriori estimate of the relative error of ``exp(A) b`` (Saad, SIAM J.
@@ -28,9 +28,6 @@ DEFAULT_K0 = 4.0
 
 #: Relative threshold below which an off-diagonal is treated as exact breakdown.
 BREAKDOWN_RTOL = 1e-12
-
-#: log(float64 max); exp arguments are clamped here to avoid overflow to inf.
-EXP_CLAMP = 709.0
 
 
 @dataclass
@@ -69,14 +66,22 @@ class LanczosDecomposition:
         """Krylov approximation of ``exp(a) @ b`` from this decomposition.
 
         The tridiagonal eigenvalues are exponentiated after subtracting their
-        maximum; the scalar ``exp(max)`` is reapplied multiplicatively
-        (clamped at the float64 overflow threshold), or dropped with
-        ``normalized=True``.  Reuses the eigenpairs of the last error check.
+        maximum; the scalar ``exp(max)`` is reapplied multiplicatively, or
+        dropped with ``normalized=True``.  Raises ``OverflowError`` when the
+        scalar or the scaled vector is not finite in float64.  Reuses the
+        eigenpairs of the last error check.
         """
         theta, v = self.ritz if self.ritz is not None else _tridiagonal_eigh(self.alphas, self.betas)
         y = self.basis @ (self.input_norm * _shifted_exp_e1(theta, v))
         if not normalized:
-            y = y * math.exp(min(float(theta.max()), EXP_CLAMP))
+            theta_max = float(theta.max())
+            try:
+                with np.errstate(over="raise"):
+                    y = y * math.exp(theta_max)
+            except (OverflowError, FloatingPointError):
+                raise OverflowError(
+                    f"exp(a) @ b overflows float64 (top Ritz value {theta_max:.6g}); use normalized=True"
+                ) from None
         return y
 
 

@@ -27,12 +27,10 @@ class ConvergenceError(LinalgError):
 def sym_array(a, atol_scale=1e-8):
     """Coerce ``a`` to an exactly symmetric float ndarray.
 
-    Accepts a :class:`SymmetricMatrix` or any square array-like whose
-    asymmetry is below ``atol_scale`` relative to its magnitude.  The result
-    satisfies ``out[i, j] == out[j, i]`` bitwise.
+    Accepts any square array-like whose asymmetry is below ``atol_scale``
+    relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
+    bitwise.
     """
-    if isinstance(a, SymmetricMatrix):
-        return a.mat
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -42,48 +40,12 @@ def sym_array(a, atol_scale=1e-8):
     return 0.5 * (arr + arr.T)
 
 
-class SymmetricMatrix:
-    """Dense symmetric n-by-n matrix; storage is exactly symmetric.
-
-    Construction averages the input with its transpose, so
-    ``entries[i][j] == entries[j][i]`` holds bitwise.  Inputs whose asymmetry
-    exceeds roundoff scale are rejected.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, entries):
-        self.mat = sym_array(entries)
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros((n, n)))
-
-    @classmethod
-    def diagonal(cls, diag):
-        return cls(np.diag(np.asarray(diag, dtype=float)))
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.mat.astype(dtype)
-        return self.mat
-
-    def __repr__(self):
-        return f"SymmetricMatrix(n={self.n})"
-
-
 class SparseSymOperator:
     """Symmetric linear operator exposed only through matrix-vector products.
 
     ``matvec_count`` tallies every application.  Derived operators made via
-    :meth:`scaled` and :meth:`shifted` delegate to the parent's ``matvec``,
-    so cost accounting accrues to the base operator as well.
+    :meth:`scaled` delegate to the parent's ``matvec``, so cost accounting
+    accrues to the base operator as well.
     """
 
     def __init__(self, n, apply_fn, nnz_hint=None):
@@ -116,64 +78,20 @@ class SparseSymOperator:
         csr = 0.5 * (csr + csr.T)
         return cls(csr.shape[0], lambda v: csr @ v, nnz_hint=csr.nnz)
 
-    @classmethod
-    def from_matrices(cls, mats, weights=None):
-        """Lazy weighted sum of symmetric matrices or operators."""
-        mats = list(mats)
-        if not mats:
-            raise ValueError("need at least one matrix")
-        terms = []
-        nnz = 0
-        n = None
-        for m in mats:
-            if isinstance(m, SparseSymOperator):
-                terms.append(m.matvec)
-                nnz += m.nnz_hint
-                dim = m.n
-            else:
-                arr = sym_array(m)
-                terms.append(lambda v, a=arr: a @ v)
-                nnz += np.count_nonzero(arr)
-                dim = arr.shape[0]
-            if n is None:
-                n = dim
-            elif n != dim:
-                raise ValueError("dimension mismatch in operator sum")
-        w = np.ones(len(terms)) if weights is None else np.asarray(weights, dtype=float)
-        if w.shape != (len(terms),):
-            raise ValueError("one weight per matrix required")
-
-        def apply_sum(v):
-            out = np.zeros_like(v)
-            for wi, term in zip(w, terms):
-                if wi != 0.0:
-                    out += wi * term(v)
-            return out
-
-        return cls(n, apply_sum, nnz_hint=nnz)
-
     def scaled(self, c):
         """Operator computing ``c * (self v)``; applications also count on self."""
         return SparseSymOperator(self.n, lambda v: c * self.matvec(v), nnz_hint=self.nnz_hint)
-
-    def shifted(self, c):
-        """Operator computing ``self v + c v``; applications also count on self."""
-        return SparseSymOperator(
-            self.n, lambda v: self.matvec(v) + c * v, nnz_hint=self.nnz_hint + self.n
-        )
 
 
 def as_operator(a):
     """Coerce dense/sparse symmetric input to a :class:`SparseSymOperator`."""
     if isinstance(a, SparseSymOperator):
         return a
-    if isinstance(a, SymmetricMatrix) or isinstance(a, np.ndarray):
-        return SparseSymOperator.from_dense(a)
     import scipy.sparse as sp
 
     if sp.issparse(a):
         return SparseSymOperator.from_sparse(a)
-    return SparseSymOperator.from_dense(np.asarray(a, dtype=float))
+    return SparseSymOperator.from_dense(a)
 
 
 def symmetry_defect(op, rng, probes=8):
@@ -203,9 +121,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def dense_eigh(a, dense_limit=DENSE_LIMIT):

@@ -37,6 +37,9 @@ GAIN_CLASSES = ("bounded_inf_norm_1", "psd_unit")
 #: Step size at or below which the refined (PSD-gain) regret bound applies.
 REFINED_ETA_MAX = 1.0 / 6.0
 
+#: Relative accuracy of the running top eigenvalue above the dense limit.
+LAM_TOL = 1e-6
+
 
 class GainValidationError(Exception):
     """An adversary emitted a gain outside its declared class."""
@@ -287,8 +290,6 @@ def run_online(
     rng,
     dense_limit=DENSE_LIMIT,
     mc_samples=2000,
-    validate_gains=True,
-    lam_tol=1e-6,
 ):
     """Play the online game for ``schedule.T`` steps and return the trace.
 
@@ -298,6 +299,8 @@ def run_online(
     and (4) records the earned inner product.  Total regret compares the
     cumulative gain against the top eigenvalue of the realized gain sum
     (exact at dense scale, certified within a recorded tolerance above it).
+    The gain sum is one dense running matrix in both modes, so a Krylov
+    matvec costs O(n^2) whatever the step.
 
     ``rank1_lanczos`` stops each Krylov run once its error estimate is at
     most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
@@ -326,15 +329,13 @@ def run_online(
     wall_ns = np.zeros(T, dtype=np.int64)
 
     history = []
-    gain_sum = np.zeros((n, n)) if dense_mode else None
-    gain_list = None if dense_mode else []
+    gain_sum = np.zeros((n, n))
     running_total = 0.0
     lam_tol_abs = 0.0
 
     for t in range(1, T + 1):
         gain = np.asarray(adversary.next_gain(tuple(history)), dtype=float)
-        if validate_gains:
-            _validate_gain(gain, adversary.gain_class, t, n)
+        _validate_gain(gain, adversary.gain_class, t, n)
         t0 = time.perf_counter_ns()
         if strategy == "exact_mmw":
             action = mmw_projection(eta * gain_sum, dense_limit=dense_limit)
@@ -348,13 +349,7 @@ def run_online(
             action = est.action
         else:  # rank1_lanczos
             u = sample_unit_sphere(n, rng)
-            base_op = (
-                SparseSymOperator.from_dense(gain_sum)
-                if dense_mode
-                else SparseSymOperator.from_matrices(gain_list)
-                if gain_list
-                else SparseSymOperator(n, lambda v: np.zeros_like(v), nnz_hint=0)
-            )
+            base_op = SparseSymOperator.from_dense(gain_sum)
             k_cap[t - 1] = min(kt_rule(t), n)
             action = rank1_projection_lanczos(base_op.scaled(eta), u, k_cap[t - 1], tol=0.25 / T)
             matvecs[t - 1] = k_used[t - 1] = base_op.matvec_count
@@ -366,14 +361,13 @@ def run_online(
         step_gain[t - 1] = earned
         cum_gain[t - 1] = running_total
 
+        gain_sum += gain
         if dense_mode:
-            gain_sum += gain
             lam_running[t - 1] = np.linalg.eigvalsh(gain_sum)[-1]
         else:
-            gain_list.append(gain)
-            bounds = op_norm_bounds(SparseSymOperator.from_matrices(gain_list), lam_tol)
+            bounds = op_norm_bounds(gain_sum, LAM_TOL)
             lam_running[t - 1] = bounds.lam_max
-            lam_tol_abs = lam_tol * max(1.0, abs(bounds.lam_max))
+            lam_tol_abs = LAM_TOL * max(1.0, abs(bounds.lam_max))
         history.append((gain, action))
 
     lam_final = float(lam_running[-1])

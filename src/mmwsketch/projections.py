@@ -141,19 +141,6 @@ class SpectrahedronAction:
 
 
 @dataclass
-class DualState:
-    """Accumulated dual point of the online game: eta times the gain sum."""
-
-    y: object  # ndarray or SparseSymOperator
-    eta: float
-    t: int
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-
-@dataclass
 class MatrixEstimate:
     """Monte-Carlo matrix mean with entrywise standard errors."""
 

@@ -36,8 +36,8 @@ from .projections import (
 
 VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 
-#: Played unit factors are buffered in blocks of this many rows and folded
-#: into the dense average with one ``F' F`` product per block.
+#: Played unit factors are folded into the dense average in blocks of this
+#: many rows, with one ``F' F`` product per block.
 X_AVG_BLOCK = 64
 
 
@@ -91,7 +91,6 @@ class SdpInstance:
             self.cols.append(np.array([e[1] for e in entries], dtype=np.int64))
             self.vals.append(np.array([e[2] for e in entries], dtype=float))
         self.width = None if width is None else float(width)
-        self._csr = [None] * self.m
         self._stack = None
 
     @classmethod
@@ -126,16 +125,6 @@ class SdpInstance:
         a[r, c] = v
         a[c, r] = v
         return a
-
-    def csr(self, i):
-        if self._csr[i] is None:
-            r, c, v = self.rows[i], self.cols[i], self.vals[i]
-            off = r != c
-            rr = np.concatenate([r, c[off]])
-            cc = np.concatenate([c, r[off]])
-            vv = np.concatenate([v, v[off]])
-            self._csr[i] = sp.csr_matrix((vv, (rr, cc)), shape=(self.n, self.n))
-        return self._csr[i]
 
     def stack(self):
         """All constraints over one sparsity pattern; built once, then cached.
@@ -182,7 +171,7 @@ class SdpInstance:
                     lam = np.linalg.eigvalsh(self.dense(i))
                     w = max(w, abs(lam[0]), abs(lam[-1]))
                 else:
-                    bounds = op_norm_bounds(SparseSymOperator.from_sparse(self.csr(i)), tol)
+                    bounds = op_norm_bounds(_adjoint_operator(self, np.eye(1, self.m, i)[0]), tol)
                     w = max(w, abs(bounds.lam_min), abs(bounds.lam_max))
             self.width = w
         return self.width
@@ -385,10 +374,10 @@ class FeasibilityResult:
     matvecs: int
     wall_ns: int
     completed: bool
-    cost_history: np.ndarray = field(repr=False, default=None)
-    y_history: np.ndarray = field(repr=False, default=None)
-    played_gain: np.ndarray = field(repr=False, default=None)
-    x_factor_history: np.ndarray = field(repr=False, default=None)
+    cost_history: np.ndarray = field(repr=False)
+    y_history: np.ndarray = field(repr=False)
+    played_gain: np.ndarray = field(repr=False)
+    x_factor_history: np.ndarray = field(repr=False)
 
 
 def _verdict(s_lower, s_upper):
@@ -406,7 +395,6 @@ def solve_feasibility(
     rng=None,
     use_lanczos=False,
     dense_limit=DENSE_LIMIT,
-    keep_history=True,
     time_budget_s=None,
 ):
     """Run the primal-dual saddle-point game and certify the sign of its value.
@@ -432,16 +420,13 @@ def solve_feasibility(
         raise ValueError("exact projections require n <= dense limit; pass use_lanczos=True")
 
     start_ns = time.perf_counter_ns()
-    x_avg = np.zeros((n, n))
-    x_block = np.empty((min(X_AVG_BLOCK, horizon), n))  # played factors not yet in x_avg
-    in_block = 0
     y_avg = np.zeros(m)
     cost_sum = np.zeros(m)
     eta_y_sum = np.zeros(m)  # accumulated eta * y_i: the scaled gain sum is A* eta_y_sum
-    cost_history = np.zeros((horizon, m)) if keep_history else None
-    y_history = np.zeros((horizon, m)) if keep_history else None
-    played_gain = np.zeros(horizon) if keep_history else None
-    x_factor_history = np.zeros((horizon, n)) if keep_history else None
+    cost_history = np.zeros((horizon, m))
+    y_history = np.zeros((horizon, m))
+    played_gain = np.zeros(horizon)
+    x_factor_history = np.zeros((horizon, n))
     matvecs = 0
     steps_done = 0
 
@@ -458,24 +443,22 @@ def solve_feasibility(
         yw = y.weights
 
         cost = costs(instance, action)
-        x_block[in_block] = action.factor
-        in_block += 1
-        if in_block == len(x_block):
-            x_avg += x_block.T @ x_block
-            in_block = 0
         y_avg += yw
-        if keep_history:
-            cost_history[t - 1] = cost
-            y_history[t - 1] = yw
-            played_gain[t - 1] = float(yw @ cost)
-            x_factor_history[t - 1] = action.factor
+        cost_history[t - 1] = cost
+        y_history[t - 1] = yw
+        played_gain[t - 1] = float(yw @ cost)
+        x_factor_history[t - 1] = action.factor
         cost_sum += cost
         eta_y_sum += eta * yw
         steps_done = t
         if time_budget_s is not None and (time.perf_counter_ns() - start_ns) > time_budget_s * 1e9:
             break
 
-    x_avg += x_block[:in_block].T @ x_block[:in_block]
+    factors = x_factor_history[:steps_done]
+    x_avg = np.zeros((n, n))
+    for start in range(0, steps_done, X_AVG_BLOCK):
+        block = factors[start : start + X_AVG_BLOCK]
+        x_avg += block.T @ block
     x_avg /= steps_done
     y_avg /= steps_done
     x_action = SpectrahedronAction.dense(0.5 * (x_avg + x_avg.T))
@@ -496,10 +479,10 @@ def solve_feasibility(
         matvecs=matvecs,
         wall_ns=time.perf_counter_ns() - start_ns,
         completed=steps_done == horizon,
-        cost_history=cost_history[:steps_done] if keep_history else None,
-        y_history=y_history[:steps_done] if keep_history else None,
-        played_gain=played_gain[:steps_done] if keep_history else None,
-        x_factor_history=x_factor_history[:steps_done] if keep_history else None,
+        cost_history=cost_history[:steps_done],
+        y_history=y_history[:steps_done],
+        played_gain=played_gain[:steps_done],
+        x_factor_history=factors,
     )
     return result
 
@@ -511,8 +494,6 @@ def simplex_regret_certificate(result, eta=None):
     and ``rhs = log(m)/eta + (eta/2) sum_t |c_t|_inf^2``; every run satisfies
     ``lhs <= rhs``.
     """
-    if result.cost_history is None:
-        raise ValueError("solve was run with keep_history=False")
     eta = result.eta if eta is None else eta
     lhs = float(result.played_gain.sum() - result.cost_history.sum(axis=0).min())
     sq = np.abs(result.cost_history).max(axis=1) ** 2

@@ -96,6 +96,9 @@ class TestOnlineEig:
             (["--eta", "inf"], "error: eta must be a positive finite number\n"),
             (["--hp-delta", "0"], "error: hp-delta must lie in (0, 1)\n"),
             (["--hp-delta", "1.5"], "error: hp-delta must lie in (0, 1)\n"),
+            (["--strategy", "rank1-lanczos", "--k0", "0"], "error: k0 must be a positive finite number\n"),
+            (["--k0", "nan"], "error: k0 must be a positive finite number\n"),
+            (["--strategy", "averaged-mc", "--mc-samples", "0"], "error: mc-samples must be >= 1\n"),
         ],
     )
     def test_bad_eta_or_hp_delta_is_usage_error(self, tmp_path, capsys, extra, message):
@@ -325,6 +328,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_online_run_for_seed", boom)
         code = run_cli(["online-eig", "--n", "4", "--T", "3", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_bench_overflow_maps_to_two(self, tmp_path, capsys):
+        args = ["bench-lanczos", "--op-norm", "800", "--sizes", "8", "--ks", "4", "--out", str(tmp_path)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "bench-lanczos.csv").exists()
 
 
 class TestEntryPoint:

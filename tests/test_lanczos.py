@@ -159,6 +159,9 @@ class TestExpmMultiply:
         assert np.all(np.isfinite(y))
         # the dominant eigendirection wins by an astronomical margin
         assert abs(y[-1]) / np.linalg.norm(y) >= 1.0 - 1e-12
+        # the unnormalized product would need exp(900): it raises, it does not clamp
+        with pytest.raises(OverflowError):
+            expm_multiply(a, b, 12)
 
 
 def _poisoned_on_call(a, bad_call, value):

@@ -8,43 +8,44 @@ from mmwsketch import (
     ConvergenceError,
     SeededRng,
     SparseSymOperator,
-    SymmetricMatrix,
     dense_eigh,
     op_norm_bounds,
     sample_dirichlet_half,
     sample_unit_sphere,
     symmetry_defect,
 )
+from mmwsketch.linalg import sym_array
 from conftest import haar_orthogonal, random_symmetric
 
 
+def reconstruct(dec):
+    return (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+
+
 class TestSymmetricMatrix:
+    """``sym_array``: the one coercion to an exactly symmetric matrix."""
+
     def test_storage_exactly_symmetric(self, rng):
         a = rng.standard_normal((7, 7)) * 1e-9 + random_symmetric(rng, 7)
-        m = SymmetricMatrix(a)
-        assert np.array_equal(m.mat, m.mat.T)
+        m = sym_array(a)
+        assert np.array_equal(m, m.T)
 
     def test_rejects_asymmetric(self, rng):
         a = rng.standard_normal((5, 5))
         a[0, 1] = a[1, 0] + 1.0
         with pytest.raises(ValueError, match="not symmetric"):
-            SymmetricMatrix(a)
+            sym_array(a)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            SymmetricMatrix(np.zeros((2, 3)))
-
-    def test_constructors(self):
-        assert SymmetricMatrix.zeros(3).n == 3
-        d = SymmetricMatrix.diagonal([1.0, -2.0])
-        assert d.mat[1, 1] == -2.0
+            sym_array(np.zeros((2, 3)))
 
 
 class TestDenseEigh:
     def test_zero_matrix(self):
         dec = dense_eigh(np.zeros((3, 3)))
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
-        assert np.abs(dec.reconstruct()).max() <= 1e-12
+        assert np.abs(reconstruct(dec)).max() <= 1e-12
 
     def test_diagonal(self):
         dec = dense_eigh(np.diag([2.0, -1.0]))
@@ -56,7 +57,7 @@ class TestDenseEigh:
         a = random_symmetric(rng, 8)
         dec = dense_eigh(a)
         scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
-        assert np.abs(dec.reconstruct() - a).max() <= 1e-9 * scale
+        assert np.abs(reconstruct(dec) - a).max() <= 1e-9 * scale
         gram = dec.eigenvectors.T @ dec.eigenvectors
         assert np.abs(gram - np.eye(8)).max() <= 1e-10 * 8
 
@@ -67,7 +68,7 @@ class TestDenseEigh:
             a = random_symmetric(rng, n)
             dec = dense_eigh(a)
             scale = 1.0 + np.abs(dec.eigenvalues).max()
-            assert np.abs(dec.reconstruct() - a).max() <= 1e-9 * scale
+            assert np.abs(reconstruct(dec) - a).max() <= 1e-9 * scale
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
     def test_dense_limit_guard(self):
@@ -171,19 +172,10 @@ class TestSparseSymOperator:
         op = SparseSymOperator.from_sparse(mat + mat.T)
         assert symmetry_defect(op, rng) <= 1e-8
         assert symmetry_defect(op.scaled(-2.5), rng) <= 1e-8
-        assert symmetry_defect(op.shifted(3.0), rng) <= 1e-8
-
-    def test_lazy_sum(self, rng):
-        mats = [random_symmetric(rng, 6) for _ in range(3)]
-        weights = np.array([0.2, -1.0, 3.0])
-        op = SparseSymOperator.from_matrices(mats, weights)
-        v = rng.standard_normal(6)
-        expected = sum(w * (m @ v) for w, m in zip(weights, mats))
-        assert np.allclose(op.matvec(v), expected, atol=1e-12)
 
     def test_matvec_count_propagates(self, rng):
         base = SparseSymOperator.from_dense(random_symmetric(rng, 4))
-        derived = base.scaled(0.5).shifted(1.0)
+        derived = base.scaled(0.5).scaled(-3.0)
         v = rng.standard_normal(4)
         derived.matvec(v)
         derived.matvec(v)

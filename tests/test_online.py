@@ -229,14 +229,19 @@ class TestRunOnline:
             run_online(adv, "nope", Schedule(eta=0.1, T=2), rng)
 
     def test_operator_mode_smoke(self):
-        # force the operator accumulation path with an artificially low limit
-        master = SeededRng(3)
-        adv_rng, play_rng = master.spawn(2)
-        adv = builtin_adversaries("random_rotation", 12, adv_rng)
-        trace = run_online(
-            adv, "rank1_lanczos", Schedule(eta=0.15, T=20), play_rng, dense_limit=8
-        )
+        # force the operator path with an artificially low limit
+        def play(**kwargs):
+            adv_rng, play_rng = SeededRng(3).spawn(2)
+            adv = builtin_adversaries("random_rotation", 12, adv_rng)
+            return run_online(adv, "rank1_lanczos", Schedule(eta=0.15, T=20), play_rng, **kwargs)
+
+        trace = play(dense_limit=8)
         trace.validate()
+        # both modes project the same running gain sum, so they play the same game
+        dense = play()
+        for name in ("step_gain", "k_used", "k_cap", "matvecs", "krylov_err_est"):
+            assert np.array_equal(getattr(trace, name), getattr(dense, name)), name
+        assert np.abs(trace.lam_max_running - dense.lam_max_running).max() <= trace.lam_max_tol
         assert trace.lam_max_tol > 0.0
         assert trace.matvecs.sum() > 0
         # certified top eigenvalue close to the dense recomputation

@@ -22,7 +22,7 @@ from mmwsketch import (
     trace_norm_distance,
 )
 from mmwsketch.online import REFINED_ETA_MAX
-from mmwsketch.projections import DualState, SimplexWeights, SpectrahedronAction
+from mmwsketch.projections import SimplexWeights, SpectrahedronAction
 from mmwsketch.sdp import _adjoint_dense, make_random_instance
 from conftest import expm_dense, haar_orthogonal, random_symmetric, trace_norm
 
@@ -73,11 +73,6 @@ class TestSpectrahedronAction:
         SpectrahedronAction.dense(np.eye(3) / 3.0).validate()
         with pytest.raises(ValueError):
             SpectrahedronAction.dense(np.diag([1.5, -0.5])).validate()
-
-    def test_dual_state_validation(self):
-        DualState(np.zeros((2, 2)), eta=0.5, t=3)
-        with pytest.raises(ValueError):
-            DualState(np.zeros((2, 2)), eta=0.0, t=1)
 
 
 class TestMmwProjection:

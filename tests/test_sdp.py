@@ -50,7 +50,8 @@ class TestSdpInstance:
         inst = SdpInstance(3, 1, [(1, 1, 2, 2.0), (1, 3, 3, -1.0)])
         expected = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         assert np.array_equal(inst.dense(0), expected)
-        assert np.array_equal(inst.csr(0).toarray(), expected)
+        # the stack's CSR for the unit weight is the mirrored A_1
+        assert np.array_equal(_adjoint_dense(inst, np.ones(1)), expected)
 
     def test_from_dense_list_round_trip(self, rng):
         mats = [random_symmetric(rng, 4) for _ in range(3)]
@@ -58,8 +59,13 @@ class TestSdpInstance:
         for i, m in enumerate(mats):
             assert np.abs(inst.dense(i) - m).max() <= 1e-15
 
-    def test_width_of_symmetric_fixture(self):
+    def test_width_of_symmetric_fixture(self, rng):
         assert _simple_instance().compute_width() == pytest.approx(1.0, abs=1e-12)
+        # above the dense limit each A_i is taken from the constraint stack
+        mats = [random_symmetric(rng, 6) for _ in range(3)]
+        dense_width = SdpInstance.from_dense_list(mats).compute_width()
+        stacked_width = SdpInstance.from_dense_list(mats).compute_width(dense_limit=5)
+        assert stacked_width == pytest.approx(dense_width, rel=1e-8)
 
     def test_declared_width_checked(self):
         inst = SdpInstance(2, 1, [(1, 1, 1, 1.0)], width=1.0)

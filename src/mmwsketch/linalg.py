@@ -2,8 +2,8 @@
 
 Everything downstream (Krylov exponentials, spectrahedron projections, the
 online game, the SDP solver) builds on the types and samplers defined here.
-Dense work is delegated to LAPACK through numpy; only the operator-form
-plumbing and the samplers are hand-rolled.
+Dense work is delegated to LAPACK through numpy and scipy; only the
+operator-form plumbing and the samplers are hand-rolled.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 #: Largest dimension for which dense eigendecompositions are allowed.
 DENSE_LIMIT = 2048
@@ -138,6 +139,40 @@ def dense_eigh(a, dense_limit=DENSE_LIMIT):
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigendecomposition failed for n={n}: {err}") from err
     return EigenDecomposition(lam[::-1].copy(), q[:, ::-1].copy())
+
+
+def spectrum_within(a, lo, hi):
+    """Whether ``lo I <= a <= hi I`` for the symmetric ``a``, by two Cholesky factorizations.
+
+    LAPACK ``potrf`` factors ``a - lo I`` and ``hi I - a``; both succeed only
+    if every eigenvalue lies in ``[lo, hi]`` up to rounding of order
+    ``n eps |a|``.  ``False`` means a factorization failed: an eigenvalue is
+    outside or within rounding of an end, or an entry is not finite.  Callers
+    that must tell these apart ask an eigensolver.  Reads the lower triangle
+    of ``a``, as ``np.linalg.eigvalsh`` does.
+    """
+    n = a.shape[0]
+    for shifted, shift in ((a.copy(), -lo), (-a, hi)):
+        shifted.flat[:: n + 1] += shift
+        # shifted.T is shifted in Fortran order: its upper triangle is shifted's lower one
+        factor, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=0, clean=0, overwrite_a=1)
+        # OpenBLAS's potrf only rejects pivots <= 0, so a NaN pivot counts as a failure here
+        if info != 0 or not np.isfinite(factor.diagonal()).all():
+            return False
+    return True
+
+
+def top_eigenvalue(a):
+    """Largest eigenvalue of the symmetric ``a``: LAPACK ``syevr`` for that one eigenvalue.
+
+    Reads the lower triangle of ``a`` and raises :class:`ConvergenceError` if
+    ``syevr`` reports a failure.
+    """
+    n = a.shape[0]
+    w, _, _, _, info = scipy.linalg.lapack.dsyevr(a.T, compute_v=0, range="I", il=n, iu=n)
+    if info != 0:
+        raise ConvergenceError(f"top eigenvalue failed for n={n} (info={info})")
+    return float(w[0])
 
 
 class SeededRng:

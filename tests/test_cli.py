@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -335,6 +336,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "bench-lanczos.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sdp-feas", "bench-lanczos"])
+    def test_k0_flag_is_online_only(self, tmp_path, capsys, command):
+        # only online-eig reads k0; elsewhere the flag would be echoed but ignored
+        assert run_cli([command, "--k0", "8", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --k0 8\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_bench_large_but_finite_oracle_reports_error(self, tmp_path):
+        # |exp(A) b| near 1e304: finite, though its sum of squares is not
+        args = ["bench-lanczos", "--op-norm", "700", "--sizes", "8", "--ks", "4,8", "--out", str(tmp_path)]
+        assert run_cli(args) == 0
+        _, header, rows = cli.read_csv(tmp_path / "bench-lanczos.csv")
+        errors = [float(row[header.index("rel_err_vs_oracle")]) for row in rows]
+        assert rows and all(math.isfinite(e) for e in errors)
+        assert min(errors) <= 1e-10  # full depth n = 8 is exact
 
 
 class TestEntryPoint:

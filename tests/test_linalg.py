@@ -14,7 +14,8 @@ from mmwsketch import (
     sample_unit_sphere,
     symmetry_defect,
 )
-from mmwsketch.linalg import sym_array
+from mmwsketch.linalg import spectrum_within, sym_array, top_eigenvalue
+from mmwsketch.online import GAIN_SPECTRUM
 from conftest import haar_orthogonal, random_symmetric
 
 
@@ -74,6 +75,87 @@ class TestDenseEigh:
     def test_dense_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
             dense_eigh(np.zeros((5, 5)), dense_limit=4)
+
+
+def _eigvalsh_within(a, lo, hi):
+    lam = np.linalg.eigvalsh(a)
+    return bool(lo <= lam[0] and lam[-1] <= hi)
+
+
+def _with_spectrum(rng, spectrum):
+    q = haar_orthogonal(rng, len(spectrum))
+    a = (q * spectrum) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _threshold_gains(rng, n, lo, hi):
+    """Gains with an extreme eigenvalue at each end of [lo, hi], offset by +-1e-11 and +-1e-6."""
+    for end in (lo, hi):
+        for offset in (-1e-6, -1e-11, 1e-11, 1e-6):
+            extreme = end + offset
+            rest = rng.uniform(max(lo, -1.0) + 0.1, hi - 0.1, n - 1)
+            yield _with_spectrum(rng, np.append(rest, extreme))
+            if extreme > 0.0:  # rank-1 gain a a' with |a|^2 = extreme
+                a = sample_unit_sphere(n, rng) * np.sqrt(extreme)
+                yield np.outer(a, a)
+
+
+class TestSpectrumWithin:
+    """Two Cholesky factorizations decide the gain classes as the eigenvalues do."""
+
+    @pytest.mark.parametrize("gain_class", sorted(GAIN_SPECTRUM))
+    @pytest.mark.parametrize("n", [1, 2, 32, 128])
+    def test_agrees_with_eigvalsh_at_thresholds(self, rng, n, gain_class):
+        lo, hi = GAIN_SPECTRUM[gain_class]
+        decisions = []
+        for g in _threshold_gains(rng, n, lo, hi):
+            expected = _eigvalsh_within(g, lo, hi)
+            assert spectrum_within(g, lo, hi) == expected
+            decisions.append(expected)
+        assert any(decisions) and not all(decisions)
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 128])
+    def test_unit_norm_gains_accepted(self, rng, n):
+        a = sample_unit_sphere(n, rng)
+        rank1 = np.outer(a, a)
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        for lo, hi in GAIN_SPECTRUM.values():
+            assert spectrum_within(rank1, lo, hi)
+        assert spectrum_within(_with_spectrum(rng, signs), *GAIN_SPECTRUM["bounded_inf_norm_1"])
+        assert spectrum_within(np.eye(n), *GAIN_SPECTRUM["psd_unit"])
+        assert not spectrum_within(-np.eye(n), *GAIN_SPECTRUM["psd_unit"])
+
+    def test_input_untouched_and_nonfinite_fails(self, rng):
+        g = random_symmetric(rng, 6, op_norm=0.5)
+        before = g.copy()
+        assert spectrum_within(g, -1.0, 1.0)
+        assert np.array_equal(g, before)
+        for bad in (np.nan, np.inf, -np.inf):
+            h = g.copy()
+            h[3, 1] = h[1, 3] = bad
+            assert not spectrum_within(h, -1.0, 1.0)
+            h = g.copy()
+            h[2, 2] = bad
+            assert not spectrum_within(h, -1.0, 1.0)
+
+
+class TestTopEigenvalue:
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    def test_matches_eigvalsh(self, rng, n):
+        clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
+        for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered):
+            expected = np.linalg.eigvalsh(a)[-1]
+            assert abs(top_eigenvalue(a) - expected) <= 1e-12 * abs(expected)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg
+
+        def failing(a, **kwargs):
+            return np.zeros(1), None, 0, None, 3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+        with pytest.raises(ConvergenceError, match="info=3"):
+            top_eigenvalue(np.eye(3))
 
 
 class TestSeededRng:

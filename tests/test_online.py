@@ -11,8 +11,10 @@ from mmwsketch import (
     kt_schedule,
     run_online,
 )
+from mmwsketch.linalg import symmetry_defect
 from mmwsketch.online import (
     Adversary,
+    FixedMatrixAdversary,
     GainValidationError,
     expected_regret_bound,
     high_probability_regret_bound,
@@ -119,6 +121,22 @@ class _TooBigAdversary(Adversary):
         return 2.0 * np.eye(self.n)
 
 
+class _NearlySymmetricAdversary(Adversary):
+    """Unit-norm gains whose two triangles differ at the 1e-13 level."""
+
+    gain_class = "bounded_inf_norm_1"
+
+    def __init__(self, n, rng):
+        self.n = n
+        self._inner = builtin_adversaries("random_rotation", n, rng)
+        self._rng = rng
+
+    def next_gain(self, history):
+        g = 0.999 * self._inner.next_gain(history)
+        noise = np.triu(self._rng.standard_normal((self.n, self.n)), 1)
+        return g + 1e-13 * noise
+
+
 class _OrderSpyAdversary(Adversary):
     """Asserts the engine never exposes the current step's action."""
 
@@ -184,6 +202,58 @@ class TestRunOnline:
     def test_out_of_class_gain_rejected(self, rng):
         with pytest.raises(GainValidationError, match="exceeds 1"):
             run_online(_TooBigAdversary(4), "rank1_exact", Schedule(eta=0.1, T=3), rng)
+
+    @pytest.mark.parametrize(
+        "matrix,gain_class,message",
+        [
+            (2.0 * np.eye(3), "bounded_inf_norm_1", "step 1: gain operator norm 2 exceeds 1"),
+            (np.diag([0.5, -(1.0 + 1e-6)]), "bounded_inf_norm_1", "step 1: gain operator norm 1 exceeds 1"),
+            (np.diag([0.5, -1e-6]), "psd_unit", "step 1: gain spectrum [-1e-06, 0.5] outside [0, 1]"),
+            (np.diag([1.25, 0.5]), "psd_unit", "step 1: gain spectrum [0.5, 1.25] outside [0, 1]"),
+            (np.eye(2), "unit_trace", "step 1: unknown gain class 'unit_trace'"),
+        ],
+    )
+    def test_rejection_message(self, rng, matrix, gain_class, message):
+        with pytest.raises(GainValidationError) as info:
+            run_online(FixedMatrixAdversary(matrix, gain_class), "rank1_exact", Schedule(eta=0.1, T=2), rng)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("strategy", ["rank1_exact", "rank1_lanczos"])
+    def test_no_eigvalsh_per_step_at_dense_scale(self, monkeypatch, strategy):
+        adv_rng, play_rng = SeededRng(5).spawn(2)
+        adversaries = [builtin_adversaries(kind, 10, adv_rng) for kind in ("random_rotation", "streaming_pca")]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for adv in adversaries:
+            trace = run_online(adv, strategy, Schedule(eta=0.2, T=30), play_rng)
+            trace.validate()
+        assert calls == []
+
+    def test_nearly_symmetric_gains_keep_operator_symmetric(self, monkeypatch):
+        import mmwsketch.online as online
+
+        operators = []
+        projection = online.rank1_projection_lanczos
+
+        def spy(op, *args, **kwargs):
+            operators.append(op)
+            return projection(op, *args, **kwargs)
+
+        monkeypatch.setattr(online, "rank1_projection_lanczos", spy)
+        n, horizon = 10, 40
+        adv_rng, play_rng = SeededRng(9).spawn(2)
+        adv = _NearlySymmetricAdversary(n, adv_rng)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=0.2, T=horizon), play_rng)
+        trace.validate()
+        assert len(operators) == horizon
+        # the step-T operator reads the live sum of all T gains
+        assert symmetry_defect(operators[-1], SeededRng(1)) <= 1e-8
 
     def test_zero_gains_are_legal(self, rng):
         adv = builtin_adversaries("fixed_matrix", 4, rng, matrix=np.zeros((4, 4)))

@@ -1,10 +1,10 @@
 """Command-line front end: experiment orchestration and machine-readable output.
 
 Subcommands ``online-eig``, ``sdp-feas``, ``bench-lanczos``, and ``selftest``
-write CSV traces (per-step data) and JSON summaries (aggregates with a full
-config echo).  Reruns with identical config and seed are bitwise identical
-apart from timestamps and wall-clock fields.  Exit codes: 0 success, 1 usage
-or config validation, 2 numerical failure.
+write CSV traces (per-step data) and JSON summaries (aggregates with an echo
+of the settings the subcommand read).  Reruns with identical config and seed
+are bitwise identical apart from timestamps and wall-clock fields.  Exit
+codes: 0 success, 1 usage or config validation, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -61,12 +61,15 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v2"
-BENCH_SCHEMA = "bench-lanczos-v1"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v1"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v1"
-#: v1 traces (no ``k_cap``/``krylov_err_est``, ``k_used`` the scheduled depth) stay readable.
-KNOWN_CSV_SCHEMAS = frozenset({"online-eig-trace-v1", TRACE_SCHEMA, BENCH_SCHEMA})
+TRACE_SCHEMA = "online-eig-trace-v3"
+BENCH_SCHEMA = "bench-lanczos-v2"
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v2"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v2"
+#: Older CSVs stay readable: trace v2 and bench v1 differ only in the config echo,
+#: and v1 traces lack ``k_cap``/``krylov_err_est`` (``k_used`` the scheduled depth).
+KNOWN_CSV_SCHEMAS = frozenset(
+    {"online-eig-trace-v1", "online-eig-trace-v2", TRACE_SCHEMA, "bench-lanczos-v1", BENCH_SCHEMA}
+)
 
 STRATEGY_TOKENS = {
     "exact-mmw": "exact_mmw",
@@ -74,33 +77,7 @@ STRATEGY_TOKENS = {
     "rank1-lanczos": "rank1_lanczos",
     "averaged-mc": "averaged_mc",
 }
-
-DEFAULTS = {
-    "n": 32,
-    "m": 10,
-    "T": 1000,
-    "epsilon": 0.25,
-    "delta": 0.1,
-    "eta": None,
-    "k0": DEFAULT_K0,
-    "strategy": "rank1",
-    "adversary": "random_rotation",
-    "seeds": 1,
-    "seed": None,
-    "seed_list": None,
-    "out": None,
-    "dense_limit": DENSE_LIMIT,
-    "mc_samples": 2000,
-    "hp_delta": 0.05,
-    "instance": "builtin:rand20x10",
-    "lanczos": False,
-    "workers": 1,
-    "sizes": "8,16",
-    "ks": "1,2,4,8,16",
-    "spectra": "diag,gauss,sparse",
-    "op_norm": 4.0,
-    "bench_seeds": 3,
-}
+BENCH_SPECTRA = ("diag", "gauss", "sparse")
 
 
 class UsageError(ValueError):
@@ -108,17 +85,17 @@ class UsageError(ValueError):
 
 
 def _resolve_seeds(cfg):
-    if cfg.get("seed_list"):
+    if cfg["seed_list"]:
         try:
-            return [int(s) for s in str(cfg["seed_list"]).split(",") if s.strip() != ""]
+            seeds = [int(s) for s in cfg["seed_list"].split(",") if s.strip() != ""]
         except ValueError as err:
             raise UsageError(f"bad --seed-list: {err}") from err
-    if cfg.get("seed") is not None:
-        return [int(cfg["seed"])]
-    count = int(cfg.get("seeds", 1))
-    if count < 1:
-        raise UsageError("--seeds must be >= 1")
-    return list(range(count))
+        if min(seeds, default=0) < 0:
+            raise UsageError("bad --seed-list: seeds must be >= 0")
+        return seeds
+    if cfg["seed"] is not None:
+        return [cfg["seed"]]
+    return list(range(cfg["seeds"]))
 
 
 def _output_dir(cfg):
@@ -128,10 +105,8 @@ def _output_dir(cfg):
 
 
 def _echo_config(cfg, seeds):
-    echo = {k: v for k, v in sorted(cfg.items()) if k not in ("config", "func")}
-    echo["resolved_seeds"] = seeds
-    echo["version"] = __version__
-    return echo
+    """The settings the command read, plus the seeds they resolved to."""
+    return cfg | {"resolved_seeds": seeds, "version": __version__}
 
 
 def write_csv(path, schema, config, header, rows):
@@ -183,22 +158,13 @@ def _timestamp():
 
 def _online_run_for_seed(args):
     cfg, seed = args
-    n = cfg["n"]
-    master = SeededRng(seed)
-    adv_rng, play_rng = master.spawn(2)
-    adversary = builtin_adversaries(cfg["adversary"], n, adv_rng)
-    schedule = Schedule(
-        eta=cfg["resolved_eta"],
-        T=cfg["T"],
-        delta=cfg["delta"],
-        kt_rule=kt_schedule(n, cfg["T"], cfg["resolved_eta"], cfg["delta"], cfg["k0"])
-        if STRATEGY_TOKENS[cfg["strategy"]] == "rank1_lanczos"
-        else None,
-    )
+    n, eta = cfg["n"], cfg["resolved_eta"]
+    adv_rng, play_rng = SeededRng(seed).spawn(2)
+    rule = kt_schedule(n, cfg["T"], eta, cfg["delta"], cfg["k0"])  # read by rank1-lanczos only
     trace = run_online(
-        adversary,
+        builtin_adversaries(cfg["adversary"], n, adv_rng),
         STRATEGY_TOKENS[cfg["strategy"]],
-        schedule,
+        Schedule(eta=eta, T=cfg["T"], delta=cfg["delta"], kt_rule=rule),
         play_rng,
         dense_limit=cfg["dense_limit"],
         mc_samples=cfg["mc_samples"],
@@ -207,25 +173,9 @@ def _online_run_for_seed(args):
 
 
 def cmd_online_eig(cfg):
-    n, horizon = int(cfg["n"]), int(cfg["T"])
-    if n < 1 or horizon < 1:
-        raise UsageError("n and T must be >= 1")
-    if cfg["strategy"] not in STRATEGY_TOKENS:
-        raise UsageError(f"unknown strategy {cfg['strategy']!r}")
-    if cfg["adversary"] not in ADVERSARY_KINDS:
-        raise UsageError(f"unknown adversary {cfg['adversary']!r}")
-    if not 0.0 < cfg["delta"] < 1.0:
-        raise UsageError("delta must lie in (0, 1)")
-    if not 0.0 < cfg["hp_delta"] < 1.0:
-        raise UsageError("hp-delta must lie in (0, 1)")
-    if cfg["eta"] is not None and not (math.isfinite(cfg["eta"]) and cfg["eta"] > 0.0):
-        raise UsageError("eta must be a positive finite number")
-    if not (math.isfinite(cfg["k0"]) and cfg["k0"] > 0.0):
-        raise UsageError("k0 must be a positive finite number")
-    if cfg["mc_samples"] < 1:
-        raise UsageError("mc-samples must be >= 1")
-    strategy = STRATEGY_TOKENS[cfg["strategy"]]
-    if strategy in ("exact_mmw", "rank1_exact", "averaged_mc") and n > cfg["dense_limit"]:
+    n, horizon = cfg["n"], cfg["T"]
+    seeds = _resolve_seeds(cfg)
+    if STRATEGY_TOKENS[cfg["strategy"]] != "rank1_lanczos" and n > cfg["dense_limit"]:
         raise UsageError(
             f"strategy {cfg['strategy']} requires n <= dense limit {cfg['dense_limit']}"
         )
@@ -239,7 +189,6 @@ def cmd_online_eig(cfg):
         )
         eta = REFINED_ETA_MAX
     cfg["resolved_eta"] = eta
-    seeds = _resolve_seeds(cfg)
     out_dir = _output_dir(cfg)
     echo = _echo_config(cfg, seeds)
 
@@ -320,17 +269,18 @@ def _load_cli_instance(token):
             return builtin_instance(token.split(":", 1)[1])
         except ValueError as err:
             raise UsageError(str(err)) from err
-    if not os.path.exists(token):
+    if not os.path.isfile(token):
         raise UsageError(f"instance file not found: {token}")
     return load_instance(token)
 
 
 def cmd_sdp_feas(cfg):
-    if not 0.0 < cfg["epsilon"] <= 1.0:
-        raise UsageError("epsilon must lie in (0, 1]")
-    if not 0.0 < cfg["delta"] < 1.0:
-        raise UsageError("delta must lie in (0, 1)")
     instance = _load_cli_instance(cfg["instance"])
+    if not cfg["lanczos"] and instance.n > cfg["dense_limit"]:
+        raise UsageError(
+            f"exact projections require n <= dense limit {cfg['dense_limit']} "
+            f"(instance has n = {instance.n}); pass --lanczos"
+        )
     seeds = _resolve_seeds(cfg)
     out_dir = _output_dir(cfg)
     echo = _echo_config(cfg, seeds)
@@ -341,7 +291,7 @@ def cmd_sdp_feas(cfg):
             cfg["epsilon"],
             delta=cfg["delta"],
             rng=SeededRng(seed),
-            use_lanczos=bool(cfg["lanczos"]),
+            use_lanczos=cfg["lanczos"],
             dense_limit=cfg["dense_limit"],
         )
         runs.append(
@@ -386,15 +336,10 @@ def cmd_sdp_feas(cfg):
 def _bench_matrix(kind, n, op_norm, rng):
     if kind == "diag":
         return np.diag(np.linspace(-op_norm, op_norm, n))
-    if kind == "gauss":
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-    elif kind == "sparse":
-        a = rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    if kind == "sparse":
         a[rng.uniform(size=(n, n)) > 0.2] = 0.0
-        a = 0.5 * (a + a.T)
-    else:
-        raise UsageError(f"unknown spectrum kind {kind!r}")
+    a = 0.5 * (a + a.T)
     lam = np.linalg.eigvalsh(a)
     scale = max(abs(lam[0]), abs(lam[-1]))
     return a * (op_norm / scale) if scale > 0 else a
@@ -402,15 +347,18 @@ def _bench_matrix(kind, n, op_norm, rng):
 
 def cmd_bench_lanczos(cfg):
     try:
-        sizes = [int(s) for s in str(cfg["sizes"]).split(",")]
-        ks = [int(s) for s in str(cfg["ks"]).split(",")]
-        spectra = [s.strip() for s in str(cfg["spectra"]).split(",") if s.strip()]
+        sizes = [int(s) for s in cfg["sizes"].split(",")]
+        ks = [int(s) for s in cfg["ks"].split(",")]
+        spectra = [s.strip() for s in cfg["spectra"].split(",") if s.strip()]
     except ValueError as err:
         raise UsageError(f"bad sweep lists: {err}") from err
     if min(sizes, default=1) < 1 or min(ks, default=1) < 1:
         raise UsageError("sizes and ks must be positive")
+    for kind in spectra:
+        if kind not in BENCH_SPECTRA:
+            raise UsageError(f"unknown spectrum kind {kind!r}")
     out_dir = _output_dir(cfg)
-    seeds = list(range(int(cfg["bench_seeds"])))
+    seeds = list(range(cfg["bench_seeds"]))
     echo = _echo_config(cfg, seeds)
     rows = []
     from .linalg import SparseSymOperator
@@ -506,9 +454,34 @@ def cmd_selftest(cfg):
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+def _at_least_one(x):
+    return x >= 1
+
+
+def _positive_finite(x):
+    return math.isfinite(x) and x > 0.0
+
+
+def _in_open_unit(x):
+    return 0.0 < x < 1.0
+
+
 class _Parser(argparse.ArgumentParser):
+    """Each setting's flag, type, choices, default and range check; errors raise UsageError."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.settings = {}
+        self.checks = []
+
+    def setting(self, flag, check=None, **kwargs):
+        """Register one setting; ``check`` is a ``(predicate, message)`` pair."""
+        action = self.add_argument(flag, **kwargs)
+        self.settings[action.dest] = action
+        if check is not None:
+            self.checks.append((action.dest, *check))
+
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise UsageError(message)
 
 
@@ -516,86 +489,107 @@ def build_parser():
     parser = _Parser(prog="mmwsketch", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or ./mmwsketch-out)")
-        p.add_argument("--seeds", type=int, help="number of seeds, 0..N-1")
-        p.add_argument("--seed", type=int, help="single seed (overrides --seeds)")
-        p.add_argument("--seed-list", help="comma-separated explicit seed list")
-        p.add_argument("--delta", type=float, help="confidence parameter in (0,1)")
-        p.add_argument("--dense-limit", type=int, dest="dense_limit")
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON file of these settings; explicit flags win")
+        p.setting("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or ./mmwsketch-out)")
+        return p
 
-    p_online = sub.add_parser("online-eig", help="run the online eigenvector game")
-    add_common(p_online)
-    p_online.add_argument("--n", type=int)
-    p_online.add_argument("--T", type=int, dest="T")
-    p_online.add_argument("--eta", type=float, help="step size (default tuned for T)")
-    p_online.add_argument("--k0", type=float, help="Krylov depth calibration constant")
-    p_online.add_argument("--strategy", choices=sorted(STRATEGY_TOKENS))
-    p_online.add_argument("--adversary", choices=ADVERSARY_KINDS)
-    p_online.add_argument("--mc-samples", type=int, dest="mc_samples")
-    p_online.add_argument("--hp-delta", type=float, dest="hp_delta")
-    p_online.add_argument("--workers", type=int)
-    p_online.set_defaults(func=cmd_online_eig)
+    def add_game(p):
+        p.setting("--seeds", type=int, default=1, help="number of seeds, 0..N-1",
+                  check=(_at_least_one, "--seeds must be >= 1"))
+        p.setting("--seed", type=int, help="single seed (overrides --seeds)",
+                  check=(lambda x: x >= 0, "--seed must be >= 0"))
+        p.setting("--seed-list", help="comma-separated explicit seed list (overrides --seed)")
+        p.setting("--delta", type=float, default=0.1, help="confidence parameter in (0,1)",
+                  check=(_in_open_unit, "delta must lie in (0, 1)"))
+        p.setting("--dense-limit", type=int, default=DENSE_LIMIT)
 
-    p_sdp = sub.add_parser("sdp-feas", help="primal-dual SDP feasibility solve")
-    add_common(p_sdp)
-    p_sdp.add_argument("--instance", help="path or builtin:{sym2x2,rand20x10}")
-    p_sdp.add_argument("--epsilon", type=float)
-    p_sdp.add_argument("--lanczos", action="store_const", const=True, help="Krylov projections")
-    p_sdp.set_defaults(func=cmd_sdp_feas)
+    p = add_command("online-eig", cmd_online_eig, "run the online eigenvector game")
+    p.setting("--n", type=int, default=32, check=(_at_least_one, "n and T must be >= 1"))
+    p.setting("--T", type=int, default=1000, check=(_at_least_one, "n and T must be >= 1"))
+    add_game(p)
+    p.setting("--hp-delta", type=float, default=0.05, check=(_in_open_unit, "hp-delta must lie in (0, 1)"))
+    p.setting("--eta", type=float, help="step size (default tuned for T)",
+              check=(_positive_finite, "eta must be a positive finite number"))
+    p.setting("--k0", type=float, default=DEFAULT_K0, help="Krylov depth calibration constant",
+              check=(_positive_finite, "k0 must be a positive finite number"))
+    p.setting("--mc-samples", type=int, default=2000, check=(_at_least_one, "mc-samples must be >= 1"))
+    p.setting("--strategy", choices=sorted(STRATEGY_TOKENS), default="rank1")
+    p.setting("--adversary", choices=ADVERSARY_KINDS, default="random_rotation")
+    p.setting("--workers", type=int, default=1, check=(_at_least_one, "workers must be >= 1"))
 
-    p_bench = sub.add_parser("bench-lanczos", help="Krylov exponential accuracy sweep")
-    add_common(p_bench)
-    p_bench.add_argument("--sizes", help="comma-separated dimensions")
-    p_bench.add_argument("--ks", help="comma-separated iteration counts")
-    p_bench.add_argument("--spectra", help="comma-separated kinds: diag,gauss,sparse")
-    p_bench.add_argument("--op-norm", type=float, dest="op_norm")
-    p_bench.add_argument("--bench-seeds", type=int, dest="bench_seeds")
-    p_bench.set_defaults(func=cmd_bench_lanczos)
+    p = add_command("sdp-feas", cmd_sdp_feas, "primal-dual SDP feasibility solve")
+    p.setting("--epsilon", type=float, default=0.25,
+              check=(lambda x: 0.0 < x <= 1.0, "epsilon must lie in (0, 1]"))
+    add_game(p)
+    p.setting("--instance", default="builtin:rand20x10", help="path or builtin:{sym2x2,rand20x10}")
+    p.setting("--lanczos", action="store_true", help="Krylov projections")
 
-    p_self = sub.add_parser("selftest", help="fast invariant smoke checks")
-    add_common(p_self)
-    p_self.set_defaults(func=cmd_selftest)
+    p = add_command("bench-lanczos", cmd_bench_lanczos, "Krylov exponential accuracy sweep")
+    p.setting("--sizes", default="8,16", help="comma-separated dimensions")
+    p.setting("--ks", default="1,2,4,8,16", help="comma-separated iteration counts")
+    p.setting("--spectra", default=",".join(BENCH_SPECTRA), help="comma-separated kinds")
+    p.setting("--op-norm", type=float, default=4.0)
+    p.setting("--bench-seeds", type=int, default=3, check=(_at_least_one, "bench-seeds must be >= 1"))
 
+    sub.add_parser("selftest", help="fast invariant smoke checks").set_defaults(func=cmd_selftest)
     return parser
 
 
-def merge_config(args):
-    """Layer defaults, optional config file, then explicit flags (flags win)."""
-    cfg = dict(DEFAULTS)
-    file_path = getattr(args, "config", None)
-    if file_path:
-        try:
-            with open(file_path) as fh:
-                loaded = json.load(fh)
-        except FileNotFoundError as err:
-            raise UsageError(f"config file not found: {file_path}") from err
-        except json.JSONDecodeError as err:
-            raise UsageError(f"bad config file: {err}") from err
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key, val in vars(args).items():
-        if key in ("config", "func", "command") or val is None:
-            continue
-        cfg[key] = val
-    cfg["command"] = args.command
-    return cfg
+#: JSON types a config value may take, by the setting's argparse ``type``.
+_CONFIG_TYPES = {int: ({int}, "an integer"), float: ({int, float}, "a number"), None: ({str}, "a string")}
+
+
+def _config_tokens(parser, path):
+    """Flag tokens for the settings in a JSON config file; ``null`` means not given."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"bad config file {path}: {err}") from err
+    if not isinstance(loaded, dict):
+        raise UsageError(f"bad config file {path}: not a JSON object")
+    unknown = set(loaded) - set(parser.settings)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in loaded.items():
+        action = parser.settings[key]
+        switch = action.nargs == 0  # a flag without a value, such as --lanczos
+        types, kind = ({bool}, "true or false") if switch else _CONFIG_TYPES[action.type]
+        if value is not None and type(value) not in types:
+            raise UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+        if value is not None and value is not False:
+            flag = action.option_strings[0]
+            tokens.append(flag if switch else f"{flag}={value}")
+    return tokens
+
+
+def parse_settings(argv):
+    """The command's function and settings: defaults, then ``--config``, then flags, checked."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    sub = parser.commands[args.command]
+    if getattr(args, "config", None):
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_tokens(sub, args.config) + argv[at:])
+    cfg = {dest: getattr(args, dest) for dest in sub.settings}
+    for dest, ok, message in sub.checks:
+        if cfg[dest] is not None and not ok(cfg[dest]):
+            raise UsageError(message)
+    return args.func, cfg | {"command": args.command}
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        cfg = merge_config(args)
-        return args.func(cfg)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except InstanceFormatError as err:
+        func, cfg = parse_settings(argv)
+        return func(cfg)
+    except (UsageError, InstanceFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GainValidationError, ConvergenceError, ArithmeticError) as err:

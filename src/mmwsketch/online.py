@@ -56,7 +56,9 @@ class Adversary:
 
     Subclasses set ``n`` and ``gain_class`` (one of ``bounded_inf_norm_1``,
     ``psd_unit``) and implement :meth:`next_gain`, which may depend only on
-    the played history and the adversary's own random stream.
+    the played history and the adversary's own random stream.  The history is
+    the engine's live list of past actions (:class:`SpectrahedronAction`),
+    to be read, not modified; an adversary that needs its past gains keeps them.
     """
 
     n: int
@@ -336,14 +338,14 @@ def run_online(
     krylov_err_est = np.zeros(T)
     wall_ns = np.zeros(T, dtype=np.int64)
 
-    history = []
+    actions = []  # the play history handed to the adversary: past actions, no gains
     gain_sum = np.zeros((n, n))  # updated in place: gain_op reads the live sum
     gain_op = SparseSymOperator(n, lambda v: gain_sum @ v)
     running_total = 0.0
     lam_tol_abs = 0.0
 
     for t in range(1, T + 1):
-        gain = np.asarray(adversary.next_gain(tuple(history)), dtype=float)
+        gain = np.asarray(adversary.next_gain(actions), dtype=float)
         _validate_gain(gain, adversary.gain_class, t, n)
         gain_op.matvec_count = 0
         t0 = time.perf_counter_ns()
@@ -377,7 +379,7 @@ def run_online(
             bounds = op_norm_bounds(gain_op, LAM_TOL)
             lam_running[t - 1] = bounds.lam_max
             lam_tol_abs = LAM_TOL * max(1.0, abs(bounds.lam_max))
-        history.append((gain, action))
+        actions.append(action)
 
     lam_final = float(lam_running[-1])
     total_regret = lam_final - running_total

@@ -229,6 +229,8 @@ def load_instance(path):
                 v = float(parts[3])
             except ValueError as err:
                 raise InstanceFormatError(f"line {lineno}: {err}") from err
+            if not math.isfinite(v):
+                raise InstanceFormatError(f"line {lineno}: value {parts[3]!r} is not finite")
             n, m = header
             if not 1 <= i <= m:
                 raise InstanceFormatError(

@@ -68,7 +68,7 @@ class TestOnlineEig:
         )
         assert code == 0
         meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v2"
+        assert meta["schema"] == "online-eig-trace-v3"
         assert header == [
             "t", "step_gain", "cum_gain", "lam_max_running",
             "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
@@ -89,6 +89,13 @@ class TestOnlineEig:
         assert meta["schema"] == "online-eig-trace-v1"
         assert rows == [["1", "0.5", "3", "3"]]
 
+    @pytest.mark.parametrize("schema", ["online-eig-trace-v2", "bench-lanczos-v1"])
+    def test_previous_schemas_still_readable(self, tmp_path, schema):
+        # only the config echo changed since these versions
+        path = tmp_path / "old.csv"
+        cli.write_csv(path, schema, {"n": 4, "m": 10}, ["n", "k"], [[4, 2]])
+        assert cli.read_csv(path)[0]["schema"] == schema
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -100,6 +107,9 @@ class TestOnlineEig:
             (["--strategy", "rank1-lanczos", "--k0", "0"], "error: k0 must be a positive finite number\n"),
             (["--k0", "nan"], "error: k0 must be a positive finite number\n"),
             (["--strategy", "averaged-mc", "--mc-samples", "0"], "error: mc-samples must be >= 1\n"),
+            (["--workers", "0"], "error: workers must be >= 1\n"),
+            (["--seed", "-1"], "error: --seed must be >= 0\n"),
+            (["--seed-list", "3,-1"], "error: bad --seed-list: seeds must be >= 0\n"),
         ],
     )
     def test_bad_eta_or_hp_delta_is_usage_error(self, tmp_path, capsys, extra, message):
@@ -152,6 +162,14 @@ class TestOnlineEig:
         assert code == 0
         _, _, rows = cli.read_csv(out / "online-eig-trace-seed0.csv")
         assert len(rows) == 10  # flag beat the config file
+
+    def test_config_null_means_not_given(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "T": 6, "eta": None, "seed": None, "strategy": None}))
+        out = tmp_path / "nulls"
+        assert run_cli(["online-eig", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = json.loads((out / "online-eig-summary.json").read_text())["config"]
+        assert (echo["n"], echo["T"], echo["eta"], echo["seed"], echo["strategy"]) == (4, 6, None, None, "rank1")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -235,6 +253,11 @@ class TestSdpFeas:
     def test_missing_instance_exits_one(self, tmp_path):
         assert run_cli(["sdp-feas", "--instance", "nowhere.sdpi", "--out", str(tmp_path)]) == 1
 
+    def test_instance_directory_exits_one(self, tmp_path, capsys):
+        assert run_cli(["sdp-feas", "--instance", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: instance file not found: {tmp_path}\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("extra", [["--delta", "2"], ["--lanczos", "--delta", "0"]])
     def test_delta_outside_unit_interval_is_usage_error(self, tmp_path, capsys, extra):
         args = ["sdp-feas", "--instance", "builtin:sym2x2", "--out", str(tmp_path)]
@@ -242,6 +265,14 @@ class TestSdpFeas:
         err = capsys.readouterr().err
         assert err == "error: delta must lie in (0, 1)\n"
         assert not (tmp_path / "sdp-feas-summary.json").exists()
+
+    def test_exact_projections_beyond_dense_limit_is_usage_error(self, tmp_path, capsys):
+        args = ["sdp-feas", "--instance", "builtin:rand20x10", "--dense-limit", "10", "--epsilon", "0.5"]
+        assert run_cli(args + ["--out", str(tmp_path / "exact")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--lanczos" in err
+        assert os.listdir(tmp_path) == []
+        assert run_cli(args + ["--lanczos", "--out", str(tmp_path / "krylov")]) == 0
 
     def test_mean_gap_aggregate_within_epsilon(self, tmp_path):
         out = tmp_path / "agg"
@@ -337,11 +368,23 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "bench-lanczos.csv").exists()
 
-    @pytest.mark.parametrize("command", ["sdp-feas", "bench-lanczos"])
-    def test_k0_flag_is_online_only(self, tmp_path, capsys, command):
-        # only online-eig reads k0; elsewhere the flag would be echoed but ignored
-        assert run_cli([command, "--k0", "8", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --k0 8\n")
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            pytest.param("sdp-feas", ["--k0", "8"], id="sdp-feas"),
+            pytest.param("bench-lanczos", ["--k0", "8"], id="bench-lanczos"),
+            pytest.param("bench-lanczos", ["--seed", "1"], id="bench-lanczos-seed"),
+            pytest.param("bench-lanczos", ["--delta", "0.5"], id="bench-lanczos-delta"),
+            pytest.param("bench-lanczos", ["--dense-limit", "3"], id="bench-lanczos-dense-limit"),
+            pytest.param("selftest", ["--out", "X"], id="selftest-out"),
+        ],
+    )
+    def test_k0_flag_is_online_only(self, tmp_path, capsys, monkeypatch, command, flag):
+        # a flag the subcommand does not read would be echoed but ignored; it is rejected
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+        assert run_cli([command, *flag]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
         assert os.listdir(tmp_path) == []
 
     def test_bench_large_but_finite_oracle_reports_error(self, tmp_path):
@@ -352,6 +395,74 @@ class TestExitCodes:
         errors = [float(row[header.index("rel_err_vs_oracle")]) for row in rows]
         assert rows and all(math.isfinite(e) for e in errors)
         assert min(errors) <= 1e-10  # full depth n = 8 is exact
+
+
+ONLINE_SETTINGS = {
+    "n", "T", "eta", "k0", "strategy", "adversary", "mc_samples", "hp_delta", "workers",
+    "out", "seeds", "seed", "seed_list", "delta", "dense_limit",
+}
+SDP_SETTINGS = {"epsilon", "instance", "lanczos", "out", "seeds", "seed", "seed_list", "delta", "dense_limit"}
+BENCH_SETTINGS = {"sizes", "ks", "spectra", "op_norm", "bench_seeds", "out"}
+ECHO_EXTRAS = {"command", "resolved_seeds", "version"}
+
+
+class TestSettingsBoundary:
+    """Each subcommand reads, checks and echoes only its own settings."""
+
+    def test_echo_lists_exactly_the_settings_read(self, tmp_path):
+        out = tmp_path / "echo"
+        assert run_cli(["online-eig", "--n", "4", "--T", "5", "--seed", "2", "--out", str(out)]) == 0
+        online = json.loads((out / "online-eig-summary.json").read_text())["config"]
+        assert set(online) == ONLINE_SETTINGS | ECHO_EXTRAS | {"resolved_eta"}
+        meta, _, _ = cli.read_csv(out / "online-eig-trace-seed2.csv")
+        assert json.loads(meta["config"]) == online
+        assert run_cli(["sdp-feas", "--instance", "builtin:sym2x2", "--out", str(out)]) == 0
+        sdp = json.loads((out / "sdp-feas-summary.json").read_text())["config"]
+        assert set(sdp) == SDP_SETTINGS | ECHO_EXTRAS
+        assert not {"n", "T", "strategy", "k0"} & set(sdp)
+        assert not {"instance", "epsilon"} & set(online)
+        assert run_cli(["bench-lanczos", "--sizes", "4", "--ks", "2", "--out", str(out)]) == 0
+        meta, _, _ = cli.read_csv(out / "bench-lanczos.csv")
+        assert set(json.loads(meta["config"])) == BENCH_SETTINGS | ECHO_EXTRAS
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("online-eig", {"delta": "0.1"}),
+            ("online-eig", {"n": 5.5}),
+            ("online-eig", {"n": "abc"}),
+            ("online-eig", {"n": True}),
+            ("online-eig", {"epsilon": 0.5}),
+            ("online-eig", {"strategy": "nope"}),
+            ("online-eig", {"hp_delta": 2}),
+            ("sdp-feas", {"lanczos": "yes"}),
+            ("sdp-feas", {"T": 10}),
+            ("bench-lanczos", {"seed": 1}),
+            ("bench-lanczos", {"bench_seeds": 0}),
+            ("bench-lanczos", [1, 2]),
+        ],
+    )
+    def test_bad_config_file_is_one_line_usage_error(self, tmp_path, capsys, monkeypatch, command, config):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli([command, "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_config_switch_and_explicit_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lanczos": True, "epsilon": 0.5, "instance": "builtin:sym2x2"}))
+        out = tmp_path / "switch"
+        assert run_cli(["sdp-feas", "--config", str(cfg), "--epsilon", "0.75", "--out", str(out)]) == 0
+        echo = json.loads((out / "sdp-feas-summary.json").read_text())["config"]
+        assert (echo["lanczos"], echo["epsilon"], echo["instance"]) == (True, 0.75, "builtin:sym2x2")
+
+    def test_zero_bench_seeds_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["bench-lanczos", "--bench-seeds", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: bench-seeds must be >= 1\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestEntryPoint:

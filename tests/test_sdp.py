@@ -118,6 +118,13 @@ class TestInstanceIo:
             with pytest.raises(InstanceFormatError, match=fragment):
                 load_instance(path)
 
+    def test_non_finite_value_is_format_error(self, tmp_path):
+        for token in ("nan", "inf", "-Infinity", "1e400"):
+            path = tmp_path / "case.sdpi"
+            path.write_text(f"2 1\n1 1 1 1.0\n1 1 2 {token}\n")
+            with pytest.raises(InstanceFormatError, match=f"^line 3: value '{token}' is not finite$"):
+                load_instance(path)
+
     def test_builtin_instances(self):
         sym = builtin_instance("sym2x2")
         assert (sym.n, sym.m) == (2, 2)
@@ -165,6 +172,96 @@ class TestAdjointApply:
         inst = SdpInstance.from_dense_list(mats)
         op = adjoint_apply(inst, softmax_grad(rng.standard_normal(3)))
         assert symmetry_defect(op, rng) <= 1e-8
+
+
+def _rejects_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+#: Tokens without whitespace or ``#`` that ``int`` rejects, such as "1.5", "x" or "1e3".
+_NON_INT = st.text(alphabet="0123456789.eE+-_xn", min_size=1, max_size=6).filter(_rejects_int)
+
+
+@st.composite
+def sparse_instances(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    keys = [(i, r, c) for i in range(1, m + 1) for r in range(1, n + 1) for c in range(r, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=12))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(chosen),
+                           max_size=len(chosen)))
+    return SdpInstance(n, m, [key + (v,) for key, v in zip(chosen, values)])
+
+
+@st.composite
+def malformed_files(draw):
+    """An instance file with one fault, and the line number its error must carry."""
+    fault = draw(st.sampled_from(["arity", "index", "range", "lower", "duplicate", "value",
+                                  "non_finite", "empty", "no_header", "bad_header"]))
+    if fault == "empty":
+        return draw(st.sampled_from(["", "\n", "# only a comment\n", "  \n# x\n\n"])), 1
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    lines = draw(st.lists(st.sampled_from(["", "# comment"]), max_size=2))
+    if fault == "no_header":
+        return "\n".join(lines + ["1 1 1 1.0"]) + "\n", len(lines) + 1
+    if fault == "bad_header":
+        header = draw(st.sampled_from([f"{n}", f"{n} {m} 1", f"{n} x", f"x {m}", f"{n} 0", f"0 {m}"]))
+        return "\n".join(lines + [header]) + "\n", len(lines) + 1
+    lines.append(f"{n} {m}  # header")
+    good = [f"{i} {r} {r} 0.5" for i in range(1, m + 1) for r in range(1, n + 1)]
+    lines += draw(st.lists(st.sampled_from(good), unique=True, max_size=4))
+    i, r, c = draw(st.integers(1, m)), draw(st.integers(1, n)), draw(st.integers(1, n))
+    r, c = min(r, c), max(r, c)
+    if fault == "arity":
+        arity = draw(st.sampled_from([1, 2, 3, 5, 6]))
+        bad = " ".join(draw(st.lists(st.integers(1, 2).map(str), min_size=arity, max_size=arity)))
+    elif fault == "index":
+        parts = [str(i), str(r), str(c)]
+        parts[draw(st.integers(0, 2))] = draw(_NON_INT)
+        bad = " ".join(parts) + " 1.0"
+    elif fault == "range":
+        parts = [i, r, c]
+        at = draw(st.integers(0, 2))
+        parts[at] = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=(m if at == 0 else n) + 1)))
+        bad = " ".join(map(str, parts)) + " 1.0"
+    elif fault == "lower":
+        bad = f"{i} {draw(st.integers(2, n))} 1 1.0"
+    elif fault == "duplicate":  # off the diagonal, so not one of the good lines
+        r = draw(st.integers(1, n - 1))
+        c = draw(st.integers(r + 1, n))
+        lines.append(f"{i} {r} {c} 1.0")
+        bad = f"{i} {r} {c} -2.0"
+    elif fault == "value":
+        bad = f"{i} {r} {c} {draw(st.sampled_from(['x', '1..0', '0x1', '1,5', '--1']))}"
+    else:
+        bad = f"{i} {r} {c} {draw(st.sampled_from(['nan', '-NaN', 'inf', '-inf', 'Infinity', '1e309']))}"
+    lines.append(bad)
+    return "\n".join(lines + draw(st.lists(st.sampled_from(good + [""]), max_size=2))) + "\n", len(lines)
+
+
+class TestInstanceFileProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(sparse_instances())
+    def test_save_load_round_trip_is_bitwise(self, tmp_path_factory, inst):
+        path = tmp_path_factory.mktemp("round") / "inst.sdpi"
+        save_instance(inst, path)
+        back = load_instance(path)
+        assert (back.n, back.m) == (inst.n, inst.m)
+        bits = lambda trips: [(i, r, c, v.hex()) for i, r, c, v in trips]  # noqa: E731
+        assert bits(back.triplets()) == bits(inst.triplets())
+
+    @settings(deadline=None, max_examples=200)
+    @given(malformed_files())
+    def test_malformed_line_is_format_error_with_its_number(self, tmp_path_factory, case):
+        body, lineno = case
+        path = tmp_path_factory.mktemp("bad") / "case.sdpi"
+        path.write_text(body)
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert str(err.value).startswith(f"line {lineno}: ")
 
 
 def _sym(n, entries):

@@ -21,6 +21,7 @@ from .lanczos import DEFAULT_K0
 from .linalg import (
     DENSE_LIMIT,
     SparseSymOperator,
+    dense_eigh,
     op_norm_bounds,
     sample_unit_sphere,
     spectrum_within,
@@ -312,6 +313,12 @@ def run_online(
     the step.  Gains are checked by two Cholesky factorizations, with an
     eigensolve only when one fails.
 
+    The dense strategies make one eigendecomposition of the scaled gain sum
+    per step, after adding the gain: its pairs project the next step, and
+    its top eigenvalue over ``eta > 0`` is the step's running ``lam_max``.
+    ``rank1_lanczos`` takes ``lam_max`` from one top-eigenvalue call at
+    dense scale and from Lanczos bounds above it.
+
     ``rank1_lanczos`` stops each Krylov run once its error estimate is at
     most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
     trace distance is at most twice the relative error of the exponential,
@@ -341,6 +348,9 @@ def run_online(
     actions = []  # the play history handed to the adversary: past actions, no gains
     gain_sum = np.zeros((n, n))  # updated in place: gain_op reads the live sum
     gain_op = SparseSymOperator(n, lambda v: gain_sum @ v)
+    dense_strategy = strategy != "rank1_lanczos"
+    if dense_strategy:
+        pairs = dense_eigh(eta * gain_sum, dense_limit=dense_limit)  # the dual point of the next play
     running_total = 0.0
     lam_tol_abs = 0.0
 
@@ -350,15 +360,12 @@ def run_online(
         gain_op.matvec_count = 0
         t0 = time.perf_counter_ns()
         if strategy == "exact_mmw":
-            action = mmw_projection(eta * gain_sum, dense_limit=dense_limit)
+            action = mmw_projection(pairs)
         elif strategy == "rank1_exact":
             u = sample_unit_sphere(n, rng)
-            action = rank1_projection(eta * gain_sum, u, dense_limit=dense_limit)
+            action = rank1_projection(pairs, u)
         elif strategy == "averaged_mc":
-            est = estimate_avg_projection_dirichlet(
-                eta * gain_sum, mc_samples, rng, dense_limit=dense_limit
-            )
-            action = est.action
+            action = estimate_avg_projection_dirichlet(pairs, mc_samples, rng).action
         else:  # rank1_lanczos
             u = sample_unit_sphere(n, rng)
             k_cap[t - 1] = min(kt_rule(t), n)
@@ -373,7 +380,10 @@ def run_online(
         cum_gain[t - 1] = running_total
 
         gain_sum += gain
-        if dense_mode:
+        if dense_strategy:
+            pairs = dense_eigh(eta * gain_sum, dense_limit=dense_limit)
+            lam_running[t - 1] = pairs.eigenvalues[0] / eta
+        elif dense_mode:
             lam_running[t - 1] = top_eigenvalue(gain_sum)
         else:
             bounds = op_norm_bounds(gain_op, LAM_TOL)

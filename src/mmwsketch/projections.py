@@ -19,6 +19,7 @@ import numpy as np
 from .lanczos import lanczos_decompose
 from .linalg import (
     DENSE_LIMIT,
+    EigenDecomposition,
     SparseSymOperator,
     dense_eigh,
     sample_unit_sphere,
@@ -158,9 +159,19 @@ class ScalarEstimate:
     samples: int
 
 
+def _eigenpairs(y, dense_limit):
+    """Descending eigenpairs of ``y``: a symmetric matrix, or an :class:`EigenDecomposition` used as given."""
+    if isinstance(y, EigenDecomposition):
+        return y
+    return dense_eigh(y, dense_limit=dense_limit)
+
+
 def mmw_projection(y, dense_limit=DENSE_LIMIT):
-    """Exact multiplicative-weights projection ``exp(Y)/tr exp(Y)``."""
-    dec = dense_eigh(y, dense_limit=dense_limit)
+    """Exact multiplicative-weights projection ``exp(Y)/tr exp(Y)``.
+
+    ``y`` is the symmetric Y or its :class:`EigenDecomposition`.
+    """
+    dec = _eigenpairs(y, dense_limit)
     lam = dec.eigenvalues
     e = np.exp(lam - lam[0])
     s = e / e.sum()
@@ -172,13 +183,14 @@ def rank1_projection(y, u, dense_limit=DENSE_LIMIT):
     """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``.
 
     Reference implementation through the shifted eigenbasis; requires dense
-    scale.  A vanishing ``v`` is impossible for symmetric Y (the exponential
-    is nonsingular), so an underflow here signals a shifting bug and raises.
+    scale.  ``y`` is the symmetric Y or its :class:`EigenDecomposition`.  A
+    vanishing ``v`` is impossible for symmetric Y (the exponential is
+    nonsingular), so an underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
-    dec = dense_eigh(y, dense_limit=dense_limit)
+    dec = _eigenpairs(y, dense_limit)
     lam = dec.eigenvalues
     a = dec.eigenvectors.T @ u
     v = dec.eigenvectors @ (np.exp(0.5 * (lam - lam[0])) * a)
@@ -280,11 +292,12 @@ def estimate_avg_projection_dirichlet(y, samples, rng, dense_limit=DENSE_LIMIT):
     ``E_w grad-lse(lambda + log w)`` for Dirichlet(1/2,...,1/2) weights ``w``;
     this estimator averages those diagonals and rotates back.  Off-diagonal
     entries in the eigenbasis are exactly zero by construction, which makes
-    it an independent cross-check of the direct sphere average.
+    it an independent cross-check of the direct sphere average.  ``y`` is the
+    symmetric Y or its :class:`EigenDecomposition`.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    dec = dense_eigh(y, dense_limit=dense_limit)
+    dec = _eigenpairs(y, dense_limit)
     lam, q = dec.eigenvalues, dec.eigenvectors
     boost = np.exp(lam - lam[0])
 

@@ -51,6 +51,9 @@ class ConstraintStack(NamedTuple):
     values: sp.csc_matrix
     indices: np.ndarray
     indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values_t: sp.csr_matrix
 
 
 class SdpInstance:
@@ -136,6 +139,8 @@ class SdpInstance:
         sum ``sum_i w_i A_i`` is then the CSR matrix with data
         ``values @ w``.  Mirrored entries sit in rows of ``values`` with
         identical contents, so every such sum is bitwise symmetric.
+        ``rows``/``cols`` are each pattern entry's row and column as ``intp``,
+        and ``values_t`` is ``values.T`` in CSR form, for :func:`costs`.
         """
         if self._stack is None:
             n = self.n
@@ -159,7 +164,10 @@ class SdpInstance:
             del union
             # column i of ``values`` lists A_i's entries at their union slots
             values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), self.m))
-            self._stack = ConstraintStack(values, indices, indptr)
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            self._stack = ConstraintStack(
+                values, indices, indptr, rows, indices.astype(np.intp), values.T.tocsr()
+            )
         return self._stack
 
     def compute_width(self, tol=1e-8, dense_limit=DENSE_LIMIT):
@@ -291,13 +299,12 @@ def costs(instance, action):
     if action.n != instance.n:
         raise ValueError("dimension mismatch")
     stack = instance.stack()
-    row_len = np.diff(stack.indptr)
     if action.is_rank1:
         x = action.factor
-        on_pattern = np.repeat(x, row_len) * x[stack.indices]
+        on_pattern = x[stack.rows] * x[stack.cols]
     else:
-        on_pattern = action.matrix[np.repeat(np.arange(instance.n), row_len), stack.indices]
-    out = stack.values.T @ on_pattern
+        on_pattern = action.matrix[stack.rows, stack.cols]
+    out = stack.values_t @ on_pattern
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:
@@ -431,16 +438,21 @@ def solve_feasibility(
     x_factor_history = np.zeros((horizon, n))
     matvecs = 0
     steps_done = 0
+    # the scaled gain sum A* eta_y_sum, one CSR whose data each step rewrites in place
+    stack_values = instance.stack().values
+    gain_csr = _adjoint_csr(instance, eta_y_sum)
+    gain_op = SparseSymOperator(n, lambda v: gain_csr @ v, nnz_hint=gain_csr.nnz)
 
     for t in range(1, horizon + 1):
         u = sample_unit_sphere(n, rng)
+        gain_csr.data[:] = stack_values @ eta_y_sum
         if use_lanczos:
-            base_op = _adjoint_operator(instance, eta_y_sum)
+            gain_op.matvec_count = 0
             k = min(required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n), n)
-            action = rank1_projection_lanczos(base_op, u, k, tol=0.25 / horizon)
-            matvecs += base_op.matvec_count
+            action = rank1_projection_lanczos(gain_op, u, k, tol=0.25 / horizon)
+            matvecs += gain_op.matvec_count
         else:
-            action = rank1_projection(_adjoint_dense(instance, eta_y_sum), u, dense_limit=dense_limit)
+            action = rank1_projection(gain_csr.toarray(), u, dense_limit=dense_limit)
         y = softmax_grad(-eta * cost_sum)
         yw = y.weights
 

@@ -368,6 +368,13 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "bench-lanczos.csv").exists()
 
+    def test_numerical_value_error_maps_to_two(self, tmp_path, capsys):
+        # epsilon 1e-9 asks for a horizon of ~1.7e19 steps, which numpy refuses to allocate
+        args = ["sdp-feas", "--instance", "builtin:sym2x2", "--epsilon", "1e-9", "--out", str(tmp_path)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command,flag",
         [

@@ -11,7 +11,7 @@ from mmwsketch import (
     kt_schedule,
     run_online,
 )
-from mmwsketch.linalg import symmetry_defect
+from mmwsketch.linalg import symmetry_defect, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -20,6 +20,7 @@ from mmwsketch.online import (
     high_probability_regret_bound,
     refined_regret_bound,
 )
+from mmwsketch.projections import estimate_avg_projection_dirichlet, mmw_projection, rank1_projection
 from conftest import random_symmetric
 
 
@@ -154,6 +155,21 @@ class _OrderSpyAdversary(Adversary):
         return np.zeros((self.n, self.n))
 
 
+class _RecordingAdversary(Adversary):
+    """Forwards another adversary and keeps a copy of every gain it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.gain_class = inner.gain_class
+        self.gains = []
+
+    def next_gain(self, history):
+        gain = np.asarray(self.inner.next_gain(history), dtype=float)
+        self.gains.append(gain.copy())
+        return gain
+
+
 class _SpyRng(SeededRng):
     def __init__(self, seed, log):
         super().__init__(seed)
@@ -218,22 +234,73 @@ class TestRunOnline:
             run_online(FixedMatrixAdversary(matrix, gain_class), "rank1_exact", Schedule(eta=0.1, T=2), rng)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("strategy", ["rank1_exact", "rank1_lanczos"])
+    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "averaged_mc", "rank1_lanczos"])
     def test_no_eigvalsh_per_step_at_dense_scale(self, monkeypatch, strategy):
+        import mmwsketch.online as online
+
+        horizon = 30
         adv_rng, play_rng = SeededRng(5).spawn(2)
         adversaries = [builtin_adversaries(kind, 10, adv_rng) for kind in ("random_rotation", "streaming_pca")]
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return eigvalsh(*args, **kwargs)
+        def counted(owner, name):
+            fn = getattr(owner, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "eigvalsh")
+        counted(np.linalg, "eigh")
+        counted(online, "top_eigenvalue")
         for adv in adversaries:
-            trace = run_online(adv, strategy, Schedule(eta=0.2, T=30), play_rng)
+            trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng, mc_samples=20)
             trace.validate()
-        assert calls == []
+        games = len(adversaries)
+        if strategy == "rank1_lanczos":
+            expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": games * horizon}
+        else:
+            # one eigendecomposition per step, plus one of the empty sum per game
+            expected = {"eigvalsh": 0, "eigh": games * (horizon + 1), "top_eigenvalue": 0}
+        assert calls == expected
+
+    # streaming_pca sums are rank-deficient for t < n: their degenerate eigenspaces leave
+    # the eigenbasis, and so the averaged estimator's sample, to the decomposed matrix
+    @pytest.mark.parametrize("kind", ["random_rotation", "streaming_pca"])
+    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "averaged_mc"])
+    def test_dense_plays_replay_through_the_matrix_route(self, monkeypatch, strategy, kind):
+        import mmwsketch.online as online
+
+        n, horizon, eta, mc_samples = 8, 40, 0.3, 50
+        adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(21)))
+        play_rng, draws = SeededRng(22), []
+        sample = online.sample_unit_sphere
+
+        def recorded(n, rng, size=None):
+            u = sample(n, rng, size)
+            if rng is play_rng:  # streaming_pca draws its gains through the same name
+                draws.append(u)
+            return u
+
+        monkeypatch.setattr(online, "sample_unit_sphere", recorded)
+        trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng, mc_samples=mc_samples)
+        replay_rng = SeededRng(22)  # the averaged estimator draws from the play stream in the same order
+        gain_sum = np.zeros((n, n))
+        for t, gain in enumerate(adv.gains):
+            y = eta * gain_sum
+            if strategy == "exact_mmw":
+                action = mmw_projection(y)
+            elif strategy == "rank1_exact":
+                action = rank1_projection(y, draws[t])
+            else:
+                action = estimate_avg_projection_dirichlet(y, mc_samples, replay_rng).action
+            # the engine decomposes the same scaled sum, so the play is the same to the bit
+            assert action.inner(gain) == trace.step_gain[t], t
+            gain_sum += gain
+            lam = top_eigenvalue(gain_sum)
+            assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
 
     def test_nearly_symmetric_gains_keep_operator_symmetric(self, monkeypatch):
         import mmwsketch.online as online

@@ -21,6 +21,7 @@ from mmwsketch import (
     solve_feasibility,
     trace_norm_distance,
 )
+from mmwsketch.linalg import EigenDecomposition, dense_eigh
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SimplexWeights, SpectrahedronAction
 from mmwsketch.sdp import _adjoint_dense, make_random_instance
@@ -148,6 +149,32 @@ class TestRank1Projection:
     def test_requires_unit_vector(self, rng):
         with pytest.raises(ValueError):
             rank1_projection(np.zeros((3, 3)), np.ones(3))
+
+
+class TestEigenDecompositionInput:
+    """Each dense projection takes ``dense_eigh(y)`` in place of ``y`` and returns the same bits."""
+
+    @pytest.mark.parametrize(
+        "project",
+        [
+            pytest.param(lambda y: mmw_projection(y).matrix, id="mmw"),
+            pytest.param(lambda y: rank1_projection(y, np.full(6, 1.0 / math.sqrt(6.0))).factor, id="rank1"),
+            pytest.param(
+                lambda y: estimate_avg_projection_dirichlet(y, 300, SeededRng(4)).action.matrix, id="dirichlet"
+            ),
+        ],
+    )
+    def test_same_bits_as_matrix(self, rng, project):
+        y = random_symmetric(rng, 6, op_norm=3.0)
+        assert np.array_equal(project(dense_eigh(y)), project(y))
+
+    def test_checks_still_run(self, rng):
+        dec = dense_eigh(random_symmetric(rng, 4, op_norm=1.0))
+        with pytest.raises(ValueError, match="unit vector"):
+            rank1_projection(dec, np.ones(4))
+        underflowed = EigenDecomposition(dec.eigenvalues * 0.0, dec.eigenvectors * 0.0)
+        with pytest.raises(ArithmeticError, match="underflowed"):
+            rank1_projection(underflowed, np.eye(4)[0])
 
 
 class TestRank1ProjectionLanczos:

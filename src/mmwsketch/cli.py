@@ -26,6 +26,8 @@ from .linalg import (
     DENSE_LIMIT,
     ConvergenceError,
     SeededRng,
+    SparseSymOperator,
+    gaussian_symmetric,
     sample_dirichlet_half,
     sample_unit_sphere,
 )
@@ -61,21 +63,23 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v3"
+TRACE_SCHEMA = "online-eig-trace-v4"
 BENCH_SCHEMA = "bench-lanczos-v2"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v2"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v2"
-#: Older CSVs stay readable: trace v2 and bench v1 differ only in the config echo,
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v3"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v3"
+#: Older CSVs stay readable: trace v2-v3 and bench v1 differ only in the config echo,
 #: and v1 traces lack ``k_cap``/``krylov_err_est`` (``k_used`` the scheduled depth).
 KNOWN_CSV_SCHEMAS = frozenset(
-    {"online-eig-trace-v1", "online-eig-trace-v2", TRACE_SCHEMA, "bench-lanczos-v1", BENCH_SCHEMA}
+    {
+        "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", TRACE_SCHEMA,
+        "bench-lanczos-v1", BENCH_SCHEMA,
+    }
 )
 
 STRATEGY_TOKENS = {
     "exact-mmw": "exact_mmw",
     "rank1": "rank1_exact",
     "rank1-lanczos": "rank1_lanczos",
-    "averaged-mc": "averaged_mc",
 }
 BENCH_SPECTRA = ("diag", "gauss", "sparse")
 
@@ -99,6 +103,7 @@ def _resolve_seeds(cfg):
 
 
 def _output_dir(cfg):
+    """The output directory, created here: call once the runs have succeeded."""
     out = cfg.get("out") or os.environ.get(ENV_OUTPUT_DIR) or "mmwsketch-out"
     os.makedirs(out, exist_ok=True)
     return out
@@ -166,19 +171,16 @@ def _online_run_for_seed(args):
         STRATEGY_TOKENS[cfg["strategy"]],
         Schedule(eta=eta, T=cfg["T"], delta=cfg["delta"], kt_rule=rule),
         play_rng,
-        dense_limit=cfg["dense_limit"],
-        mc_samples=cfg["mc_samples"],
     )
+    trace.validate()
     return seed, trace
 
 
 def cmd_online_eig(cfg):
     n, horizon = cfg["n"], cfg["T"]
     seeds = _resolve_seeds(cfg)
-    if STRATEGY_TOKENS[cfg["strategy"]] != "rank1_lanczos" and n > cfg["dense_limit"]:
-        raise UsageError(
-            f"strategy {cfg['strategy']} requires n <= dense limit {cfg['dense_limit']}"
-        )
+    if STRATEGY_TOKENS[cfg["strategy"]] != "rank1_lanczos" and n > DENSE_LIMIT:
+        raise UsageError(f"strategy {cfg['strategy']} requires n <= dense limit {DENSE_LIMIT}")
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(n, horizon)
     refined = cfg["adversary"] in ("psd_random", "streaming_pca")
     if refined and eta > REFINED_ETA_MAX:
@@ -189,7 +191,6 @@ def cmd_online_eig(cfg):
         )
         eta = REFINED_ETA_MAX
     cfg["resolved_eta"] = eta
-    out_dir = _output_dir(cfg)
     echo = _echo_config(cfg, seeds)
 
     jobs = [(cfg, seed) for seed in seeds]
@@ -200,9 +201,9 @@ def cmd_online_eig(cfg):
         results = [_online_run_for_seed(job) for job in jobs]
     results.sort(key=lambda item: item[0])
 
+    out_dir = _output_dir(cfg)
     per_seed = []
     for seed, trace in results:
-        trace.validate()
         csv_path = os.path.join(out_dir, f"online-eig-trace-seed{seed}.csv")
         write_csv(
             csv_path,
@@ -276,13 +277,12 @@ def _load_cli_instance(token):
 
 def cmd_sdp_feas(cfg):
     instance = _load_cli_instance(cfg["instance"])
-    if not cfg["lanczos"] and instance.n > cfg["dense_limit"]:
+    if not cfg["lanczos"] and instance.n > DENSE_LIMIT:
         raise UsageError(
-            f"exact projections require n <= dense limit {cfg['dense_limit']} "
+            f"exact projections require n <= dense limit {DENSE_LIMIT} "
             f"(instance has n = {instance.n}); pass --lanczos"
         )
     seeds = _resolve_seeds(cfg)
-    out_dir = _output_dir(cfg)
     echo = _echo_config(cfg, seeds)
     runs = []
     for seed in seeds:
@@ -292,7 +292,6 @@ def cmd_sdp_feas(cfg):
             delta=cfg["delta"],
             rng=SeededRng(seed),
             use_lanczos=cfg["lanczos"],
-            dense_limit=cfg["dense_limit"],
         )
         runs.append(
             {
@@ -311,6 +310,7 @@ def cmd_sdp_feas(cfg):
             }
         )
     mean_gap = float(np.mean([r["gap"] for r in runs]))
+    out_dir = _output_dir(cfg)
     summary = {
         "schema": SDP_SUMMARY_SCHEMA,
         "version": __version__,
@@ -336,11 +336,7 @@ def cmd_sdp_feas(cfg):
 def _bench_matrix(kind, n, op_norm, rng):
     if kind == "diag":
         return np.diag(np.linspace(-op_norm, op_norm, n))
-    a = rng.standard_normal((n, n))
-    if kind == "sparse":
-        a[rng.uniform(size=(n, n)) > 0.2] = 0.0
-    a = 0.5 * (a + a.T)
-    lam = np.linalg.eigvalsh(a)
+    a, lam = gaussian_symmetric(n, rng, 0.2 if kind == "sparse" else None)
     scale = max(abs(lam[0]), abs(lam[-1]))
     return a * (op_norm / scale) if scale > 0 else a
 
@@ -357,12 +353,9 @@ def cmd_bench_lanczos(cfg):
     for kind in spectra:
         if kind not in BENCH_SPECTRA:
             raise UsageError(f"unknown spectrum kind {kind!r}")
-    out_dir = _output_dir(cfg)
     seeds = list(range(cfg["bench_seeds"]))
     echo = _echo_config(cfg, seeds)
     rows = []
-    from .linalg import SparseSymOperator
-
     for n in sizes:
         for kind in spectra:
             for seed in seeds:
@@ -388,7 +381,7 @@ def cmd_bench_lanczos(cfg):
                     wall = time.perf_counter_ns() - t0
                     err = np.linalg.norm(np.ldexp(approx, exponent) - exact) / exact_norm
                     rows.append([n, kind, k, repr(float(err)), op.matvec_count, wall])
-    path = os.path.join(out_dir, "bench-lanczos.csv")
+    path = os.path.join(_output_dir(cfg), "bench-lanczos.csv")
     write_csv(
         path,
         BENCH_SCHEMA,
@@ -506,7 +499,6 @@ def build_parser():
         p.setting("--seed-list", help="comma-separated explicit seed list (overrides --seed)")
         p.setting("--delta", type=float, default=0.1, help="confidence parameter in (0,1)",
                   check=(_in_open_unit, "delta must lie in (0, 1)"))
-        p.setting("--dense-limit", type=int, default=DENSE_LIMIT)
 
     p = add_command("online-eig", cmd_online_eig, "run the online eigenvector game")
     p.setting("--n", type=int, default=32, check=(_at_least_one, "n and T must be >= 1"))
@@ -517,7 +509,6 @@ def build_parser():
               check=(_positive_finite, "eta must be a positive finite number"))
     p.setting("--k0", type=float, default=DEFAULT_K0, help="Krylov depth calibration constant",
               check=(_positive_finite, "k0 must be a positive finite number"))
-    p.setting("--mc-samples", type=int, default=2000, check=(_at_least_one, "mc-samples must be >= 1"))
     p.setting("--strategy", choices=sorted(STRATEGY_TOKENS), default="rank1")
     p.setting("--adversary", choices=ADVERSARY_KINDS, default="random_rotation")
     p.setting("--workers", type=int, default=1, check=(_at_least_one, "workers must be >= 1"))

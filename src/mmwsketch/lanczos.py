@@ -1,8 +1,8 @@
 """Krylov-subspace approximation of matrix-exponential-vector products.
 
 The core routine tridiagonalizes a symmetric operator against a start vector
-via the three-term recurrence (optionally with full reorthogonalization),
-then evaluates exp on the small tridiagonal matrix.  Exponentials are always
+via the three-term recurrence with full reorthogonalization, then evaluates
+exp on the small tridiagonal matrix.  Exponentials are always
 taken after subtracting the top Ritz value so that large spectra cannot
 overflow; the scalar is reapplied multiplicatively (an overflow there raises),
 or dropped entirely in normalized mode for callers that only need the direction.
@@ -85,7 +85,7 @@ class LanczosDecomposition:
         return y
 
 
-def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
+def lanczos_decompose(a, b, k, tol=None):
     """Run k iterations of symmetric Lanczos on operator ``a`` from vector ``b``.
 
     Without ``tol``, stops early only when the new off-diagonal vanishes (the
@@ -131,10 +131,9 @@ def lanczos_decompose(a, b, k, reorthogonalize=True, tol=None):
         w = w - beta_prev * q_prev
         alpha = float(w @ q)
         w = w - alpha * q
-        if reorthogonalize:
-            # two Gram-Schmidt passes keep the basis orthonormal to roundoff
-            for _ in range(2):
-                w -= basis[:, : i + 1] @ (basis[:, : i + 1].T @ w)
+        # two Gram-Schmidt passes keep the basis orthonormal to roundoff
+        for _ in range(2):
+            w -= basis[:, : i + 1] @ (basis[:, : i + 1].T @ w)
         alphas[i] = alpha
         j = i + 1
         if j == k and tol is None:
@@ -202,7 +201,7 @@ def _error_estimate(beta, theta, v):
     return beta * abs(float(c[-1])) / float(np.linalg.norm(c))
 
 
-def expm_multiply(a, b, k, reorthogonalize=True, normalized=False, tol=None):
+def expm_multiply(a, b, k, normalized=False, tol=None):
     """Approximate ``exp(a) @ b`` from at most k Krylov iterations.
 
     With ``normalized=True`` the result equals ``exp(a - max I) @ b``
@@ -211,7 +210,7 @@ def expm_multiply(a, b, k, reorthogonalize=True, normalized=False, tol=None):
     :meth:`LanczosDecomposition.expm`).  ``tol`` is the relative error budget
     passed to :func:`lanczos_decompose` (None runs exactly k iterations).
     """
-    dec = lanczos_decompose(a, b, k, reorthogonalize=reorthogonalize, tol=tol)
+    dec = lanczos_decompose(a, b, k, tol=tol)
     return dec.expm(normalized=normalized)
 
 

@@ -124,16 +124,16 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def dense_eigh(a, dense_limit=DENSE_LIMIT):
+def dense_eigh(a):
     """Full symmetric eigendecomposition with eigenvalues sorted descending.
 
     Raises :class:`ConvergenceError` naming the matrix size if the LAPACK
-    driver fails, and ``ValueError`` above the dense size limit.
+    driver fails, and ``ValueError`` above :data:`DENSE_LIMIT`.
     """
     arr = sym_array(a)
     n = arr.shape[0]
-    if n > dense_limit:
-        raise ValueError(f"dense eigendecomposition refused for n={n} > limit {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense eigendecomposition refused for n={n} > limit {DENSE_LIMIT}")
     try:
         lam, q = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as err:
@@ -206,6 +206,20 @@ class SeededRng:
         return f"SeededRng(seed={self.seed})"
 
 
+def gaussian_symmetric(n, rng, density=None):
+    """Random symmetric matrix and its ascending eigenvalues, for callers to scale.
+
+    Draws an ``n x n`` standard Gaussian matrix, then, given ``density``, a
+    uniform matrix of the same shape, and keeps only the entries whose
+    uniform draw is below ``density``; the result is the symmetric part.
+    """
+    a = rng.standard_normal((n, n))
+    if density is not None:
+        a = a * (rng.uniform(size=(n, n)) < density)
+    a = 0.5 * (a + a.T)
+    return a, np.linalg.eigvalsh(a)
+
+
 def sample_unit_sphere(n, rng, size=None):
     """Uniform draw(s) from the unit sphere in R^n.
 
@@ -275,7 +289,7 @@ def op_norm_bounds(a, tol, rng=None, max_k=None):
     converged = False
     est = (0.0, 0.0)
     while True:
-        dec = lanczos_decompose(op, b, k, reorthogonalize=True)
+        dec = lanczos_decompose(op, b, k)
         iterations += dec.iterations
         theta = ritz_values(dec)
         est = (float(theta.min()), float(theta.max()))

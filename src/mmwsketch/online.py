@@ -1,10 +1,9 @@
 """The online eigenvector game over the spectrahedron.
 
 An adversary supplies symmetric gain matrices before seeing the current
-action; the player projects the running gain sum through one of four
-strategies (exact multiplicative weights, the exact rank-1 sketch, its
-Krylov approximation, or a Monte-Carlo mean of the averaged projection,
-the last being test-only).  The engine enforces the information order
+action; the player projects the running gain sum through one of three
+strategies (exact multiplicative weights, the exact rank-1 sketch, or its
+Krylov approximation).  The engine enforces the information order
 structurally: the gain for step t is requested before the sphere vector
 for step t is drawn.
 """
@@ -22,19 +21,15 @@ from .linalg import (
     DENSE_LIMIT,
     SparseSymOperator,
     dense_eigh,
+    gaussian_symmetric,
     op_norm_bounds,
     sample_unit_sphere,
     spectrum_within,
     top_eigenvalue,
 )
-from .projections import (
-    estimate_avg_projection_dirichlet,
-    mmw_projection,
-    rank1_projection,
-    rank1_projection_lanczos,
-)
+from .projections import mmw_projection, rank1_projection, rank1_projection_lanczos
 
-STRATEGIES = ("exact_mmw", "rank1_exact", "rank1_lanczos", "averaged_mc")
+STRATEGIES = ("exact_mmw", "rank1_exact", "rank1_lanczos")
 #: The gain classes, each with the interval its spectrum must lie in (1e-9 slack).
 GAIN_SPECTRUM = {
     "bounded_inf_norm_1": (-1.0 - 1e-9, 1.0 + 1e-9),
@@ -103,8 +98,7 @@ class RandomRotationAdversary(Adversary):
     def __init__(self, n, rng):
         self.n = n
         self._rng = rng
-        seed_matrix = _sym(rng.standard_normal((n, n)))
-        lam = np.linalg.eigvalsh(seed_matrix)
+        _, lam = gaussian_symmetric(n, rng)
         self._spectrum = lam / max(abs(lam[0]), abs(lam[-1]))
 
     def next_gain(self, history):
@@ -150,8 +144,7 @@ def builtin_adversaries(kind, n, rng, matrix=None):
         return RandomRotationAdversary(n, rng)
     if kind == "fixed_matrix":
         if matrix is None:
-            seed_matrix = _sym(rng.standard_normal((n, n)))
-            lam = np.linalg.eigvalsh(seed_matrix)
+            seed_matrix, lam = gaussian_symmetric(n, rng)
             matrix = seed_matrix / max(abs(lam[0]), abs(lam[-1]))
         return FixedMatrixAdversary(matrix)
     if kind == "psd_random":
@@ -292,14 +285,7 @@ def _validate_gain(g, gain_class, t, n):
         raise GainValidationError(f"step {t}: gain spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] outside [0, 1]")
 
 
-def run_online(
-    adversary,
-    strategy,
-    schedule,
-    rng,
-    dense_limit=DENSE_LIMIT,
-    mc_samples=2000,
-):
+def run_online(adversary, strategy, schedule, rng):
     """Play the online game for ``schedule.T`` steps and return the trace.
 
     At each step the engine (1) requests the gain from the adversary using
@@ -307,7 +293,8 @@ def run_online(
     (3) projects the scaled gain sum accumulated strictly before this step,
     and (4) records the earned inner product.  Total regret compares the
     cumulative gain against the top eigenvalue of the realized gain sum
-    (exact at dense scale, certified within a recorded tolerance above it).
+    (exact at dense scale, ``n <= DENSE_LIMIT``, and certified within a
+    recorded tolerance above it, where only ``rank1_lanczos`` runs).
     The gain sum is one dense running matrix in both modes, behind one
     operator for the whole game, so a Krylov matvec costs O(n^2) whatever
     the step.  Gains are checked by two Cholesky factorizations, with an
@@ -329,9 +316,10 @@ def run_online(
     n = adversary.n
     T = schedule.T
     eta = schedule.eta
-    dense_mode = n <= dense_limit
-    if strategy in ("exact_mmw", "averaged_mc", "rank1_exact") and not dense_mode:
-        raise ValueError(f"strategy {strategy!r} requires n <= dense limit {dense_limit}")
+    dense_mode = n <= DENSE_LIMIT
+    dense_strategy = strategy != "rank1_lanczos"
+    if dense_strategy and not dense_mode:
+        raise ValueError(f"strategy {strategy!r} requires n <= dense limit {DENSE_LIMIT}")
     kt_rule = schedule.kt_rule
     if strategy == "rank1_lanczos" and kt_rule is None:
         kt_rule = kt_schedule(n, T, eta, schedule.delta)
@@ -348,9 +336,8 @@ def run_online(
     actions = []  # the play history handed to the adversary: past actions, no gains
     gain_sum = np.zeros((n, n))  # updated in place: gain_op reads the live sum
     gain_op = SparseSymOperator(n, lambda v: gain_sum @ v)
-    dense_strategy = strategy != "rank1_lanczos"
     if dense_strategy:
-        pairs = dense_eigh(eta * gain_sum, dense_limit=dense_limit)  # the dual point of the next play
+        pairs = dense_eigh(eta * gain_sum)  # the dual point of the next play
     running_total = 0.0
     lam_tol_abs = 0.0
 
@@ -364,8 +351,6 @@ def run_online(
         elif strategy == "rank1_exact":
             u = sample_unit_sphere(n, rng)
             action = rank1_projection(pairs, u)
-        elif strategy == "averaged_mc":
-            action = estimate_avg_projection_dirichlet(pairs, mc_samples, rng).action
         else:  # rank1_lanczos
             u = sample_unit_sphere(n, rng)
             k_cap[t - 1] = min(kt_rule(t), n)
@@ -381,7 +366,7 @@ def run_online(
 
         gain_sum += gain
         if dense_strategy:
-            pairs = dense_eigh(eta * gain_sum, dense_limit=dense_limit)
+            pairs = dense_eigh(eta * gain_sum)
             lam_running[t - 1] = pairs.eigenvalues[0] / eta
         elif dense_mode:
             lam_running[t - 1] = top_eigenvalue(gain_sum)

@@ -18,17 +18,12 @@ import numpy as np
 
 from .lanczos import lanczos_decompose
 from .linalg import (
-    DENSE_LIMIT,
     EigenDecomposition,
     SparseSymOperator,
     dense_eigh,
     sample_unit_sphere,
     sym_array,
 )
-
-#: Default Monte-Carlo sample counts: heavy for oracle use, light for smoke tests.
-MC_SAMPLES_ORACLE = 100_000
-MC_SAMPLES_SMOKE = 1_000
 
 _CHUNK = 20_000
 
@@ -56,16 +51,9 @@ class SimplexWeights:
             raise ValueError("log weights must be a nonempty vector")
 
     @property
-    def m(self):
-        return len(self.log_weights)
-
-    @property
     def weights(self):
         t = np.exp(self.log_weights - self.log_weights.max())
         return t / t.sum()
-
-    def __len__(self):
-        return self.m
 
 
 class SpectrahedronAction:
@@ -123,11 +111,6 @@ class SpectrahedronAction:
             return float(self.factor @ (g @ self.factor))
         return float(np.vdot(g, self.matrix))
 
-    def trace(self):
-        if self.is_rank1:
-            return float(self.factor @ self.factor)
-        return float(np.trace(self.matrix))
-
     def validate(self, psd_tol=1e-9, trace_tol=1e-9):
         """Check the spectrahedron membership invariants; raises on violation."""
         if self.is_rank1:
@@ -159,19 +142,19 @@ class ScalarEstimate:
     samples: int
 
 
-def _eigenpairs(y, dense_limit):
+def _eigenpairs(y):
     """Descending eigenpairs of ``y``: a symmetric matrix, or an :class:`EigenDecomposition` used as given."""
     if isinstance(y, EigenDecomposition):
         return y
-    return dense_eigh(y, dense_limit=dense_limit)
+    return dense_eigh(y)
 
 
-def mmw_projection(y, dense_limit=DENSE_LIMIT):
+def mmw_projection(y):
     """Exact multiplicative-weights projection ``exp(Y)/tr exp(Y)``.
 
     ``y`` is the symmetric Y or its :class:`EigenDecomposition`.
     """
-    dec = _eigenpairs(y, dense_limit)
+    dec = _eigenpairs(y)
     lam = dec.eigenvalues
     e = np.exp(lam - lam[0])
     s = e / e.sum()
@@ -179,7 +162,7 @@ def mmw_projection(y, dense_limit=DENSE_LIMIT):
     return SpectrahedronAction.dense(x)
 
 
-def rank1_projection(y, u, dense_limit=DENSE_LIMIT):
+def rank1_projection(y, u):
     """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``.
 
     Reference implementation through the shifted eigenbasis; requires dense
@@ -190,7 +173,7 @@ def rank1_projection(y, u, dense_limit=DENSE_LIMIT):
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
-    dec = _eigenpairs(y, dense_limit)
+    dec = _eigenpairs(y)
     lam = dec.eigenvalues
     a = dec.eigenvectors.T @ u
     v = dec.eigenvectors @ (np.exp(0.5 * (lam - lam[0])) * a)
@@ -256,7 +239,7 @@ def _accumulate_moments(batches):
     return mean, np.sqrt(var / total), total
 
 
-def estimate_avg_projection_direct(y, samples, rng, dense_limit=DENSE_LIMIT):
+def estimate_avg_projection_direct(y, samples, rng):
     """Sphere-average of the rank-1 sketch: the empirical mean of ``P_u(Y)``.
 
     Draws i.i.d. uniform sphere vectors and averages the exact rank-1
@@ -265,7 +248,7 @@ def estimate_avg_projection_direct(y, samples, rng, dense_limit=DENSE_LIMIT):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    dec = dense_eigh(y, dense_limit=dense_limit)
+    dec = dense_eigh(y)
     lam, q = dec.eigenvalues, dec.eigenvectors
     half = np.exp(0.5 * (lam - lam[0]))
 
@@ -285,7 +268,7 @@ def estimate_avg_projection_direct(y, samples, rng, dense_limit=DENSE_LIMIT):
     return MatrixEstimate(SpectrahedronAction.dense(mean), stderr, total)
 
 
-def estimate_avg_projection_dirichlet(y, samples, rng, dense_limit=DENSE_LIMIT):
+def estimate_avg_projection_dirichlet(y, samples, rng):
     """Averaged projection via its eigenbasis characterization.
 
     In the eigenbasis of Y the averaged projection is diagonal with entries
@@ -297,7 +280,7 @@ def estimate_avg_projection_dirichlet(y, samples, rng, dense_limit=DENSE_LIMIT):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    dec = _eigenpairs(y, dense_limit)
+    dec = _eigenpairs(y)
     lam, q = dec.eigenvalues, dec.eigenvectors
     boost = np.exp(lam - lam[0])
 
@@ -316,7 +299,7 @@ def estimate_avg_projection_dirichlet(y, samples, rng, dense_limit=DENSE_LIMIT):
     return MatrixEstimate(SpectrahedronAction.dense(mean), stderr, total)
 
 
-def estimate_potential(y, samples, rng, dense_limit=DENSE_LIMIT):
+def estimate_potential(y, samples, rng):
     """Monte-Carlo estimate of the averaged potential ``E_u log(u' exp(Y) u)``.
 
     Each sample evaluates ``lse(lambda + log w)`` for a Dirichlet(1/2) draw
@@ -324,7 +307,7 @@ def estimate_potential(y, samples, rng, dense_limit=DENSE_LIMIT):
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    dec = dense_eigh(y, dense_limit=dense_limit)
+    dec = dense_eigh(y)
     lam = dec.eigenvalues
     boost = np.exp(lam - lam[0])
     vals = np.empty(samples)
@@ -340,7 +323,7 @@ def estimate_potential(y, samples, rng, dense_limit=DENSE_LIMIT):
     )
 
 
-def estimate_bregman(y, yp, samples, rng, dense_limit=DENSE_LIMIT):
+def estimate_bregman(y, yp, samples, rng):
     """Bregman divergence of the averaged potential between two dual points.
 
     Estimates ``p(Y') - p(Y) - <Y' - Y, avg-projection(Y)>`` using common
@@ -355,8 +338,8 @@ def estimate_bregman(y, yp, samples, rng, dense_limit=DENSE_LIMIT):
     if ya.shape != ypa.shape:
         raise ValueError("dimension mismatch")
     delta = ypa - ya
-    dec = dense_eigh(ya, dense_limit=dense_limit)
-    decp = dense_eigh(ypa, dense_limit=dense_limit)
+    dec = dense_eigh(ya)
+    decp = dense_eigh(ypa)
     lam, q = dec.eigenvalues, dec.eigenvectors
     lamp, qp = decp.eigenvalues, decp.eigenvectors
     half = np.exp(0.5 * (lam - lam[0]))

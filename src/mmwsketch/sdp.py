@@ -23,6 +23,7 @@ from .linalg import (
     DENSE_LIMIT,
     SeededRng,
     SparseSymOperator,
+    gaussian_symmetric,
     op_norm_bounds,
     sample_unit_sphere,
 )
@@ -170,12 +171,16 @@ class SdpInstance:
             )
         return self._stack
 
-    def compute_width(self, tol=1e-8, dense_limit=DENSE_LIMIT):
-        """Width ``max_i |A_i|_inf``; cached on the instance."""
+    def compute_width(self, tol=1e-8):
+        """Width ``max_i |A_i|_inf``; cached on the instance.
+
+        Exact at dense scale, ``n <= DENSE_LIMIT``, and estimated by Lanczos
+        within ``tol`` (relative) above it.
+        """
         if self.width is None:
             w = 0.0
             for i in range(self.m):
-                if self.n <= dense_limit:
+                if self.n <= DENSE_LIMIT:
                     lam = np.linalg.eigvalsh(self.dense(i))
                     w = max(w, abs(lam[0]), abs(lam[-1]))
                 else:
@@ -327,16 +332,17 @@ class GapReport:
         return 0.5 * (self.hi - self.lo)
 
 
-def duality_gap(instance, action, y, tol=1e-8, dense_limit=DENSE_LIMIT):
+def duality_gap(instance, action, y, tol=1e-8):
     """Certified duality gap ``lam_max(A* y) - min_i <A_i, X>``.
 
-    The top eigenvalue is exact at dense scale and estimated within ``tol``
-    (relative) above it; the returned interval reflects that uncertainty.
+    The top eigenvalue is exact at dense scale, ``n <= DENSE_LIMIT``, and
+    estimated within ``tol`` (relative) above it; the returned interval
+    reflects that uncertainty.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
-    if instance.n <= dense_limit:
+    if instance.n <= DENSE_LIMIT:
         lam = np.linalg.eigvalsh(_adjoint_dense(instance, weights))
         lam_max, uncertainty = float(lam[-1]), 0.0
     else:
@@ -348,7 +354,7 @@ def duality_gap(instance, action, y, tol=1e-8, dense_limit=DENSE_LIMIT):
     return GapReport(value=value, lo=value - uncertainty, hi=value + uncertainty)
 
 
-def feasibility_schedule(instance, epsilon, dense_limit=DENSE_LIMIT):
+def feasibility_schedule(instance, epsilon):
     """Step size and horizon for a target expected gap of ``epsilon``.
 
     ``T = ceil(8 log(4mn) omega^2 / epsilon^2)`` and
@@ -358,7 +364,7 @@ def feasibility_schedule(instance, epsilon, dense_limit=DENSE_LIMIT):
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    omega = instance.compute_width(dense_limit=dense_limit)
+    omega = instance.compute_width()
     if omega == 0.0:
         return 1.0, 1
     log_term = math.log(4.0 * instance.m * instance.n)
@@ -397,15 +403,7 @@ def _verdict(s_lower, s_upper):
     return "undetermined-at-epsilon"
 
 
-def solve_feasibility(
-    instance,
-    epsilon,
-    delta=0.1,
-    rng=None,
-    use_lanczos=False,
-    dense_limit=DENSE_LIMIT,
-    time_budget_s=None,
-):
+def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False, time_budget_s=None):
     """Run the primal-dual saddle-point game and certify the sign of its value.
 
     Per step: draw a sphere vector, play the rank-1 sketch of the running
@@ -422,10 +420,10 @@ def solve_feasibility(
         raise ValueError("delta must lie in (0, 1)")
     if rng is None:
         rng = SeededRng(0)
-    eta, horizon = feasibility_schedule(instance, epsilon, dense_limit=dense_limit)
-    omega = instance.compute_width(dense_limit=dense_limit)
+    eta, horizon = feasibility_schedule(instance, epsilon)
+    omega = instance.compute_width()
     n, m = instance.n, instance.m
-    if not use_lanczos and n > dense_limit:
+    if not use_lanczos and n > DENSE_LIMIT:
         raise ValueError("exact projections require n <= dense limit; pass use_lanczos=True")
 
     start_ns = time.perf_counter_ns()
@@ -452,7 +450,7 @@ def solve_feasibility(
             action = rank1_projection_lanczos(gain_op, u, k, tol=0.25 / horizon)
             matvecs += gain_op.matvec_count
         else:
-            action = rank1_projection(gain_csr.toarray(), u, dense_limit=dense_limit)
+            action = rank1_projection(gain_csr.toarray(), u)
         y = softmax_grad(-eta * cost_sum)
         yw = y.weights
 
@@ -476,7 +474,7 @@ def solve_feasibility(
     x_avg /= steps_done
     y_avg /= steps_done
     x_action = SpectrahedronAction.dense(0.5 * (x_avg + x_avg.T))
-    gap = duality_gap(instance, x_action, y_avg, dense_limit=dense_limit)
+    gap = duality_gap(instance, x_action, y_avg)
     s_lower = float(costs(instance, x_action).min())
     # lam_max(A* y_avg) padded by the eigenvalue-estimate uncertainty (0 at dense scale)
     s_upper = gap.hi + s_lower
@@ -519,11 +517,7 @@ def make_random_instance(n, m, rng, density=0.5, width=1.0):
     """Random symmetric instance with every constraint scaled to the given width."""
     mats = []
     for _ in range(m):
-        a = rng.standard_normal((n, n))
-        mask = rng.uniform(size=(n, n)) < density
-        a = a * mask
-        a = 0.5 * (a + a.T)
-        lam = np.linalg.eigvalsh(a)
+        a, lam = gaussian_symmetric(n, rng, density)
         scale = max(abs(lam[0]), abs(lam[-1]))
         if scale == 0.0:
             a[0, 0] = 1.0

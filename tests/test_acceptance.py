@@ -147,7 +147,7 @@ def test_criterion_03_lanczos_accuracy():
     for _ in range(5):
         b = rng.standard_normal(n)
         exact_exp = expm_dense(0.5 * y) @ b
-        approx_exp = expm_multiply(op.scaled(0.5), b, n, reorthogonalize=True)
+        approx_exp = expm_multiply(op.scaled(0.5), b, n)
         rel_errs.append(np.linalg.norm(approx_exp - exact_exp) / np.linalg.norm(exact_exp))
     full_ok = max(rel_errs) <= 1e-8
     elapsed = time.perf_counter() - t0

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmwsketch import cli
+from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError
 
 
 def run_cli(args):
@@ -68,7 +71,7 @@ class TestOnlineEig:
         )
         assert code == 0
         meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v3"
+        assert meta["schema"] == "online-eig-trace-v4"
         assert header == [
             "t", "step_gain", "cum_gain", "lam_max_running",
             "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
@@ -89,7 +92,7 @@ class TestOnlineEig:
         assert meta["schema"] == "online-eig-trace-v1"
         assert rows == [["1", "0.5", "3", "3"]]
 
-    @pytest.mark.parametrize("schema", ["online-eig-trace-v2", "bench-lanczos-v1"])
+    @pytest.mark.parametrize("schema", ["online-eig-trace-v2", "online-eig-trace-v3", "bench-lanczos-v1"])
     def test_previous_schemas_still_readable(self, tmp_path, schema):
         # only the config echo changed since these versions
         path = tmp_path / "old.csv"
@@ -106,7 +109,7 @@ class TestOnlineEig:
             (["--hp-delta", "1.5"], "error: hp-delta must lie in (0, 1)\n"),
             (["--strategy", "rank1-lanczos", "--k0", "0"], "error: k0 must be a positive finite number\n"),
             (["--k0", "nan"], "error: k0 must be a positive finite number\n"),
-            (["--strategy", "averaged-mc", "--mc-samples", "0"], "error: mc-samples must be >= 1\n"),
+            (["--mc-samples", "5"], "error: unrecognized arguments: --mc-samples 5\n"),
             (["--workers", "0"], "error: workers must be >= 1\n"),
             (["--seed", "-1"], "error: --seed must be >= 0\n"),
             (["--seed-list", "3,-1"], "error: bad --seed-list: seeds must be >= 0\n"),
@@ -135,18 +138,11 @@ class TestOnlineEig:
         assert first_json == second_json
 
     def test_exact_mmw_beyond_dense_limit_is_usage_error(self, tmp_path, capsys):
-        code = run_cli(
-            [
-                "online-eig",
-                "--n", "16",
-                "--T", "5",
-                "--strategy", "exact-mmw",
-                "--dense-limit", "8",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 1
-        assert "dense limit" in capsys.readouterr().err
+        for strategy in ("exact-mmw", "rank1"):
+            args = ["online-eig", "--n", str(DENSE_LIMIT + 1), "--T", "5", "--strategy", strategy]
+            assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
+            assert "dense limit" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == []
 
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         code = run_cli(["online-eig", "--strategy", "nope", "--out", str(tmp_path)])
@@ -267,11 +263,13 @@ class TestSdpFeas:
         assert not (tmp_path / "sdp-feas-summary.json").exists()
 
     def test_exact_projections_beyond_dense_limit_is_usage_error(self, tmp_path, capsys):
-        args = ["sdp-feas", "--instance", "builtin:rand20x10", "--dense-limit", "10", "--epsilon", "0.5"]
+        instance = tmp_path / "large.sdpi"
+        instance.write_text(f"{DENSE_LIMIT + 1} 2\n1 1 1 1.0\n1 2 3 -0.5\n2 7 7 -1.0\n2 5 {DENSE_LIMIT + 1} 0.5\n")
+        args = ["sdp-feas", "--instance", str(instance), "--epsilon", "0.5"]
         assert run_cli(args + ["--out", str(tmp_path / "exact")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "--lanczos" in err
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["large.sdpi"]
         assert run_cli(args + ["--lanczos", "--out", str(tmp_path / "krylov")]) == 0
 
     def test_mean_gap_aggregate_within_epsilon(self, tmp_path):
@@ -375,6 +373,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, monkeypatch):
+        def boom(args):
+            raise ConvergenceError("synthetic failure")
+
+        monkeypatch.setattr(cli, "_online_run_for_seed", boom)
+        for args in (
+            ["sdp-feas", "--instance", "builtin:sym2x2", "--epsilon", "1e-9"],
+            ["online-eig", "--n", "4", "--T", "3"],
+            ["bench-lanczos", "--op-norm", "800", "--sizes", "8", "--ks", "4"],
+        ):
+            assert run_cli(args + ["--out", str(tmp_path / "D")]) == 2, args[0]
+            assert not (tmp_path / "D").exists(), args[0]
+
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -405,10 +416,10 @@ class TestExitCodes:
 
 
 ONLINE_SETTINGS = {
-    "n", "T", "eta", "k0", "strategy", "adversary", "mc_samples", "hp_delta", "workers",
-    "out", "seeds", "seed", "seed_list", "delta", "dense_limit",
+    "n", "T", "eta", "k0", "strategy", "adversary", "hp_delta", "workers",
+    "out", "seeds", "seed", "seed_list", "delta",
 }
-SDP_SETTINGS = {"epsilon", "instance", "lanczos", "out", "seeds", "seed", "seed_list", "delta", "dense_limit"}
+SDP_SETTINGS = {"epsilon", "instance", "lanczos", "out", "seeds", "seed", "seed_list", "delta"}
 BENCH_SETTINGS = {"sizes", "ks", "spectra", "op_norm", "bench_seeds", "out"}
 ECHO_EXTRAS = {"command", "resolved_seeds", "version"}
 
@@ -447,6 +458,9 @@ class TestSettingsBoundary:
             ("bench-lanczos", {"seed": 1}),
             ("bench-lanczos", {"bench_seeds": 0}),
             ("bench-lanczos", [1, 2]),
+            ("online-eig", {"dense_limit": 4096}),
+            ("online-eig", {"mc_samples": 100}),
+            ("sdp-feas", {"dense_limit": 4096}),
         ],
     )
     def test_bad_config_file_is_one_line_usage_error(self, tmp_path, capsys, monkeypatch, command, config):
@@ -470,6 +484,30 @@ class TestSettingsBoundary:
         assert run_cli(["bench-lanczos", "--bench-seeds", "0", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: bench-seeds must be >= 1\n"
         assert os.listdir(tmp_path) == []
+
+
+SEED_FLAGS = {"--seeds", "--seed", "--seed-list"}
+OUTPUT_FLAGS = {"--out", "--config"}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_cli_bullets_list_exactly_the_registered_flags(self):
+        text = README.read_text()
+        # the paragraph after "Each subcommand takes only the flags it reads": one bullet per subcommand
+        block = text[text.index("Each subcommand takes only the flags it reads") :].split("\n\n")[1]
+        bullets = re.findall(r"^- `([a-z-]+)`:(.*?)(?=^- |\Z)", block, re.M | re.S)
+        commands = cli.build_parser().commands
+        assert sorted(name for name, _ in bullets) == sorted(commands)
+        for name, body in bullets:
+            listed = set(re.findall(r"`(--[A-Za-z0-9-]+)`", body))
+            body = " ".join(body.split())
+            if "the seed and output flags" in body:
+                listed |= SEED_FLAGS | OUTPUT_FLAGS
+            elif "the output flags" in body:
+                listed |= OUTPUT_FLAGS
+            registered = {f for a in commands[name]._actions for f in a.option_strings} - {"-h", "--help"}
+            assert listed == registered, name
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ import scipy.stats
 from scipy.special import digamma
 
 from mmwsketch import (
+    DENSE_LIMIT,
     ConvergenceError,
     SeededRng,
     SparseSymOperator,
@@ -74,7 +75,7 @@ class TestDenseEigh:
 
     def test_dense_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
-            dense_eigh(np.zeros((5, 5)), dense_limit=4)
+            dense_eigh(np.zeros((DENSE_LIMIT + 1, DENSE_LIMIT + 1)))
 
 
 def _eigvalsh_within(a, lo, hi):

@@ -11,7 +11,7 @@ from mmwsketch import (
     kt_schedule,
     run_online,
 )
-from mmwsketch.linalg import symmetry_defect, top_eigenvalue
+from mmwsketch.linalg import DENSE_LIMIT, symmetry_defect, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -234,7 +234,7 @@ class TestRunOnline:
             run_online(FixedMatrixAdversary(matrix, gain_class), "rank1_exact", Schedule(eta=0.1, T=2), rng)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "averaged_mc", "rank1_lanczos"])
+    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "rank1_lanczos"])
     def test_no_eigvalsh_per_step_at_dense_scale(self, monkeypatch, strategy):
         import mmwsketch.online as online
 
@@ -256,7 +256,7 @@ class TestRunOnline:
         counted(np.linalg, "eigh")
         counted(online, "top_eigenvalue")
         for adv in adversaries:
-            trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng, mc_samples=20)
+            trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
         if strategy == "rank1_lanczos":
@@ -267,13 +267,13 @@ class TestRunOnline:
         assert calls == expected
 
     # streaming_pca sums are rank-deficient for t < n: their degenerate eigenspaces leave
-    # the eigenbasis, and so the averaged estimator's sample, to the decomposed matrix
+    # the eigenbasis, and so the last bits of the play, to the decomposed matrix
     @pytest.mark.parametrize("kind", ["random_rotation", "streaming_pca"])
-    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "averaged_mc"])
+    @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact"])
     def test_dense_plays_replay_through_the_matrix_route(self, monkeypatch, strategy, kind):
         import mmwsketch.online as online
 
-        n, horizon, eta, mc_samples = 8, 40, 0.3, 50
+        n, horizon, eta = 8, 40, 0.3
         adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(21)))
         play_rng, draws = SeededRng(22), []
         sample = online.sample_unit_sphere
@@ -285,17 +285,14 @@ class TestRunOnline:
             return u
 
         monkeypatch.setattr(online, "sample_unit_sphere", recorded)
-        trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng, mc_samples=mc_samples)
-        replay_rng = SeededRng(22)  # the averaged estimator draws from the play stream in the same order
+        trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
         gain_sum = np.zeros((n, n))
         for t, gain in enumerate(adv.gains):
             y = eta * gain_sum
             if strategy == "exact_mmw":
                 action = mmw_projection(y)
-            elif strategy == "rank1_exact":
-                action = rank1_projection(y, draws[t])
             else:
-                action = estimate_avg_projection_dirichlet(y, mc_samples, replay_rng).action
+                action = rank1_projection(y, draws[t])
             # the engine decomposes the same scaled sum, so the play is the same to the bit
             assert action.inner(gain) == trace.step_gain[t], t
             gain_sum += gain
@@ -332,13 +329,12 @@ class TestRunOnline:
         trace = run_online(adv, "rank1_exact", Schedule(eta=0.2, T=40), rng)
         trace.validate()
 
-    @pytest.mark.parametrize("dense_limit", [2048, 8])
-    def test_krylov_depth_records(self, dense_limit):
+    def test_krylov_depth_records(self):
         n, horizon = 24, 60
         adv_rng, play_rng = SeededRng(17).spawn(2)
         adv = builtin_adversaries("random_rotation", n, adv_rng)
         eta = default_eta(n, horizon)
-        trace = run_online(adv, "rank1_lanczos", Schedule(eta=eta, T=horizon), play_rng, dense_limit=dense_limit)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=eta, T=horizon), play_rng)
         rule = kt_schedule(n, horizon, eta, 0.1)
         assert np.array_equal(trace.matvecs, trace.k_used)
         assert np.array_equal(trace.k_cap, [min(rule(t), n) for t in range(1, horizon + 1)])
@@ -356,9 +352,11 @@ class TestRunOnline:
             assert not getattr(trace, name).any(), name
 
     def test_dense_strategy_needs_dense_scale(self, rng):
-        adv = builtin_adversaries("random_rotation", 12, rng)
-        with pytest.raises(ValueError, match="dense limit"):
-            run_online(adv, "exact_mmw", Schedule(eta=0.1, T=2), rng, dense_limit=8)
+        adv = _OrderSpyAdversary(DENSE_LIMIT + 1, [])
+        for strategy in ("exact_mmw", "rank1_exact"):
+            with pytest.raises(ValueError, match="dense limit"):
+                run_online(adv, strategy, Schedule(eta=0.1, T=2), rng)
+        assert adv.calls == 0  # refused before the first gain
 
     def test_unknown_strategy(self, rng):
         adv = builtin_adversaries("random_rotation", 4, rng)
@@ -366,30 +364,20 @@ class TestRunOnline:
             run_online(adv, "nope", Schedule(eta=0.1, T=2), rng)
 
     def test_operator_mode_smoke(self):
-        # force the operator path with an artificially low limit
-        def play(**kwargs):
-            adv_rng, play_rng = SeededRng(3).spawn(2)
-            adv = builtin_adversaries("random_rotation", 12, adv_rng)
-            return run_online(adv, "rank1_lanczos", Schedule(eta=0.15, T=20), play_rng, **kwargs)
-
-        trace = play(dense_limit=8)
+        # one dimension above the limit: the engine's own operator route, no lowered limit
+        n, horizon = DENSE_LIMIT + 1, 3
+        adv = _RecordingAdversary(builtin_adversaries("streaming_pca", n, SeededRng(3)))
+        eta = default_eta(n, horizon)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=eta, T=horizon), SeededRng(4))
         trace.validate()
-        # both modes project the same running gain sum, so they play the same game
-        dense = play()
-        for name in ("step_gain", "k_used", "k_cap", "matvecs", "krylov_err_est"):
-            assert np.array_equal(getattr(trace, name), getattr(dense, name)), name
-        assert np.abs(trace.lam_max_running - dense.lam_max_running).max() <= trace.lam_max_tol
         assert trace.lam_max_tol > 0.0
-        assert trace.matvecs.sum() > 0
-        # certified top eigenvalue close to the dense recomputation
-        master = SeededRng(3)
-        adv_rng, _ = master.spawn(2)
-        adv2 = builtin_adversaries("random_rotation", 12, adv_rng)
-        total = np.zeros((12, 12))
-        for _ in range(20):
-            total += adv2.next_gain(())
-        lam = float(np.linalg.eigvalsh(total)[-1])
-        assert abs(trace.lam_max_final - lam) <= 1e-5 * max(1.0, abs(lam))
+        assert np.array_equal(trace.k_used, trace.matvecs)
+        assert np.all((trace.k_used >= 1) & (trace.k_used <= trace.k_cap))
+        gain_sum = np.zeros((n, n))
+        for t, gain in enumerate(adv.gains):
+            gain_sum += gain
+            lam = top_eigenvalue(gain_sum)
+            assert abs(trace.lam_max_running[t] - lam) <= trace.lam_max_tol, t
 
 
 class TestUnbiasedSketch:
@@ -411,13 +399,16 @@ class TestUnbiasedSketch:
             sketch_totals.append(trace.cum_gain[-1])
         sketch_totals = np.array(sketch_totals)
 
+        # the averaged play: the Monte-Carlo averaged projection of the same scaled gain sums
         avg_totals = []
         for seed in range(3):
             adv = builtin_adversaries("random_rotation", n, SeededRng(adversary_seed))
-            trace = run_online(
-                adv, "averaged_mc", sched, SeededRng(5000 + seed), mc_samples=4000
-            )
-            avg_totals.append(trace.cum_gain[-1])
+            rng, gain_sum, total = SeededRng(5000 + seed), np.zeros((n, n)), 0.0
+            for _ in range(horizon):
+                gain = adv.next_gain([])
+                total += estimate_avg_projection_dirichlet(eta * gain_sum, 4000, rng).action.inner(gain)
+                gain_sum += gain
+            avg_totals.append(total)
         avg_totals = np.array(avg_totals)
 
         se_sketch = sketch_totals.std(ddof=1) / math.sqrt(len(sketch_totals))

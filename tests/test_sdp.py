@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwsketch import (
+    DENSE_LIMIT,
     SdpInstance,
     SeededRng,
     adjoint_apply,
@@ -61,11 +62,11 @@ class TestSdpInstance:
 
     def test_width_of_symmetric_fixture(self, rng):
         assert _simple_instance().compute_width() == pytest.approx(1.0, abs=1e-12)
-        # above the dense limit each A_i is taken from the constraint stack
         mats = [random_symmetric(rng, 6) for _ in range(3)]
-        dense_width = SdpInstance.from_dense_list(mats).compute_width()
-        stacked_width = SdpInstance.from_dense_list(mats).compute_width(dense_limit=5)
-        assert stacked_width == pytest.approx(dense_width, rel=1e-8)
+        inst = SdpInstance.from_dense_list(mats)
+        # above the dense limit each A_i is taken from the constraint stack; zero padding keeps the width
+        stacked_width = _padded_above_the_limit(inst).compute_width()
+        assert stacked_width == pytest.approx(inst.compute_width(), rel=1e-8)
 
     def test_declared_width_checked(self):
         inst = SdpInstance(2, 1, [(1, 1, 1, 1.0)], width=1.0)
@@ -293,6 +294,11 @@ def stacked_cases(draw):
     return mats, draw(st.integers(0, 2**32 - 1))
 
 
+def _padded_above_the_limit(inst):
+    """The same constraints in dimension ``DENSE_LIMIT + 1``, zero outside the leading block."""
+    return SdpInstance(DENSE_LIMIT + 1, inst.m, inst.triplets())
+
+
 def _example(*mats):
     return example(([np.asarray(a, dtype=float) for a in mats], 7))
 
@@ -352,8 +358,11 @@ class TestConstraintStack:
         x = SpectrahedronAction.rank1(sample_unit_sphere(inst.n, SeededRng(seed)))
         exact = duality_gap(inst, x, y)
         assert exact.lo == exact.hi == exact.value
-        estimated = duality_gap(inst, x, y, dense_limit=inst.n - 1)
-        assert estimated.lo <= exact.value <= estimated.hi
+        # zero padding leaves every cost and adds zero eigenvalues: lam_max(A* y) becomes max(lam_max, 0)
+        padded = max(exact.value, -float(costs(inst, x).min()))
+        x_padded = SpectrahedronAction.rank1(np.concatenate([x.factor, np.zeros(DENSE_LIMIT + 1 - inst.n)]))
+        estimated = duality_gap(_padded_above_the_limit(inst), x_padded, y)
+        assert estimated.lo <= padded <= estimated.hi
 
 
 class TestCosts:

@@ -17,15 +17,18 @@ __version__ = "0.1.0"
 from .linalg import (  # noqa: F401
     DENSE_LIMIT,
     ConvergenceError,
+    DenseLimitError,
     EigenDecomposition,
     LinalgError,
     SeededRng,
     SparseSymOperator,
+    TridiagonalForm,
     dense_eigh,
     op_norm_bounds,
     sample_dirichlet_half,
     sample_unit_sphere,
     symmetry_defect,
+    tridiagonalize,
 )
 from .lanczos import (  # noqa: F401
     LanczosDecomposition,

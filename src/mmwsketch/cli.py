@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .lanczos import DEFAULT_K0, expm_multiply
 from .linalg import (
-    DENSE_LIMIT,
     ConvergenceError,
+    DenseLimitError,
     SeededRng,
     SparseSymOperator,
     gaussian_symmetric,
@@ -179,8 +179,6 @@ def _online_run_for_seed(args):
 def cmd_online_eig(cfg):
     n, horizon = cfg["n"], cfg["T"]
     seeds = _resolve_seeds(cfg)
-    if STRATEGY_TOKENS[cfg["strategy"]] != "rank1_lanczos" and n > DENSE_LIMIT:
-        raise UsageError(f"strategy {cfg['strategy']} requires n <= dense limit {DENSE_LIMIT}")
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(n, horizon)
     refined = cfg["adversary"] in ("psd_random", "streaming_pca")
     if refined and eta > REFINED_ETA_MAX:
@@ -277,11 +275,6 @@ def _load_cli_instance(token):
 
 def cmd_sdp_feas(cfg):
     instance = _load_cli_instance(cfg["instance"])
-    if not cfg["lanczos"] and instance.n > DENSE_LIMIT:
-        raise UsageError(
-            f"exact projections require n <= dense limit {DENSE_LIMIT} "
-            f"(instance has n = {instance.n}); pass --lanczos"
-        )
     seeds = _resolve_seeds(cfg)
     echo = _echo_config(cfg, seeds)
     runs = []
@@ -580,7 +573,7 @@ def main(argv=None):
     try:
         func, cfg = parse_settings(argv)
         return func(cfg)
-    except (UsageError, InstanceFormatError) as err:
+    except (UsageError, InstanceFormatError, DenseLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GainValidationError, ConvergenceError, ArithmeticError, ValueError) as err:

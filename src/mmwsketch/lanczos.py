@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import ConvergenceError, as_operator
+from .linalg import ConvergenceError, as_operator, tridiagonal_eigh
 
 #: Calibration constant in front of the sqrt(M log(nM/(eps delta))) iteration rule.
 DEFAULT_K0 = 4.0
@@ -71,7 +71,7 @@ class LanczosDecomposition:
         scalar or the scaled vector is not finite in float64.  Reuses the
         eigenpairs of the last error check.
         """
-        theta, v = self.ritz if self.ritz is not None else _tridiagonal_eigh(self.alphas, self.betas)
+        theta, v = self.ritz if self.ritz is not None else tridiagonal_eigh(self.alphas, self.betas)
         y = self.basis @ (self.input_norm * _shifted_exp_e1(theta, v))
         if not normalized:
             theta_max = float(theta.max())
@@ -143,7 +143,7 @@ def lanczos_decompose(a, b, k, tol=None):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
         breakdown = beta <= BREAKDOWN_RTOL * scale
         if tol is not None:
-            ritz = _tridiagonal_eigh(alphas[:j], betas[: j - 1])
+            ritz = tridiagonal_eigh(alphas[:j], betas[: j - 1])
             estimate = _error_estimate(beta, *ritz)
             if estimate <= tol or j == k:
                 terminated = breakdown and j < k
@@ -173,21 +173,6 @@ def ritz_values(dec):
     if dec.iterations == 1:
         return dec.alphas.copy()
     return scipy.linalg.eigvalsh_tridiagonal(dec.alphas, dec.betas)
-
-
-def _tridiagonal_eigh(alphas, betas):
-    """Eigenpairs of a tridiagonal matrix from LAPACK ``stevd``.
-
-    ``stevd`` is the driver that SciPy 1.17's ``eigh_tridiagonal`` selects for
-    all eigenpairs; calling it directly skips that wrapper's input validation,
-    which costs several times the solve at the depths an error check runs.
-    """
-    if len(alphas) == 1:
-        return alphas.copy(), np.ones((1, 1))
-    theta, v, info = scipy.linalg.lapack.dstevd(alphas, betas, compute_v=1)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal eigensolver failed (info={info})")
-    return theta, v
 
 
 def _shifted_exp_e1(theta, v):

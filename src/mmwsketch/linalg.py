@@ -8,6 +8,7 @@ operator-form plumbing and the samplers are hand-rolled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,16 @@ class LinalgError(Exception):
 
 class ConvergenceError(LinalgError):
     """An iterative or direct solver failed to converge."""
+
+
+class DenseLimitError(ValueError):
+    """Dense work was asked for at a dimension above :data:`DENSE_LIMIT`."""
+
+
+def require_dense(n, what):
+    """Raise :class:`DenseLimitError` naming ``what`` unless ``n <= DENSE_LIMIT``."""
+    if n > DENSE_LIMIT:
+        raise DenseLimitError(f"{what} requires n <= dense limit {DENSE_LIMIT}, got n = {n}")
 
 
 def sym_array(a, atol_scale=1e-8):
@@ -123,22 +134,109 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def top(self):
+        """The largest eigenvalue."""
+        return self.eigenvalues[0]
+
 
 def dense_eigh(a):
     """Full symmetric eigendecomposition with eigenvalues sorted descending.
 
-    Raises :class:`ConvergenceError` naming the matrix size if the LAPACK
-    driver fails, and ``ValueError`` above :data:`DENSE_LIMIT`.
+    Raises :class:`ConvergenceError` naming the matrix size if LAPACK fails,
+    and :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
     """
     arr = sym_array(a)
     n = arr.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense eigendecomposition refused for n={n} > limit {DENSE_LIMIT}")
+    require_dense(n, "dense eigendecomposition")
     try:
         lam, q = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigendecomposition failed for n={n}: {err}") from err
     return EigenDecomposition(lam[::-1].copy(), q[:, ::-1].copy())
+
+
+def tridiagonal_eigh(d, e):
+    """Eigenpairs (ascending) of the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+
+    Calls LAPACK ``stevd``, the routine that SciPy 1.17's ``eigh_tridiagonal``
+    selects for all eigenpairs, directly: that wrapper's input validation
+    costs several times the solve at the depths a Krylov error check runs.
+    """
+    if len(d) == 1:
+        return d.copy(), np.ones((1, 1))
+    theta, v, info = scipy.linalg.lapack.dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed for n={len(d)} (info={info})")
+    return theta, v
+
+
+@functools.lru_cache(maxsize=16)
+def _sytrd_lwork(n):
+    """Optimal ``dsytrd`` workspace for order n; the wrapper's default ``lwork=n`` runs the unblocked reduction."""
+    work, info = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal reduction workspace query failed for n={n} (info={info})")
+    return max(1, int(work))
+
+
+@dataclass
+class TridiagonalForm:
+    """Householder reduction ``Y = Q T Q'`` with the eigenpairs ``T = V diag(theta) V'``.
+
+    ``reflectors`` and ``tau`` are the Householder vectors and scalars that
+    LAPACK ``sytrd`` (lower storage) leaves below the subdiagonal: with them
+    ``Q = diag(1, Q_1)``, where ``Q_1`` is the ``ormqr`` product of the
+    reflector block.  ``eigenvalues`` (``theta``, ascending) and
+    ``eigenvectors`` (the columns of ``V``) are those of ``T``.  Neither
+    ``Q`` nor the eigenvectors of ``Y`` are formed: ``f(Y) x`` is
+    ``Q V f(theta) V' Q' x``, two ``O(n^2)`` applications of ``Q``.
+    """
+
+    reflectors: np.ndarray
+    tau: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def top(self):
+        """The largest eigenvalue of T, which is that of Y."""
+        return self.eigenvalues[-1]
+
+    def apply_q(self, x, trans=False):
+        """``Q x``, or ``Q' x`` with ``trans``, by one LAPACK ``ormqr`` call."""
+        x = np.asarray(x, dtype=float)
+        n = len(self.eigenvalues)
+        if x.shape != (n,):
+            raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
+        out = x.copy()
+        if n > 1:
+            tail, _, info = scipy.linalg.lapack.dormqr(
+                "L", "T" if trans else "N", self.reflectors, self.tau, out[1:, None], 1, overwrite_c=1
+            )
+            if info != 0:
+                raise ConvergenceError(f"applying the Householder reflectors failed for n={n} (info={info})")
+            out[1:] = tail[:, 0]
+        return out
+
+
+def tridiagonalize(a):
+    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then ``stevd`` on T.
+
+    Costs the ``O(n^3)`` reduction and the tridiagonal eigensolve of a full
+    eigendecomposition, without its ``O(n^3)`` back-transform of the
+    eigenvectors.  Raises :class:`ConvergenceError` naming the matrix size if
+    LAPACK fails, and :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
+    """
+    arr = sym_array(a)
+    n = arr.shape[0]
+    require_dense(n, "tridiagonal reduction")
+    # arr is an exactly symmetric copy, so arr.T is it in Fortran order and sytrd reduces it in place
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal reduction failed for n={n} (info={info})")
+    theta, v = tridiagonal_eigh(d, e)
+    return TridiagonalForm(np.asfortranarray(c[1:, : n - 1]), tau, theta, v)
 
 
 def spectrum_within(a, lo, hi):

@@ -23,9 +23,11 @@ from .linalg import (
     dense_eigh,
     gaussian_symmetric,
     op_norm_bounds,
+    require_dense,
     sample_unit_sphere,
     spectrum_within,
     top_eigenvalue,
+    tridiagonalize,
 )
 from .projections import mmw_projection, rank1_projection, rank1_projection_lanczos
 
@@ -300,11 +302,13 @@ def run_online(adversary, strategy, schedule, rng):
     the step.  Gains are checked by two Cholesky factorizations, with an
     eigensolve only when one fails.
 
-    The dense strategies make one eigendecomposition of the scaled gain sum
-    per step, after adding the gain: its pairs project the next step, and
-    its top eigenvalue over ``eta > 0`` is the step's running ``lam_max``.
-    ``rank1_lanczos`` takes ``lam_max`` from one top-eigenvalue call at
-    dense scale and from Lanczos bounds above it.
+    The dense strategies decompose the scaled gain sum once per step, after
+    adding the gain: ``exact_mmw`` into eigenpairs (:func:`dense_eigh`),
+    ``rank1_exact`` into its tridiagonal form (:func:`tridiagonalize`), which
+    skips the eigenvectors of the sum.  The decomposition projects the next
+    step, and its top eigenvalue over ``eta > 0`` is the step's running
+    ``lam_max``.  ``rank1_lanczos`` takes ``lam_max`` from one
+    top-eigenvalue call at dense scale and from Lanczos bounds above it.
 
     ``rank1_lanczos`` stops each Krylov run once its error estimate is at
     most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
@@ -317,9 +321,9 @@ def run_online(adversary, strategy, schedule, rng):
     T = schedule.T
     eta = schedule.eta
     dense_mode = n <= DENSE_LIMIT
-    dense_strategy = strategy != "rank1_lanczos"
-    if dense_strategy and not dense_mode:
-        raise ValueError(f"strategy {strategy!r} requires n <= dense limit {DENSE_LIMIT}")
+    decompose = {"exact_mmw": dense_eigh, "rank1_exact": tridiagonalize}.get(strategy)
+    if decompose is not None:
+        require_dense(n, f"strategy {strategy!r}")
     kt_rule = schedule.kt_rule
     if strategy == "rank1_lanczos" and kt_rule is None:
         kt_rule = kt_schedule(n, T, eta, schedule.delta)
@@ -336,8 +340,8 @@ def run_online(adversary, strategy, schedule, rng):
     actions = []  # the play history handed to the adversary: past actions, no gains
     gain_sum = np.zeros((n, n))  # updated in place: gain_op reads the live sum
     gain_op = SparseSymOperator(n, lambda v: gain_sum @ v)
-    if dense_strategy:
-        pairs = dense_eigh(eta * gain_sum)  # the dual point of the next play
+    if decompose is not None:
+        dual = decompose(eta * gain_sum)  # the dual point of the next play
     running_total = 0.0
     lam_tol_abs = 0.0
 
@@ -347,10 +351,10 @@ def run_online(adversary, strategy, schedule, rng):
         gain_op.matvec_count = 0
         t0 = time.perf_counter_ns()
         if strategy == "exact_mmw":
-            action = mmw_projection(pairs)
+            action = mmw_projection(dual)
         elif strategy == "rank1_exact":
             u = sample_unit_sphere(n, rng)
-            action = rank1_projection(pairs, u)
+            action = rank1_projection(dual, u)
         else:  # rank1_lanczos
             u = sample_unit_sphere(n, rng)
             k_cap[t - 1] = min(kt_rule(t), n)
@@ -365,9 +369,9 @@ def run_online(adversary, strategy, schedule, rng):
         cum_gain[t - 1] = running_total
 
         gain_sum += gain
-        if dense_strategy:
-            pairs = dense_eigh(eta * gain_sum)
-            lam_running[t - 1] = pairs.eigenvalues[0] / eta
+        if decompose is not None:
+            dual = decompose(eta * gain_sum)
+            lam_running[t - 1] = dual.top / eta
         elif dense_mode:
             lam_running[t - 1] = top_eigenvalue(gain_sum)
         else:

@@ -2,12 +2,12 @@
 
 Implements the exact matrix-multiplicative-weights projection
 ``Y -> exp(Y)/tr exp(Y)``, its rank-1 randomized sketch
-``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via the eigenbasis,
-or approximate via Krylov iterations), Monte-Carlo estimators for the
-sphere-averaged projection and its potential, and the Bregman-divergence
-estimator used by the curvature tests.  Every exponential is evaluated after
-subtracting the top eigenvalue; all projections here are invariant to that
-shift, so it is loss-free.
+``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via the Householder
+tridiagonal form of Y, or approximate via Krylov iterations), Monte-Carlo
+estimators for the sphere-averaged projection and its potential, and the
+Bregman-divergence estimator used by the curvature tests.  Every exponential
+is evaluated after subtracting the top eigenvalue; all projections here are
+invariant to that shift, so it is loss-free.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from .lanczos import lanczos_decompose
 from .linalg import (
     EigenDecomposition,
     SparseSymOperator,
+    TridiagonalForm,
     dense_eigh,
     sample_unit_sphere,
     sym_array,
+    tridiagonalize,
 )
 
 _CHUNK = 20_000
@@ -163,20 +165,22 @@ def mmw_projection(y):
 
 
 def rank1_projection(y, u):
-    """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``.
+    """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``; requires dense scale.
 
-    Reference implementation through the shifted eigenbasis; requires dense
-    scale.  ``y`` is the symmetric Y or its :class:`EigenDecomposition`.  A
-    vanishing ``v`` is impossible for symmetric Y (the exponential is
+    ``y`` is the symmetric Y or its :class:`TridiagonalForm` ``Y = Q T Q'``,
+    ``T = V diag(theta) V'``.  Computes
+    ``v = Q V exp((theta - theta_max)/2) V' Q' u``: the shift by the top
+    eigenvalue is loss-free, and Q is applied to two vectors, never formed.
+    A vanishing ``v`` is impossible for symmetric Y (the exponential is
     nonsingular), so an underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
-    dec = _eigenpairs(y)
-    lam = dec.eigenvalues
-    a = dec.eigenvectors.T @ u
-    v = dec.eigenvectors @ (np.exp(0.5 * (lam - lam[0])) * a)
+    form = y if isinstance(y, TridiagonalForm) else tridiagonalize(y)
+    theta, w = form.eigenvalues, form.eigenvectors
+    a = w.T @ form.apply_q(u, trans=True)
+    v = form.apply_q(w @ (np.exp(0.5 * (theta - form.top)) * a))
     nrm = np.linalg.norm(v)
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ArithmeticError("exp(Y/2) u underflowed after shifting")

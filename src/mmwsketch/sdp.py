@@ -25,7 +25,9 @@ from .linalg import (
     SparseSymOperator,
     gaussian_symmetric,
     op_norm_bounds,
+    require_dense,
     sample_unit_sphere,
+    top_eigenvalue,
 )
 from .projections import (
     SimplexWeights,
@@ -335,16 +337,15 @@ class GapReport:
 def duality_gap(instance, action, y, tol=1e-8):
     """Certified duality gap ``lam_max(A* y) - min_i <A_i, X>``.
 
-    The top eigenvalue is exact at dense scale, ``n <= DENSE_LIMIT``, and
-    estimated within ``tol`` (relative) above it; the returned interval
-    reflects that uncertainty.
+    The top eigenvalue is exact at dense scale, ``n <= DENSE_LIMIT`` (one
+    LAPACK ``syevr`` eigenvalue), and estimated within ``tol`` (relative)
+    above it; the returned interval reflects that uncertainty.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
     if instance.n <= DENSE_LIMIT:
-        lam = np.linalg.eigvalsh(_adjoint_dense(instance, weights))
-        lam_max, uncertainty = float(lam[-1]), 0.0
+        lam_max, uncertainty = top_eigenvalue(_adjoint_dense(instance, weights)), 0.0
     else:
         bounds = op_norm_bounds(_adjoint_operator(instance, weights), tol)
         lam_max = bounds.lam_max
@@ -418,13 +419,13 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not use_lanczos:
+        require_dense(instance.n, "exact projection without --lanczos (use_lanczos=False)")
     if rng is None:
         rng = SeededRng(0)
     eta, horizon = feasibility_schedule(instance, epsilon)
     omega = instance.compute_width()
     n, m = instance.n, instance.m
-    if not use_lanczos and n > DENSE_LIMIT:
-        raise ValueError("exact projections require n <= dense limit; pass use_lanczos=True")
 
     start_ns = time.perf_counter_ns()
     y_avg = np.zeros(m)

@@ -181,8 +181,8 @@ def _poisoned_on_call(a, bad_call, value):
 def _count_eigensolves(monkeypatch):
     """Record the size of every tridiagonal eigenproblem solved."""
     sizes = []
-    eigh = lanczos._tridiagonal_eigh
-    monkeypatch.setattr(lanczos, "_tridiagonal_eigh", lambda al, be: sizes.append(len(al)) or eigh(al, be))
+    eigh = lanczos.tridiagonal_eigh
+    monkeypatch.setattr(lanczos, "tridiagonal_eigh", lambda al, be: sizes.append(len(al)) or eigh(al, be))
     return sizes
 
 
@@ -190,7 +190,7 @@ class TestErrorBudget:
     def test_tridiagonal_solver_matches_scipy(self, rng):
         for j in (1, 2, 5, 17, 60):
             alphas, betas = rng.standard_normal(j), np.abs(rng.standard_normal(j - 1)) + 0.1
-            theta, v = lanczos._tridiagonal_eigh(alphas, betas)
+            theta, v = lanczos.tridiagonal_eigh(alphas, betas)
             ref_theta, ref_v = scipy.linalg.eigh_tridiagonal(alphas, betas) if j > 1 else (alphas, np.ones((1, 1)))
             assert np.abs(theta - ref_theta).max() <= 1e-12
             assert np.abs(np.abs(v) - np.abs(ref_v)).max() <= 1e-10

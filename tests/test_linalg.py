@@ -7,6 +7,7 @@ from scipy.special import digamma
 from mmwsketch import (
     DENSE_LIMIT,
     ConvergenceError,
+    DenseLimitError,
     SeededRng,
     SparseSymOperator,
     dense_eigh,
@@ -14,6 +15,7 @@ from mmwsketch import (
     sample_dirichlet_half,
     sample_unit_sphere,
     symmetry_defect,
+    tridiagonalize,
 )
 from mmwsketch.linalg import spectrum_within, sym_array, top_eigenvalue
 from mmwsketch.online import GAIN_SPECTRUM
@@ -74,8 +76,9 @@ class TestDenseEigh:
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
     def test_dense_limit_guard(self):
-        with pytest.raises(ValueError, match="limit"):
-            dense_eigh(np.zeros((DENSE_LIMIT + 1, DENSE_LIMIT + 1)))
+        for decompose in (dense_eigh, tridiagonalize):
+            with pytest.raises(DenseLimitError, match=f"requires n <= dense limit {DENSE_LIMIT}, got n = {DENSE_LIMIT + 1}"):
+                decompose(np.zeros((DENSE_LIMIT + 1, DENSE_LIMIT + 1)))
 
 
 def _eigvalsh_within(a, lo, hi):
@@ -157,6 +160,53 @@ class TestTopEigenvalue:
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
         with pytest.raises(ConvergenceError, match="info=3"):
             top_eigenvalue(np.eye(3))
+
+
+class TestTridiagonalize:
+    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors and the eigenpairs of T."""
+
+    @staticmethod
+    def q_matrix(form):
+        n = len(form.eigenvalues)
+        return np.column_stack([form.apply_q(e) for e in np.eye(n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+    def test_reconstruction(self, rng, n):
+        a = random_symmetric(rng, n)
+        form = tridiagonalize(a)
+        q = self.q_matrix(form)
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+        for j, e in enumerate(np.eye(n)):
+            assert np.abs(form.apply_q(e, trans=True) - q[j]).max() <= 1e-15, j  # Q' applied is the transpose
+        v = q @ form.eigenvectors  # the eigenvectors of a, formed here only to check
+        scale = 1.0 + np.abs(form.eigenvalues).max()
+        assert np.abs((v * form.eigenvalues) @ v.T - a).max() <= 1e-12 * n * scale
+        assert np.all(np.diff(form.eigenvalues) >= 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    def test_top_matches_top_eigenvalue(self, rng, n):
+        clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
+        factors = sample_unit_sphere(n, rng, size=max(1, n // 2))
+        rank_deficient = 0.7 * (factors.T @ factors)  # a streaming-PCA gain sum: repeated zero eigenvalues
+        for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered, rank_deficient, -4.0 * np.eye(n)):
+            expected = top_eigenvalue(a)
+            assert abs(tridiagonalize(a).top - expected) <= 1e-12 * abs(expected)
+
+    def test_one_by_one_has_no_reflectors(self):
+        form = tridiagonalize(np.array([[-2.5]]))
+        assert form.top == -2.5 and form.tau.size == 0
+        assert np.array_equal(form.apply_q(np.array([0.75]), trans=True), [0.75])
+
+    def test_checks_vector_length(self, rng):
+        with pytest.raises(ValueError, match="length 4"):
+            tridiagonalize(random_symmetric(rng, 4)).apply_q(np.ones(3))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e, compute_v: (d, None, 2))
+        with pytest.raises(ConvergenceError, match=r"n=3 \(info=2\)"):
+            tridiagonalize(np.eye(3))
 
 
 class TestSeededRng:

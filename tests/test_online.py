@@ -241,7 +241,7 @@ class TestRunOnline:
         horizon = 30
         adv_rng, play_rng = SeededRng(5).spawn(2)
         adversaries = [builtin_adversaries(kind, 10, adv_rng) for kind in ("random_rotation", "streaming_pca")]
-        calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0}
+        calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "tridiagonalize": 0}
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -255,15 +255,19 @@ class TestRunOnline:
         counted(np.linalg, "eigvalsh")
         counted(np.linalg, "eigh")
         counted(online, "top_eigenvalue")
+        counted(online, "tridiagonalize")
         for adv in adversaries:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
+        # the dense strategies decompose once per step, plus once for the empty sum per game
+        expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "tridiagonalize": 0}
         if strategy == "rank1_lanczos":
-            expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": games * horizon}
+            expected["top_eigenvalue"] = games * horizon
+        elif strategy == "rank1_exact":
+            expected["tridiagonalize"] = games * (horizon + 1)
         else:
-            # one eigendecomposition per step, plus one of the empty sum per game
-            expected = {"eigvalsh": 0, "eigh": games * (horizon + 1), "top_eigenvalue": 0}
+            expected["eigh"] = games * (horizon + 1)
         assert calls == expected
 
     # streaming_pca sums are rank-deficient for t < n: their degenerate eigenspaces leave

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwsketch import (
     SeededRng,
@@ -21,7 +24,7 @@ from mmwsketch import (
     solve_feasibility,
     trace_norm_distance,
 )
-from mmwsketch.linalg import EigenDecomposition, dense_eigh
+from mmwsketch.linalg import dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SimplexWeights, SpectrahedronAction
 from mmwsketch.sdp import _adjoint_dense, make_random_instance
@@ -150,31 +153,91 @@ class TestRank1Projection:
         with pytest.raises(ValueError):
             rank1_projection(np.zeros((3, 3)), np.ones(3))
 
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+    def test_shift_invariance_property(self, n, seed, c):
+        rng = SeededRng(seed)
+        y = random_symmetric(rng, n)
+        u = sample_unit_sphere(n, rng)
+        form = tridiagonalize(y + c * np.eye(n))
+        assert np.abs(rank1_projection(form, u).factor - rank1_projection(y, u).factor).max() <= 1e-10
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_rotation_equivariance_property(self, n, seed):
+        rng = SeededRng(seed)
+        y = random_symmetric(rng, n)
+        u = sample_unit_sphere(n, rng)
+        r = haar_orthogonal(rng, n)
+        lhs = rank1_projection(tridiagonalize(r @ y @ r.T), r @ u).densify()
+        rhs = r @ rank1_projection(y, u).densify() @ r.T
+        assert np.abs(lhs - rhs).max() <= 1e-9
+
 
 class TestEigenDecompositionInput:
-    """Each dense projection takes ``dense_eigh(y)`` in place of ``y`` and returns the same bits."""
+    """Each dense projection takes its decomposition of ``y`` in place of ``y`` and returns the same bits."""
 
     @pytest.mark.parametrize(
-        "project",
+        "decompose,project",
         [
-            pytest.param(lambda y: mmw_projection(y).matrix, id="mmw"),
-            pytest.param(lambda y: rank1_projection(y, np.full(6, 1.0 / math.sqrt(6.0))).factor, id="rank1"),
+            pytest.param(dense_eigh, lambda y: mmw_projection(y).matrix, id="mmw"),
             pytest.param(
-                lambda y: estimate_avg_projection_dirichlet(y, 300, SeededRng(4)).action.matrix, id="dirichlet"
+                tridiagonalize, lambda y: rank1_projection(y, np.full(6, 1.0 / math.sqrt(6.0))).factor, id="rank1"
+            ),
+            pytest.param(
+                dense_eigh,
+                lambda y: estimate_avg_projection_dirichlet(y, 300, SeededRng(4)).action.matrix,
+                id="dirichlet",
             ),
         ],
     )
-    def test_same_bits_as_matrix(self, rng, project):
+    def test_same_bits_as_matrix(self, rng, decompose, project):
         y = random_symmetric(rng, 6, op_norm=3.0)
-        assert np.array_equal(project(dense_eigh(y)), project(y))
+        assert np.array_equal(project(decompose(y)), project(y))
 
     def test_checks_still_run(self, rng):
-        dec = dense_eigh(random_symmetric(rng, 4, op_norm=1.0))
+        form = tridiagonalize(random_symmetric(rng, 4, op_norm=1.0))
         with pytest.raises(ValueError, match="unit vector"):
-            rank1_projection(dec, np.ones(4))
-        underflowed = EigenDecomposition(dec.eigenvalues * 0.0, dec.eigenvectors * 0.0)
+            rank1_projection(form, np.ones(4))
+        underflowed = dataclasses.replace(form, eigenvectors=form.eigenvectors * 0.0)
         with pytest.raises(ArithmeticError, match="underflowed"):
             rank1_projection(underflowed, np.eye(4)[0])
+
+
+def _eigenbasis_rank1(y, u):
+    """The rank-1 sketch through all eigenpairs of ``y``: ``q exp((lam - lam_max)/2) q' u``."""
+    dec = dense_eigh(y)
+    lam, q = dec.eigenvalues, dec.eigenvectors
+    v = q @ (np.exp(0.5 * (lam - lam[0])) * (q.T @ u))
+    return SpectrahedronAction.rank1(v / np.linalg.norm(v)).factor
+
+
+def _streaming_pca_sum(rng, n, t, eta):
+    """``eta`` times a sum of ``t < n`` rank-1 unit gains: ``n - t`` eigenvalues are exactly repeated zeros."""
+    a = sample_unit_sphere(n, rng, size=t)
+    return eta * (a.T @ a)
+
+
+class TestTridiagonalRoute:
+    """``rank1_projection`` through the tridiagonal form against the eigenbasis formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_matches_eigenbasis_formula(self, rng, n):
+        cases = [
+            random_symmetric(rng, n),
+            random_symmetric(rng, n, op_norm=30.0),
+            np.zeros((n, n)),
+            -7.5 * np.eye(n),
+            _streaming_pca_sum(rng, n, max(1, n // 4), 0.3),
+            _streaming_pca_sum(rng, n, max(1, n - 1), 2.0),
+        ]
+        q = haar_orthogonal(rng, n)
+        clusters = np.repeat([4.0, 1.0, -2.0], -(-n // 3))[:n] + 1e-10 * rng.standard_normal(n)
+        cases.append((q * clusters) @ q.T)
+        for i, y in enumerate(cases):
+            y = 0.5 * (y + y.T)
+            u = sample_unit_sphere(n, rng)
+            assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12, i
 
 
 class TestRank1ProjectionLanczos:

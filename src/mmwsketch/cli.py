@@ -42,6 +42,7 @@ from .online import (
     high_probability_regret_bound,
     kt_schedule,
     refined_regret_bound,
+    require_strategy,
     run_online,
 )
 from .projections import (
@@ -178,6 +179,7 @@ def _online_run_for_seed(args):
 
 def cmd_online_eig(cfg):
     n, horizon = cfg["n"], cfg["T"]
+    require_strategy(STRATEGY_TOKENS[cfg["strategy"]], n)  # before any adversary is built
     seeds = _resolve_seeds(cfg)
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(n, horizon)
     refined = cfg["adversary"] in ("psd_random", "streaming_pca")

@@ -99,10 +99,11 @@ def lanczos_decompose(a, b, k, tol=None):
     """
     op = as_operator(a)
     n = op.n
-    b = np.asarray(b, dtype=float)
+    # contiguous, so that b @ b runs the dot kernel np.linalg.norm does
+    b = np.ascontiguousarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"expected start vector of length {n}, got shape {b.shape}")
-    input_norm = float(np.linalg.norm(b))
+    input_norm = math.sqrt(b @ b)
     if input_norm == 0.0:
         raise ValueError("start vector must be nonzero")
     if k < 1:
@@ -122,7 +123,7 @@ def lanczos_decompose(a, b, k, tol=None):
     j = 1
     for i in range(k):
         w = op.matvec(q)
-        w_norm = float(np.linalg.norm(w))
+        w_norm = math.sqrt(w @ w)
         # a NaN or inf entry makes the norm non-finite; only then is the scan
         # needed, to tell it apart from finite entries whose squares overflow
         if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
@@ -138,7 +139,7 @@ def lanczos_decompose(a, b, k, tol=None):
         j = i + 1
         if j == k and tol is None:
             break
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(w @ w)
         if not math.isfinite(beta):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
         breakdown = beta <= BREAKDOWN_RTOL * scale
@@ -183,7 +184,7 @@ def _shifted_exp_e1(theta, v):
 def _error_estimate(beta, theta, v):
     """Saad's relative error estimate ``beta |c_j| / ||c||`` with ``c = exp(T - theta_max I) e_1``."""
     c = _shifted_exp_e1(theta, v)
-    return beta * abs(float(c[-1])) / float(np.linalg.norm(c))
+    return beta * abs(float(c[-1])) / math.sqrt(c @ c)
 
 
 def expm_multiply(a, b, k, normalized=False, tol=None):

@@ -9,6 +9,7 @@ operator-form plumbing and the samplers are hand-rolled.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,12 @@ import scipy.linalg
 
 #: Largest dimension for which dense eigendecompositions are allowed.
 DENSE_LIMIT = 2048
+
+_EPS = float(np.finfo(float).eps)
+#: 2x2 minors of a rank-one ``fl(c b b')`` vanish to this relative rounding.
+_MINOR_RTOL = 64.0 * _EPS
+#: Squares below the smallest subnormal flush to zero, hiding at most ``n 2^-537`` of a Frobenius norm.
+_UNDERFLOW_NORM = 2.0**-537
 
 
 class LinalgError(Exception):
@@ -41,11 +48,16 @@ def sym_array(a, atol_scale=1e-8):
 
     Accepts any square array-like whose asymmetry is below ``atol_scale``
     relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
-    bitwise.
+    bitwise.  Input that already is, bit for bit, is returned as a copy without
+    the check and the average: ``0.5 * (x + x)`` is ``x`` unless ``|x|``
+    exceeds half the largest double, where the average overflowed to ``inf``.
     """
-    arr = np.array(a, dtype=float)
+    arr = np.array(a, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    # bit patterns, so that 0.0 against -0.0 still takes the average that makes both 0.0
+    if np.array_equal(arr.view(np.int64), arr.T.view(np.int64)):
+        return arr
     scale = 1.0 + np.abs(arr).max() if arr.size else 1.0
     if np.abs(arr - arr.T).max() > atol_scale * scale:
         raise ValueError("matrix is not symmetric")
@@ -260,6 +272,44 @@ def spectrum_within(a, lo, hi):
     return True
 
 
+def rank_one_within(a, lo, hi):
+    """Whether ``lo I <= a <= hi I`` is proved in ``O(n^2)`` by splitting the exactly symmetric ``a`` at a rank-one term.
+
+    With the pivot ``i`` of the largest diagonal entry, ``b = a[:, i] / sqrt(a_ii)``
+    and ``E = a - b b'``, Weyl's inequality puts the spectrum of ``a`` in
+    ``[-|E|_2, |b|^2 + |E|_2]``, and ``|E|_2 <= |E|_F``.  That interval, widened
+    by a bound on the rounding of ``E``, ``|E|_F`` and ``|b|^2``, must lie in
+    ``[lo, hi]``.  ``True`` is a proof; ``False`` proves nothing, and callers
+    then ask :func:`spectrum_within`.  A matrix far from rank one leaves after
+    one 2x2 minor ``a_ii a_jj - a_ij^2``, which vanishes to rounding for a
+    rank-one ``a``.  A non-finite pivot, ``|E|_F`` or ``|b|^2`` gives ``False``.
+    """
+    n = a.shape[0]
+    diag = a.diagonal()
+    i = int(diag.argmax())
+    pivot = float(diag[i])
+    if not 0.0 < pivot < math.inf:
+        return False
+    if n > 1:
+        j = i - 1  # any other index: -1 is the last one
+        ajj, aij = float(diag[j]), float(a[i, j])
+        if abs(pivot * ajj - aij * aij) > _MINOR_RTOL * pivot * abs(ajj):
+            return False
+    b = a[:, i] / math.sqrt(pivot)
+    b_sq = float(b @ b)
+    if not b_sq < math.inf:  # a non-finite b would make inf - inf in E
+        return False
+    resid = np.multiply.outer(b, b)
+    np.subtract(a, resid, out=resid)
+    flat = resid.ravel()
+    e_norm = math.sqrt(flat @ flat)
+    # with u = eps / 2: the computed E is within about u |b|^2 of a - b b' in the Frobenius norm,
+    # |E|_F and |b|^2 come out within (n^2 + 2) u and (n + 1) u relative, and each sum below
+    # rounds once; the factors here are about twice that
+    err = (1.0 + (n * n + 8) * _EPS) * e_norm + 4.0 * (n + 2) * _EPS * b_sq + n * _UNDERFLOW_NORM
+    return lo <= -err and b_sq + err <= hi
+
+
 def top_eigenvalue(a):
     """Largest eigenvalue of the symmetric ``a``: LAPACK ``syevr`` for that one eigenvalue.
 
@@ -330,10 +380,10 @@ def sample_unit_sphere(n, rng, size=None):
         raise ValueError("dimension must be >= 1")
     if size is None:
         g = rng.standard_normal(n)
-        nrm = np.linalg.norm(g)
+        nrm = math.sqrt(g @ g)  # what np.linalg.norm computes for a vector, without its dispatch
         while nrm == 0.0:
             g = rng.standard_normal(n)
-            nrm = np.linalg.norm(g)
+            nrm = math.sqrt(g @ g)
         return g / nrm
     g = rng.standard_normal((size, n))
     nrm = np.linalg.norm(g, axis=1)

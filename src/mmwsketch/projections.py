@@ -12,6 +12,7 @@ invariant to that shift, so it is loss-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class SpectrahedronAction:
     @classmethod
     def rank1(cls, x):
         x = np.asarray(x, dtype=float).copy()
-        nrm = np.linalg.norm(x)
-        if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
+        nrm = math.sqrt(x @ x)  # np.linalg.norm's own formula for a vector, without its dispatch
+        if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
             raise ValueError("rank-1 factor must be a unit vector")
         x /= nrm
         nz = np.nonzero(x)[0]
@@ -175,14 +176,14 @@ def rank1_projection(y, u):
     nonsingular), so an underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+    if abs(math.sqrt(u @ u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
     form = y if isinstance(y, TridiagonalForm) else tridiagonalize(y)
     theta, w = form.eigenvalues, form.eigenvectors
     a = w.T @ form.apply_q(u, trans=True)
     v = form.apply_q(w @ (np.exp(0.5 * (theta - form.top)) * a))
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0 or not np.isfinite(nrm):
+    nrm = math.sqrt(v @ v)
+    if nrm == 0.0 or not math.isfinite(nrm):
         raise ArithmeticError("exp(Y/2) u underflowed after shifting")
     return SpectrahedronAction.rank1(v / nrm)
 
@@ -197,14 +198,14 @@ def rank1_projection_lanczos(y, u, k, tol=None):
     at the stop is recorded as the action's ``error_estimate``.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+    if abs(math.sqrt(u @ u) - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
     if not isinstance(y, SparseSymOperator):
         y = SparseSymOperator.from_dense(y)
     dec = lanczos_decompose(y.scaled(0.5), u, k, tol=tol)
     v = dec.expm(normalized=True)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0 or not np.isfinite(nrm):
+    nrm = math.sqrt(v @ v)
+    if nrm == 0.0 or not math.isfinite(nrm):
         raise ArithmeticError("Krylov exponential returned a zero vector")
     action = SpectrahedronAction.rank1(v / nrm)
     action.error_estimate = dec.error_estimate

@@ -144,6 +144,16 @@ class TestOnlineEig:
             assert "dense limit" in capsys.readouterr().err
             assert os.listdir(tmp_path) == []
 
+    def test_dense_strategy_beyond_dense_limit_builds_no_adversary(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "builtin_adversaries", lambda *args, **kwargs: built.append(args))
+        args = ["online-eig", "--n", str(DENSE_LIMIT + 1), "--T", "5", "--strategy", "rank1"]
+        assert run_cli(args + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: strategy 'rank1_exact' requires n <= dense limit {DENSE_LIMIT}, got n = {DENSE_LIMIT + 1}\n"
+        )
+        assert built == [] and os.listdir(tmp_path) == []
+
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         code = run_cli(["online-eig", "--strategy", "nope", "--out", str(tmp_path)])
         assert code == 1

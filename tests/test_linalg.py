@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +19,11 @@ from mmwsketch import (
     symmetry_defect,
     tridiagonalize,
 )
-from mmwsketch.linalg import spectrum_within, sym_array, top_eigenvalue
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmwsketch.lanczos import lanczos_decompose
+from mmwsketch.linalg import rank_one_within, spectrum_within, sym_array, top_eigenvalue
 from mmwsketch.online import GAIN_SPECTRUM
 from conftest import haar_orthogonal, random_symmetric
 
@@ -43,6 +49,42 @@ class TestSymmetricMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             sym_array(np.zeros((2, 3)))
+
+    def test_exactly_symmetric_input_keeps_the_average_bits(self, rng):
+        g = random_symmetric(rng, 9)
+        g[2, 5] = g[5, 2] = 5e-320  # subnormal
+        g[1, 1] = -0.0
+        g[0, 3] = g[3, 0] = np.inf
+        inputs = [g, np.asfortranarray(g), 1e300 * random_symmetric(rng, 4), np.zeros((0, 0))]
+        for a in inputs:
+            out = sym_array(a)
+            assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+            assert out.flags.c_contiguous and out is not a
+
+    def test_signed_zero_pairs_are_averaged(self):
+        a = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        out = sym_array(a)
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert out.view(np.int64)[0, 1] == out.view(np.int64)[1, 0]
+
+    def test_entries_above_half_the_largest_double_no_longer_overflow(self):
+        a = np.full((2, 2), 1.5e308)
+        assert np.array_equal(sym_array(a), a)  # the average made them inf
+
+    def test_returns_a_copy(self, rng):
+        g = random_symmetric(rng, 5)
+        before = g.copy()
+        sym_array(g)[0, 0] = 7.0
+        assert np.array_equal(g, before)
+
+    def test_asymmetry_within_tolerance_still_averaged(self, rng):
+        a = random_symmetric(rng, 7)
+        a[1, 4] += 1e-12
+        out = sym_array(a)
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        a[1, 4] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_array(a)
 
 
 class TestDenseEigh:
@@ -141,6 +183,84 @@ class TestSpectrumWithin:
             h = g.copy()
             h[2, 2] = bad
             assert not spectrum_within(h, -1.0, 1.0)
+
+
+def _rank_one(rng, n, top):
+    """``top b b'`` for a unit ``b``, the form the rank-one proof is made for."""
+    b = sample_unit_sphere(n, rng)
+    return top * np.outer(b, b)
+
+
+class TestRankOneWithin:
+    """Weyl's inequality around a rank-one split: a proof when it says True, silence otherwise."""
+
+    @pytest.mark.parametrize("gain_class", sorted(GAIN_SPECTRUM))
+    @pytest.mark.parametrize("n", [1, 2, 32, 128])
+    def test_agrees_with_eigvalsh_at_the_top(self, rng, n, gain_class):
+        lo, hi = GAIN_SPECTRUM[gain_class]
+        decisions = []
+        for offset in (-1e-6, -1e-11, 1e-11, 1e-6):
+            a = sample_unit_sphere(n, rng) * math.sqrt(hi + offset)
+            for g in (_rank_one(rng, n, hi + offset), np.outer(a, a)):
+                expected = _eigvalsh_within(g, lo, hi)
+                assert rank_one_within(g, lo, hi) == expected, offset
+                decisions.append(expected)
+        assert any(decisions) and not all(decisions)
+
+    def test_weyl_bound_covers_a_small_remainder(self, rng):
+        lo, hi = GAIN_SPECTRUM["psd_unit"]
+        n = 8
+        b = np.zeros(n)
+        b[0], b[-1] = 0.8, 0.6
+        rest = random_symmetric(rng, n - 2)
+        for size, expected in ((1e-10, True), (2e-9, False)):
+            g = 0.5 * np.outer(b, b)
+            g[1:-1, 1:-1] += size * rest / np.abs(np.linalg.eigvalsh(rest)).max()
+            assert _eigvalsh_within(g, lo, hi) == expected
+            assert rank_one_within(g, lo, hi) == expected
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(sorted(GAIN_SPECTRUM)),
+        st.floats(-4e-9, 2e-9),
+        st.floats(0.0, 4e-9),
+    )
+    def test_never_accepts_what_eigvalsh_rejects(self, n, seed, gain_class, top_offset, noise):
+        lo, hi = GAIN_SPECTRUM[gain_class]
+        rng = SeededRng(seed)
+        b = sample_unit_sphere(n, rng)
+        b = b[np.argsort(-np.abs(b))]  # the pivot is row 0, and its minor with row n - 1 stays exact
+        g = (hi + top_offset) * np.outer(b, b)
+        if n > 2:
+            rest = random_symmetric(rng, n - 2)
+            g[1:-1, 1:-1] += noise * rest / max(np.abs(np.linalg.eigvalsh(rest)).max(), 1e-300)
+        if rank_one_within(g, lo, hi):
+            assert _eigvalsh_within(g, lo, hi)
+
+    def test_full_rank_leaves_early(self, rng):
+        for lo, hi in GAIN_SPECTRUM.values():
+            assert not rank_one_within(0.5 * np.eye(4), lo, hi)
+            assert not rank_one_within(_with_spectrum(rng, np.linspace(0.1, 0.9, 6)), lo, hi)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_or_nonpositive_pivot_gives_false(self, rng):
+        lo, hi = GAIN_SPECTRUM["psd_unit"]
+        g = _rank_one(rng, 6, 0.5)
+        before = g.copy()
+        assert rank_one_within(g, lo, hi)
+        assert np.array_equal(g, before)
+        assert not rank_one_within(-g, *GAIN_SPECTRUM["bounded_inf_norm_1"])
+        assert not rank_one_within(np.zeros((3, 3)), lo, hi)
+        for bad in (np.nan, np.inf, -np.inf):
+            i = int(np.argmax(g.diagonal()))
+            h = g.copy()
+            h[i, i] = bad
+            assert not rank_one_within(h, lo, hi)
+            h = g.copy()
+            h[i, (i + 2) % 6] = h[(i + 2) % 6, i] = bad
+            assert not rank_one_within(h, lo, hi)
 
 
 class TestTopEigenvalue:
@@ -258,6 +378,11 @@ class TestSphereSampler:
         stat = scipy.stats.ks_2samp(u[:, 0], v[:, 0])
         assert stat.pvalue > 1e-3
 
+    def test_single_draw_bits_of_the_numpy_norm(self):
+        for n in (1, 2, 7, 32, 128, 1000):
+            g = SeededRng(n).standard_normal(n)
+            assert sample_unit_sphere(n, SeededRng(n)).tobytes() == (g / np.linalg.norm(g)).tobytes()
+
     def test_batch_rows_unit(self, rng):
         u = sample_unit_sphere(7, rng, size=50)
         assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
@@ -354,3 +479,24 @@ class TestOpNormBounds:
         op = SparseSymOperator(3, lambda v: v * np.nan)
         with pytest.raises(ConvergenceError):
             op_norm_bounds(op, 1e-6, rng=rng)
+
+
+class TestVectorNorm:
+    """``math.sqrt(x @ x)`` is what ``np.linalg.norm`` computes for a 1-D float vector."""
+
+    def test_bits_of_the_numpy_norm(self, rng):
+        a = random_symmetric(rng, 64)
+        for i in range(2000):
+            n = 1 + i % 300
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 151)
+            y = a @ rng.standard_normal(64)  # a matvec, as Lanczos takes norms of
+            for v in (x, y, x / math.sqrt(x @ x)):
+                assert math.sqrt(v @ v) == np.linalg.norm(v)
+
+    def test_strided_start_vector_runs_as_its_copy(self, rng):
+        a = random_symmetric(rng, 9)
+        b = rng.standard_normal((9, 3))
+        strided = lanczos_decompose(a, b[:, 1], 5)
+        copied = lanczos_decompose(a, b[:, 1].copy(), 5)
+        assert strided.input_norm == copied.input_norm == np.linalg.norm(b[:, 1])
+        assert strided.basis.tobytes() == copied.basis.tobytes()

@@ -10,12 +10,15 @@ from mmwsketch import (
     default_eta,
     kt_schedule,
     run_online,
+    sample_unit_sphere,
 )
-from mmwsketch.linalg import DENSE_LIMIT, symmetry_defect, top_eigenvalue
+from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, symmetry_defect, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
     GainValidationError,
+    _haar_orthogonal,
+    _validate_gain,
     expected_regret_bound,
     high_probability_regret_bound,
     refined_regret_bound,
@@ -98,6 +101,47 @@ class TestBuiltinAdversaries:
     def test_unknown_kind(self, rng):
         with pytest.raises(ValueError, match="unknown adversary"):
             builtin_adversaries("nope", 4, rng)
+
+
+def _reference_haar(n, rng):
+    """The sign-corrected ``np.linalg.qr`` of a Gaussian matrix, the sampler's reference."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+class TestHaarOrthogonal:
+    """``geqrf``/``orgqr`` called directly give ``np.linalg.qr``'s draws bit for bit."""
+
+    # around the QR block size of 32, and past the 200 where the default workspace diverged
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 128, 200, 257])
+    def test_bits_of_the_numpy_qr(self, n):
+        q = _haar_orthogonal(n, SeededRng(n))
+        ref = _reference_haar(n, SeededRng(n))
+        assert q.flags.c_contiguous
+        assert q.tobytes() == ref.tobytes()
+        spectrum = SeededRng(n + 1).uniform(-1.0, 1.0, n)
+        assert ((q * spectrum) @ q.T).tobytes() == ((ref * spectrum) @ ref.T).tobytes()
+
+    @pytest.mark.parametrize("kind", ["random_rotation", "psd_random"])
+    def test_gains_of_the_numpy_qr(self, monkeypatch, kind):
+        import mmwsketch.online as online
+
+        adv = builtin_adversaries(kind, 12, SeededRng(31))
+        gains = [adv.next_gain(()) for _ in range(50)]
+        monkeypatch.setattr(online, "_haar_orthogonal", _reference_haar)
+        ref = builtin_adversaries(kind, 12, SeededRng(31))
+        for t, gain in enumerate(gains):
+            assert gain.tobytes() == ref.next_gain(()).tobytes(), t
+
+    def test_lapack_failure_names_n(self, monkeypatch):
+        import scipy.linalg
+
+        def failing(a, **kwargs):
+            return a, np.zeros(len(a)), None, -4
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", failing)
+        with pytest.raises(ConvergenceError, match="n=5"):
+            _haar_orthogonal(5, SeededRng(0))
 
 
 class _AsymmetricAdversary(Adversary):
@@ -302,6 +346,57 @@ class TestRunOnline:
             gain_sum += gain
             lam = top_eigenvalue(gain_sum)
             assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
+
+    @pytest.mark.parametrize("kind,proofs,cholesky", [("streaming_pca", 1, 0), ("random_rotation", 0, 1)])
+    def test_rank_one_gains_skip_the_cholesky_pair(self, monkeypatch, kind, proofs, cholesky):
+        import mmwsketch.online as online
+
+        calls = {"rank_one_within": 0, "proved": 0, "spectrum_within": 0}
+        rank_one, within = online.rank_one_within, online.spectrum_within
+
+        def counted_rank_one(*args):
+            calls["rank_one_within"] += 1
+            proved = rank_one(*args)
+            calls["proved"] += proved
+            return proved
+
+        def counted_within(*args):
+            calls["spectrum_within"] += 1
+            return within(*args)
+
+        monkeypatch.setattr(online, "rank_one_within", counted_rank_one)
+        monkeypatch.setattr(online, "spectrum_within", counted_within)
+        horizon = 40
+        adv_rng, play_rng = SeededRng(6).spawn(2)
+        run_online(builtin_adversaries(kind, 16, adv_rng), "rank1_exact", Schedule(eta=0.1, T=horizon), play_rng)
+        assert calls == {
+            "rank_one_within": horizon,
+            "proved": proofs * horizon,
+            "spectrum_within": cholesky * horizon,
+        }
+
+    def test_inexact_or_nan_gains_skip_the_rank_one_proof(self, monkeypatch, rng):
+        import mmwsketch.online as online
+
+        def unexpected(*args):
+            raise AssertionError("rank-one proof ran on a gain that is not exactly symmetric")
+
+        monkeypatch.setattr(online, "rank_one_within", unexpected)
+        a = sample_unit_sphere(6, rng)
+        nearly = np.outer(a, a) + 1e-13 * np.triu(rng.standard_normal((6, 6)), 1)
+        _validate_gain(nearly, "psd_unit", 1, 6)
+        poisoned = 0.5 * np.outer(a, a)
+        poisoned[2, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):  # as before: the eigensolver meets the NaN
+            _validate_gain(poisoned, "psd_unit", 1, 6)
+
+    def test_inf_gains_end_as_before(self, rng):
+        a = sample_unit_sphere(6, rng)
+        g = 0.5 * np.outer(a, a)
+        i = int(np.argmax(g.diagonal()))
+        g[i, i] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            _validate_gain(g, "psd_unit", 1, 6)
 
     def test_nearly_symmetric_gains_keep_operator_symmetric(self, monkeypatch):
         import mmwsketch.online as online

@@ -10,13 +10,12 @@ for step t is drawn.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from .lanczos import DEFAULT_K0
 from .linalg import (
@@ -70,32 +69,24 @@ class Adversary:
         raise NotImplementedError
 
 
-@functools.lru_cache(maxsize=16)
-def _geqrf_lwork(n):
-    """Optimal ``dgeqrf`` workspace for an n x n matrix, ``n`` times the block size; ``dorgqr`` asks the same."""
-    work, info = scipy.linalg.lapack.dgeqrf_lwork(n, n)
-    if info != 0:
-        raise ConvergenceError(f"QR workspace query failed for n={n} (info={info})")
-    return max(1, int(work))
-
-
 def _haar_orthogonal(n, rng):
     """Haar-distributed orthogonal matrix: Q of a Gaussian matrix's QR, with R's diagonal made positive (Mezzadri 2007).
 
-    Calls LAPACK ``geqrf`` and ``orgqr`` with the blocked workspace that
-    ``np.linalg.qr`` queries, and returns Q in C order, as it does: Q and the
-    signs are that function's to the bit, without its wrapper's cost.
+    Calls the two LAPACK gufuncs behind ``np.linalg.qr`` (``geqrf`` and
+    ``orgqr`` in numpy's own BLAS build) without its wrapper, so Q and the
+    signs are that function's to the bit at any BLAS thread count.  scipy's
+    LAPACK is a different OpenBLAS build, whose threaded QR rounds
+    differently from n = 257 up.
     """
     g = rng.standard_normal((n, n))
-    lwork = _geqrf_lwork(n)
-    qr, tau, _, info = scipy.linalg.lapack.dgeqrf(g, lwork=lwork, overwrite_a=1)
-    if info == 0:
-        signs = np.sign(qr.diagonal())
-        q, _, info = scipy.linalg.lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
-    if info != 0:
-        raise ConvergenceError(f"Haar QR failed for n={n} (info={info})")
-    # orgqr returns Fortran order; in C order the products with q.T run the same GEMM as before
-    q = np.ascontiguousarray(q)
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            # like np.linalg.qr, geqrf leaves R and the reflectors in g
+            tau = _umath_linalg.qr_r_raw(g, signature="d->d")
+            signs = np.sign(g.diagonal())
+            q = _umath_linalg.qr_reduced(g, tau, signature="dd->d")
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"Haar QR failed for n={n}") from exc
     q *= signs
     return q
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -110,9 +114,9 @@ def _reference_haar(n, rng):
 
 
 class TestHaarOrthogonal:
-    """``geqrf``/``orgqr`` called directly give ``np.linalg.qr``'s draws bit for bit."""
+    """numpy's ``geqrf``/``orgqr`` gufuncs called without the wrapper give ``np.linalg.qr``'s draws bit for bit."""
 
-    # around the QR block size of 32, and past the 200 where the default workspace diverged
+    # around the QR block size of 32, and past the 257 from which a threaded BLAS rounds differently
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 128, 200, 257])
     def test_bits_of_the_numpy_qr(self, n):
         q = _haar_orthogonal(n, SeededRng(n))
@@ -133,13 +137,34 @@ class TestHaarOrthogonal:
         for t, gain in enumerate(gains):
             assert gain.tobytes() == ref.next_gain(()).tobytes(), t
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bits_at_each_blas_thread_count(self, threads):
+        import mmwsketch.online as online
+
+        # numpy's QR rounds differently with one and two BLAS threads from n = 257 up
+        code = (
+            "import numpy as np\n"
+            "from mmwsketch import SeededRng\n"
+            "from mmwsketch.online import _haar_orthogonal\n"
+            "for n in (257, 300):\n"
+            "    q, r = np.linalg.qr(SeededRng(n).standard_normal((n, n)))\n"
+            "    ref = q * np.sign(np.diag(r))\n"
+            "    assert _haar_orthogonal(n, SeededRng(n)).tobytes() == ref.tobytes(), n\n"
+        )
+        src = os.path.dirname(os.path.dirname(online.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_lapack_failure_names_n(self, monkeypatch):
-        import scipy.linalg
+        import mmwsketch.online as online
 
-        def failing(a, **kwargs):
-            return a, np.zeros(len(a)), None, -4
+        def failing(a, signature):
+            # numpy's QR gufuncs report a LAPACK failure as an invalid-value flag
+            return np.zeros(len(a)) / np.zeros(len(a))
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", failing)
+        monkeypatch.setattr(online, "_umath_linalg", types.SimpleNamespace(qr_r_raw=failing))
         with pytest.raises(ConvergenceError, match="n=5"):
             _haar_orthogonal(5, SeededRng(0))
 

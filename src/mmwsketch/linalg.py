@@ -48,16 +48,11 @@ def sym_array(a, atol_scale=1e-8):
 
     Accepts any square array-like whose asymmetry is below ``atol_scale``
     relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
-    bitwise.  Input that already is, bit for bit, is returned as a copy without
-    the check and the average: ``0.5 * (x + x)`` is ``x`` unless ``|x|``
-    exceeds half the largest double, where the average overflowed to ``inf``.
+    bitwise.
     """
-    arr = np.array(a, dtype=float, order="C")
+    arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    # bit patterns, so that 0.0 against -0.0 still takes the average that makes both 0.0
-    if np.array_equal(arr.view(np.int64), arr.T.view(np.int64)):
-        return arr
     scale = 1.0 + np.abs(arr).max() if arr.size else 1.0
     if np.abs(arr - arr.T).max() > atol_scale * scale:
         raise ValueError("matrix is not symmetric")

@@ -309,11 +309,16 @@ def _validate_gain(g, gain_class, t, n):
         raise GainValidationError(f"step {t}: gain spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] outside [0, 1]")
 
 
+def _dense_decompose(strategy):
+    """How a dense strategy decomposes the scaled n x n gain sum once per step; ``None`` for ``rank1_lanczos``."""
+    return {"exact_mmw": dense_eigh, "rank1_exact": tridiagonalize}.get(strategy)
+
+
 def require_strategy(strategy, n):
     """Refuse an unknown strategy (``ValueError``) and a dense one above the dense limit (``DenseLimitError``)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "rank1_lanczos":  # the others decompose the n x n gain sum
+    if _dense_decompose(strategy) is not None:
         require_dense(n, f"strategy {strategy!r}")
 
 
@@ -352,7 +357,7 @@ def run_online(adversary, strategy, schedule, rng):
     T = schedule.T
     eta = schedule.eta
     dense_mode = n <= DENSE_LIMIT
-    decompose = {"exact_mmw": dense_eigh, "rank1_exact": tridiagonalize}.get(strategy)
+    decompose = _dense_decompose(strategy)
     kt_rule = schedule.kt_rule
     if strategy == "rank1_lanczos" and kt_rule is None:
         kt_rule = kt_schedule(n, T, eta, schedule.delta)

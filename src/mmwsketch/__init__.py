@@ -3,7 +3,7 @@
 Library layout:
 
 - :mod:`mmwsketch.linalg` -- symmetric dense/operator linear algebra, seeded
-  randomness, sphere and Dirichlet(1/2) samplers, extremal eigenvalue bounds.
+  randomness, sphere and Dirichlet(1/2) samplers, extremal eigenvalue estimates.
 - :mod:`mmwsketch.lanczos` -- Krylov matrix-exponential-vector products.
 - :mod:`mmwsketch.projections` -- spectrahedron/simplex mirror projections,
   the rank-1 sketch, and Monte-Carlo estimators of the averaged projection.
@@ -27,7 +27,6 @@ from .linalg import (  # noqa: F401
     op_norm_bounds,
     sample_dirichlet_half,
     sample_unit_sphere,
-    symmetry_defect,
     tridiagonalize,
 )
 from .lanczos import (  # noqa: F401
@@ -60,7 +59,6 @@ from .online import (  # noqa: F401
 )
 from .sdp import (  # noqa: F401
     SdpInstance,
-    adjoint_apply,
     builtin_instance,
     costs,
     duality_gap,

@@ -55,13 +55,6 @@ class LanczosDecomposition:
     def iterations(self):
         return len(self.alphas)
 
-    def tridiagonal(self):
-        j = self.iterations
-        t = np.diag(self.alphas)
-        if j > 1:
-            t += np.diag(self.betas, 1) + np.diag(self.betas, -1)
-        return t
-
     def expm(self, normalized=False):
         """Krylov approximation of ``exp(a) @ b`` from this decomposition.
 
@@ -187,17 +180,14 @@ def _error_estimate(beta, theta, v):
     return beta * abs(float(c[-1])) / math.sqrt(c @ c)
 
 
-def expm_multiply(a, b, k, normalized=False, tol=None):
-    """Approximate ``exp(a) @ b`` from at most k Krylov iterations.
+def expm_multiply(a, b, k):
+    """Approximate ``exp(a) @ b`` from k Krylov iterations (fewer only on breakdown).
 
-    With ``normalized=True`` the result equals ``exp(a - max I) @ b``
-    restricted to the Krylov space, ``max`` the top Ritz value, which callers
-    that renormalize anyway should prefer (see
-    :meth:`LanczosDecomposition.expm`).  ``tol`` is the relative error budget
-    passed to :func:`lanczos_decompose` (None runs exactly k iterations).
+    Raises ``OverflowError`` when the product is not finite in float64;
+    callers that only need the direction use
+    ``lanczos_decompose(a, b, k).expm(normalized=True)``.
     """
-    dec = lanczos_decompose(a, b, k, tol=tol)
-    return dec.expm(normalized=normalized)
+    return lanczos_decompose(a, b, k).expm()
 
 
 def required_iterations(op_norm_bound, epsilon, delta, n, k0=DEFAULT_K0):

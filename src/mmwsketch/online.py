@@ -300,6 +300,8 @@ def _validate_gain(g, gain_class, t, n):
     if (exact and rank_one_within(g, lo, hi)) or spectrum_within(g, lo, hi):
         return
     # a failed factorization proves nothing: the eigenvalues decide and name the violation
+    if not np.isfinite(g).all():
+        raise GainValidationError(f"step {t}: gain has non-finite entries")
     lam = np.linalg.eigvalsh(g)
     if lam[0] < lo or lam[-1] > hi:
         if gain_class == "bounded_inf_norm_1":
@@ -409,9 +411,9 @@ def run_online(adversary, strategy, schedule, rng):
         elif dense_mode:
             lam_running[t - 1] = top_eigenvalue(gain_sum)
         else:
-            bounds = op_norm_bounds(gain_op, LAM_TOL)
-            lam_running[t - 1] = bounds.lam_max
-            lam_tol_abs = LAM_TOL * max(1.0, abs(bounds.lam_max))
+            lam_max = op_norm_bounds(gain_op, LAM_TOL)[1]
+            lam_running[t - 1] = lam_max
+            lam_tol_abs = LAM_TOL * max(1.0, abs(lam_max))
         actions.append(action)
 
     lam_final = float(lam_running[-1])

@@ -31,6 +31,14 @@ from .linalg import (
 _CHUNK = 20_000
 
 
+def _unit_norm(x, what, tol=1e-9):
+    """``|x|``, raising ``ValueError`` naming ``what`` unless it is within ``tol`` of 1; NaN and inf fail."""
+    nrm = math.sqrt(x @ x)  # np.linalg.norm's own formula for a vector, without its dispatch
+    if not abs(nrm - 1.0) <= tol:
+        raise ValueError(f"{what} must be a unit vector")
+    return nrm
+
+
 def softmax_grad(c):
     """Gradient of log-sum-exp: the multiplicative-weights simplex projection."""
     c = np.asarray(c, dtype=float)
@@ -81,10 +89,7 @@ class SpectrahedronAction:
     @classmethod
     def rank1(cls, x):
         x = np.asarray(x, dtype=float).copy()
-        nrm = math.sqrt(x @ x)  # np.linalg.norm's own formula for a vector, without its dispatch
-        if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-9:
-            raise ValueError("rank-1 factor must be a unit vector")
-        x /= nrm
+        x /= _unit_norm(x, "rank-1 factor")
         nz = np.nonzero(x)[0]
         if len(nz) and x[nz[0]] < 0:
             x = -x
@@ -117,8 +122,7 @@ class SpectrahedronAction:
     def validate(self, psd_tol=1e-9, trace_tol=1e-9):
         """Check the spectrahedron membership invariants; raises on violation."""
         if self.is_rank1:
-            if abs(np.linalg.norm(self.factor) - 1.0) > 1e-12:
-                raise ValueError("rank-1 factor is not unit norm")
+            _unit_norm(self.factor, "rank-1 factor", tol=1e-12)
             return
         lam = np.linalg.eigvalsh(self.matrix)
         if lam.min() < -psd_tol:
@@ -165,6 +169,14 @@ def mmw_projection(y):
     return SpectrahedronAction.dense(x)
 
 
+def _direction_action(v, underflow_message):
+    """The rank-1 action along ``v``; a zero or non-finite ``v`` raises ``ArithmeticError``."""
+    nrm = math.sqrt(v @ v)
+    if nrm == 0.0 or not math.isfinite(nrm):
+        raise ArithmeticError(underflow_message)
+    return SpectrahedronAction.rank1(v / nrm)
+
+
 def rank1_projection(y, u):
     """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``; requires dense scale.
 
@@ -176,16 +188,12 @@ def rank1_projection(y, u):
     nonsingular), so an underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
-    if abs(math.sqrt(u @ u) - 1.0) > 1e-9:
-        raise ValueError("u must be a unit vector")
+    _unit_norm(u, "u")
     form = y if isinstance(y, TridiagonalForm) else tridiagonalize(y)
     theta, w = form.eigenvalues, form.eigenvectors
     a = w.T @ form.apply_q(u, trans=True)
     v = form.apply_q(w @ (np.exp(0.5 * (theta - form.top)) * a))
-    nrm = math.sqrt(v @ v)
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise ArithmeticError("exp(Y/2) u underflowed after shifting")
-    return SpectrahedronAction.rank1(v / nrm)
+    return _direction_action(v, "exp(Y/2) u underflowed after shifting")
 
 
 def rank1_projection_lanczos(y, u, k, tol=None):
@@ -198,16 +206,11 @@ def rank1_projection_lanczos(y, u, k, tol=None):
     at the stop is recorded as the action's ``error_estimate``.
     """
     u = np.asarray(u, dtype=float)
-    if abs(math.sqrt(u @ u) - 1.0) > 1e-9:
-        raise ValueError("u must be a unit vector")
+    _unit_norm(u, "u")
     if not isinstance(y, SparseSymOperator):
         y = SparseSymOperator.from_dense(y)
     dec = lanczos_decompose(y.scaled(0.5), u, k, tol=tol)
-    v = dec.expm(normalized=True)
-    nrm = math.sqrt(v @ v)
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise ArithmeticError("Krylov exponential returned a zero vector")
-    action = SpectrahedronAction.rank1(v / nrm)
+    action = _direction_action(dec.expm(normalized=True), "Krylov exponential returned a zero vector")
     action.error_estimate = dec.error_estimate
     return action
 
@@ -226,6 +229,15 @@ def trace_norm_distance(x1, x2):
         return 2.0 * np.sqrt(max(1.0 - c * c, 0.0))
     diff = x1.densify() - x2.densify()
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def _sphere_batches(n, samples, rng):
+    """``samples`` uniform sphere draws in R^n, in batches of at most ``_CHUNK`` rows."""
+    left = samples
+    while left > 0:
+        size = min(left, _CHUNK)
+        yield sample_unit_sphere(n, rng, size=size)
+        left -= size
 
 
 def _accumulate_moments(batches):
@@ -258,18 +270,13 @@ def estimate_avg_projection_direct(y, samples, rng):
     half = np.exp(0.5 * (lam - lam[0]))
 
     def batches():
-        left = samples
-        while left > 0:
-            size = min(left, _CHUNK)
-            u = sample_unit_sphere(len(lam), rng, size=size)
+        for u in _sphere_batches(len(lam), samples, rng):
             w = u * half  # rows: exp((Y - lam_max I)/2) u in the eigenbasis
             s2 = (w * w).sum(axis=1)
             outer = np.einsum("si,sj->sij", w, w) / s2[:, None, None]
             yield np.einsum("ip,spq,jq->sij", q, outer, q, optimize=True)
-            left -= size
 
     mean, stderr, total = _accumulate_moments(batches())
-    mean = 0.5 * (mean + mean.T)
     return MatrixEstimate(SpectrahedronAction.dense(mean), stderr, total)
 
 
@@ -282,6 +289,11 @@ def estimate_avg_projection_dirichlet(y, samples, rng):
     entries in the eigenbasis are exactly zero by construction, which makes
     it an independent cross-check of the direct sphere average.  ``y`` is the
     symmetric Y or its :class:`EigenDecomposition`.
+
+    The draw is made in the eigenbasis LAPACK returns.  Within a degenerate
+    eigenspace that basis depends on rounding, so at a fixed seed the sample
+    can change with rounding-level changes to Y; its expectation depends only
+    on the spectrum and eigenspaces of Y, not on the basis.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -290,17 +302,12 @@ def estimate_avg_projection_dirichlet(y, samples, rng):
     boost = np.exp(lam - lam[0])
 
     def batches():
-        left = samples
-        while left > 0:
-            size = min(left, _CHUNK)
-            u = sample_unit_sphere(len(lam), rng, size=size)
+        for u in _sphere_batches(len(lam), samples, rng):
             t = (u * u) * boost  # w_i exp(lambda_i - lam_max): softmax numerators
             d = t / t.sum(axis=1)[:, None]
             yield np.einsum("ip,sp,jp->sij", q, d, q, optimize=True)
-            left -= size
 
     mean, stderr, total = _accumulate_moments(batches())
-    mean = 0.5 * (mean + mean.T)
     return MatrixEstimate(SpectrahedronAction.dense(mean), stderr, total)
 
 
@@ -315,14 +322,9 @@ def estimate_potential(y, samples, rng):
     dec = dense_eigh(y)
     lam = dec.eigenvalues
     boost = np.exp(lam - lam[0])
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        size = min(samples - done, _CHUNK)
-        u = sample_unit_sphere(len(lam), rng, size=size)
-        t = (u * u) * boost
-        vals[done : done + size] = lam[0] + np.log(t.sum(axis=1))
-        done += size
+    vals = np.concatenate(
+        [lam[0] + np.log(((u * u) * boost).sum(axis=1)) for u in _sphere_batches(len(lam), samples, rng)]
+    )
     return ScalarEstimate(
         float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
     )
@@ -350,20 +352,16 @@ def estimate_bregman(y, yp, samples, rng):
     half = np.exp(0.5 * (lam - lam[0]))
     boost = half * half
     boostp = np.exp(lamp - lamp[0])
-    n = len(lam)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        size = min(samples - done, _CHUNK)
-        u = sample_unit_sphere(n, rng, size=size)
+    vals = []
+    for u in _sphere_batches(len(lam), samples, rng):
         a = u @ q
         ap = u @ qp
         log_quad = lam[0] + np.log(((a * a) * boost).sum(axis=1))
         log_quad_p = lamp[0] + np.log(((ap * ap) * boostp).sum(axis=1))
         v = (a * half) @ q.T  # rows: exp((Y - lam_max I)/2) u
         quad_delta = np.einsum("si,ij,sj->s", v, delta, v) / (v * v).sum(axis=1)
-        vals[done : done + size] = log_quad_p - log_quad - quad_delta
-        done += size
+        vals.append(log_quad_p - log_quad - quad_delta)
+    vals = np.concatenate(vals)
     return ScalarEstimate(
         float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
     )

@@ -39,6 +39,9 @@ from .projections import (
 
 VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 
+#: Relative accuracy of the Lanczos eigenvalue estimates above the dense limit.
+_LAM_TOL = 1e-8
+
 #: Played unit factors are folded into the dense average in blocks of this
 #: many rows, with one ``F' F`` product per block.
 X_AVG_BLOCK = 64
@@ -63,11 +66,11 @@ class SdpInstance:
     """Symmetric constraint matrices in upper-triplet form.
 
     Each constraint stores entries with ``row <= col``; the lower triangle is
-    implied by symmetry.  ``width``, when provided, must equal
-    ``max_i |A_i|_inf`` (validated lazily by :meth:`check_width`).
+    implied by symmetry.  ``width`` is ``max_i |A_i|_inf`` once
+    :meth:`compute_width` has run, and ``None`` before.
     """
 
-    def __init__(self, n, m, triplets, width=None):
+    def __init__(self, n, m, triplets):
         if n < 1:
             raise ValueError("n must be >= 1")
         if m < 1:
@@ -96,11 +99,11 @@ class SdpInstance:
             self.rows.append(np.array([e[0] for e in entries], dtype=np.int64))
             self.cols.append(np.array([e[1] for e in entries], dtype=np.int64))
             self.vals.append(np.array([e[2] for e in entries], dtype=float))
-        self.width = None if width is None else float(width)
+        self.width = None
         self._stack = None
 
     @classmethod
-    def from_dense_list(cls, mats, width=None):
+    def from_dense_list(cls, mats):
         mats = [np.asarray(m, dtype=float) for m in mats]
         n = mats[0].shape[0]
         triplets = []
@@ -114,7 +117,7 @@ class SdpInstance:
                 for c in range(r, n):
                     if a[r, c] != 0.0:
                         triplets.append((i, r + 1, c + 1, a[r, c]))
-        return cls(n, len(mats), triplets, width=width)
+        return cls(n, len(mats), triplets)
 
     def triplets(self):
         """Canonical (i, row, col, value) tuples, 1-based, sorted."""
@@ -173,11 +176,11 @@ class SdpInstance:
             )
         return self._stack
 
-    def compute_width(self, tol=1e-8):
+    def compute_width(self):
         """Width ``max_i |A_i|_inf``; cached on the instance.
 
         Exact at dense scale, ``n <= DENSE_LIMIT``, and estimated by Lanczos
-        within ``tol`` (relative) above it.
+        within a relative ``1e-8`` above it.
         """
         if self.width is None:
             w = 0.0
@@ -186,20 +189,10 @@ class SdpInstance:
                     lam = np.linalg.eigvalsh(self.dense(i))
                     w = max(w, abs(lam[0]), abs(lam[-1]))
                 else:
-                    bounds = op_norm_bounds(_adjoint_operator(self, np.eye(1, self.m, i)[0]), tol)
-                    w = max(w, abs(bounds.lam_min), abs(bounds.lam_max))
+                    lam_min, lam_max = op_norm_bounds(_adjoint_operator(self, np.eye(1, self.m, i)[0]), _LAM_TOL)
+                    w = max(w, abs(lam_min), abs(lam_max))
             self.width = w
         return self.width
-
-    def check_width(self, tol=1e-6):
-        """Validate a precomputed width against a fresh computation."""
-        if self.width is None:
-            return True
-        declared = self.width
-        self.width = None
-        actual = self.compute_width()
-        self.width = declared
-        return abs(declared - actual) <= tol * max(1.0, actual)
 
 
 def save_instance(instance, path):
@@ -268,16 +261,6 @@ def load_instance(path):
     return SdpInstance(header[0], header[1], triplets)
 
 
-def adjoint_apply(instance, y):
-    """Operator form of ``sum_i y_i A_i`` for simplex weights ``y``."""
-    weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
-    if weights.shape != (instance.m,):
-        raise ValueError(f"expected {instance.m} weights, got shape {weights.shape}")
-    if weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must lie on the simplex")
-    return _adjoint_operator(instance, weights)
-
-
 def _adjoint_csr(instance, weights):
     """``sum_i w_i A_i`` as one CSR matrix over the instance's union pattern."""
     stack = instance.stack()
@@ -287,6 +270,7 @@ def _adjoint_csr(instance, weights):
 
 
 def _adjoint_operator(instance, weights):
+    """``sum_i w_i A_i`` as a matvec-only operator."""
     a = _adjoint_csr(instance, weights)
     return SparseSymOperator(instance.n, lambda v: a @ v, nnz_hint=a.nnz)
 
@@ -323,33 +307,27 @@ def costs(instance, action):
 
 @dataclass
 class GapReport:
-    """Duality gap value with a certified uncertainty interval."""
+    """Duality gap value and its uncertainty interval, of zero width at dense scale."""
 
     value: float
     lo: float
     hi: float
 
-    @property
-    def half_width(self):
-        return 0.5 * (self.hi - self.lo)
 
-
-def duality_gap(instance, action, y, tol=1e-8):
-    """Certified duality gap ``lam_max(A* y) - min_i <A_i, X>``.
+def duality_gap(instance, action, y):
+    """Duality gap ``lam_max(A* y) - min_i <A_i, X>`` with an uncertainty interval.
 
     The top eigenvalue is exact at dense scale, ``n <= DENSE_LIMIT`` (one
-    LAPACK ``syevr`` eigenvalue), and estimated within ``tol`` (relative)
-    above it; the returned interval reflects that uncertainty.
+    LAPACK ``syevr`` eigenvalue).  Above it, Lanczos estimates it until its
+    Ritz values are stable to a relative ``1e-8``, and the interval is padded
+    by that amount; stable Ritz values are an estimate, not a bound.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
     if instance.n <= DENSE_LIMIT:
         lam_max, uncertainty = top_eigenvalue(_adjoint_dense(instance, weights)), 0.0
     else:
-        bounds = op_norm_bounds(_adjoint_operator(instance, weights), tol)
-        lam_max = bounds.lam_max
-        uncertainty = tol * max(1.0, abs(lam_max))
+        lam_max = op_norm_bounds(_adjoint_operator(instance, weights), _LAM_TOL)[1]
+        uncertainty = _LAM_TOL * max(1.0, abs(lam_max))
     min_cost = float(costs(instance, action).min())
     value = lam_max - min_cost
     return GapReport(value=value, lo=value - uncertainty, hi=value + uncertainty)
@@ -392,7 +370,6 @@ class FeasibilityResult:
     completed: bool
     cost_history: np.ndarray = field(repr=False)
     y_history: np.ndarray = field(repr=False)
-    played_gain: np.ndarray = field(repr=False)
     x_factor_history: np.ndarray = field(repr=False)
 
 
@@ -433,7 +410,6 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
     eta_y_sum = np.zeros(m)  # accumulated eta * y_i: the scaled gain sum is A* eta_y_sum
     cost_history = np.zeros((horizon, m))
     y_history = np.zeros((horizon, m))
-    played_gain = np.zeros(horizon)
     x_factor_history = np.zeros((horizon, n))
     matvecs = 0
     steps_done = 0
@@ -459,7 +435,6 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
         y_avg += yw
         cost_history[t - 1] = cost
         y_history[t - 1] = yw
-        played_gain[t - 1] = float(yw @ cost)
         x_factor_history[t - 1] = action.factor
         cost_sum += cost
         eta_y_sum += eta * yw
@@ -474,7 +449,7 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
         x_avg += block.T @ block
     x_avg /= steps_done
     y_avg /= steps_done
-    x_action = SpectrahedronAction.dense(0.5 * (x_avg + x_avg.T))
+    x_action = SpectrahedronAction.dense(x_avg)
     gap = duality_gap(instance, x_action, y_avg)
     s_lower = float(costs(instance, x_action).min())
     # lam_max(A* y_avg) padded by the eigenvalue-estimate uncertainty (0 at dense scale)
@@ -494,28 +469,13 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
         completed=steps_done == horizon,
         cost_history=cost_history[:steps_done],
         y_history=y_history[:steps_done],
-        played_gain=played_gain[:steps_done],
         x_factor_history=factors,
     )
     return result
 
 
-def simplex_regret_certificate(result, eta=None):
-    """Deterministic multiplicative-weights regret check on a solve trace.
-
-    Returns ``(lhs, rhs)`` with ``lhs = sum_t c_t . y_t - min_i sum_t c_t[i]``
-    and ``rhs = log(m)/eta + (eta/2) sum_t |c_t|_inf^2``; every run satisfies
-    ``lhs <= rhs``.
-    """
-    eta = result.eta if eta is None else eta
-    lhs = float(result.played_gain.sum() - result.cost_history.sum(axis=0).min())
-    sq = np.abs(result.cost_history).max(axis=1) ** 2
-    rhs = math.log(result.cost_history.shape[1]) / eta + 0.5 * eta * float(sq.sum())
-    return lhs, rhs
-
-
-def make_random_instance(n, m, rng, density=0.5, width=1.0):
-    """Random symmetric instance with every constraint scaled to the given width."""
+def make_random_instance(n, m, rng, density=0.5):
+    """Random symmetric instance with every constraint scaled to unit operator norm."""
     mats = []
     for _ in range(m):
         a, lam = gaussian_symmetric(n, rng, density)
@@ -523,7 +483,7 @@ def make_random_instance(n, m, rng, density=0.5, width=1.0):
         if scale == 0.0:
             a[0, 0] = 1.0
             scale = 1.0
-        mats.append(a * (width / scale))
+        mats.append(a * (1.0 / scale))  # by the reciprocal, not a division: keeps rand20x10's bits
     inst = SdpInstance.from_dense_list(mats)
     inst.compute_width()
     return inst
@@ -538,5 +498,5 @@ def builtin_instance(name):
         with resources.as_file(ref) as path:
             return load_instance(path)
     if name == "rand20x10":
-        return make_random_instance(20, 10, SeededRng(1795), density=0.4, width=1.0)
+        return make_random_instance(20, 10, SeededRng(1795), density=0.4)
     raise ValueError(f"unknown builtin instance {name!r}")

@@ -1,14 +1,20 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The benchmark must still run against the package.
 
-``perfbench/tracing.py`` wraps package functions and methods by name; a
-rename or deletion there would only show up as an ``AttributeError`` or
-``KeyError`` in a traced benchmark run.
+``perfbench/tracing.py`` wraps package functions and methods by name, and
+``perfbench/workloads.py`` calls the engines and reads their results; a
+rename or deletion in the package would otherwise only show up as an
+error in a benchmark run.
 """
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -24,3 +30,43 @@ def test_patch_targets_resolve():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     for cls, attr, *_ in tracing.METHODS:
         assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+
+
+def _load_workloads():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up while it executes
+    spec.loader.exec_module(module)
+    return module
+
+
+class _StubClock:
+    def tick(self):
+        pass
+
+
+#: Each workload at toy size: the same engine calls, checks and readers, in a fraction of a second.
+TOY_SIZES = {
+    "online-dense": dict(n=8, T=30),
+    "online-krylov": dict(n=8, T=30),
+    "sdp-krylov": dict(n=20, m=4, density=0.2, epsilon=1.0),
+    "sdp-dense": dict(n=20, m=4, density=0.2, epsilon=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_SIZES))
+def test_workload_runs_at_toy_size(name):
+    workloads = _load_workloads()
+    wl = dataclasses.replace(workloads.WORKLOADS[name], **TOY_SIZES[name])
+    inputs = wl.setup(7)
+    out = wl.call(inputs, _StubClock(), oracle=True)
+    assert wl.check(inputs, out) == []
+    assert wl.steps(out) >= 1
+    assert len(wl.digest(out)) == 64
+    assert set(wl.work(out, [])) == {"lanczos.matvecs_per_step", "lanczos.depth_mean"}
+    useful = wl.useful_depth(inputs, out)
+    if name == "online-krylov":
+        assert 0.0 < useful <= 1.0
+    else:
+        assert useful is None

@@ -16,7 +16,7 @@ from mmwsketch import (
     run_online,
     sample_unit_sphere,
 )
-from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, symmetry_defect, top_eigenvalue
+from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -28,7 +28,7 @@ from mmwsketch.online import (
     refined_regret_bound,
 )
 from mmwsketch.projections import estimate_avg_projection_dirichlet, mmw_projection, rank1_projection
-from conftest import random_symmetric
+from conftest import random_symmetric, symmetry_defect
 
 
 class TestDefaultEta:
@@ -412,7 +412,7 @@ class TestRunOnline:
         _validate_gain(nearly, "psd_unit", 1, 6)
         poisoned = 0.5 * np.outer(a, a)
         poisoned[2, 2] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):  # as before: the eigensolver meets the NaN
+        with pytest.raises(GainValidationError, match="^step 1: gain has non-finite entries$"):
             _validate_gain(poisoned, "psd_unit", 1, 6)
 
     def test_inf_gains_end_as_before(self, rng):
@@ -420,8 +420,18 @@ class TestRunOnline:
         g = 0.5 * np.outer(a, a)
         i = int(np.argmax(g.diagonal()))
         g[i, i] = np.inf
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(GainValidationError, match="^step 1: gain has non-finite entries$"):
             _validate_gain(g, "psd_unit", 1, 6)
+
+    @pytest.mark.parametrize("gain_class", ["bounded_inf_norm_1", "psd_unit"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entries", [[(0, 1), (1, 0)], [(1, 1)]], ids=["off_diagonal", "diagonal"])
+    def test_non_finite_gains_rejected_naming_step(self, gain_class, value, entries):
+        g = 0.5 * np.eye(3)
+        for ij in entries:
+            g[ij] = value
+        with pytest.raises(GainValidationError, match="^step 4: gain has non-finite entries$"):
+            _validate_gain(g, gain_class, 4, 3)
 
     def test_nearly_symmetric_gains_keep_operator_symmetric(self, monkeypatch):
         import mmwsketch.online as online

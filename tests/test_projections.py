@@ -78,6 +78,14 @@ class TestSpectrahedronAction:
         with pytest.raises(ValueError):
             SpectrahedronAction.dense(np.diag([1.5, -0.5])).validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate_rejects_non_finite_factor(self, value):
+        act = SpectrahedronAction.rank1(np.array([0.6, 0.8]))
+        act.validate()
+        act.factor[1] = value
+        with pytest.raises(ValueError, match="^rank-1 factor must be a unit vector$"):
+            act.validate()
+
 
 class TestMmwProjection:
     def test_zero_gives_uniform(self):
@@ -152,6 +160,20 @@ class TestRank1Projection:
     def test_requires_unit_vector(self, rng):
         with pytest.raises(ValueError):
             rank1_projection(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "project",
+        [
+            pytest.param(rank1_projection, id="exact"),
+            pytest.param(lambda y, u: rank1_projection_lanczos(y, u, 3), id="krylov"),
+        ],
+    )
+    def test_non_finite_u_rejected(self, project, value):
+        u = np.full(4, 0.5)
+        u[1] = value
+        with pytest.raises(ValueError, match="^u must be a unit vector$"):
+            project(np.eye(4), u)
 
     @settings(deadline=None)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))

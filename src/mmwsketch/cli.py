@@ -64,15 +64,18 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v4"
+TRACE_SCHEMA = "online-eig-trace-v5"
 BENCH_SCHEMA = "bench-lanczos-v2"
 ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v3"
 SDP_SUMMARY_SCHEMA = "sdp-feas-v3"
-#: Older CSVs stay readable: trace v2-v3 and bench v1 differ only in the config echo,
-#: and v1 traces lack ``k_cap``/``krylov_err_est`` (``k_used`` the scheduled depth).
+#: Older CSVs stay readable: v4 traces fill ``lam_max_running`` on every row, where v5
+#: leaves it empty between rank1-lanczos checkpoints; trace v2-v3 and bench v1 differ
+#: from v4 only in the config echo, and v1 traces lack ``k_cap``/``krylov_err_est``
+#: (``k_used`` the scheduled depth).
 KNOWN_CSV_SCHEMAS = frozenset(
     {
-        "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", TRACE_SCHEMA,
+        "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
+        TRACE_SCHEMA,
         "bench-lanczos-v1", BENCH_SCHEMA,
     }
 )

@@ -223,6 +223,12 @@ class Schedule:
 class RegretTrace:
     """Per-step records and summary statistics of one online run.
 
+    ``lam_max_running[t-1]`` is the top eigenvalue of the gain sum after
+    step t.  The dense strategies record it at every step.  ``rank1_lanczos``
+    records it only at its checkpoints, t a power of two and t = T, and
+    holds NaN between them; the CSV row leaves that field empty.
+    ``lam_max_final`` is the value at t = T in every strategy.
+
     For ``rank1_lanczos`` runs, ``k_used`` is the Krylov depth run at each
     step (equal to its matvec count), ``k_cap`` the depth rule's cap
     ``min(kt_rule(t), n)``, and ``krylov_err_est`` the a posteriori error
@@ -264,7 +270,7 @@ class RegretTrace:
                 i + 1,
                 repr(float(self.step_gain[i])),
                 repr(float(self.cum_gain[i])),
-                repr(float(self.lam_max_running[i])),
+                "" if np.isnan(self.lam_max_running[i]) else repr(float(self.lam_max_running[i])),
                 int(self.k_used[i]),
                 int(self.k_cap[i]),
                 int(self.matvecs[i]),
@@ -346,8 +352,11 @@ def run_online(adversary, strategy, schedule, rng):
     ``rank1_exact`` into its tridiagonal form (:func:`tridiagonalize`), which
     skips the eigenvectors of the sum.  The decomposition projects the next
     step, and its top eigenvalue over ``eta > 0`` is the step's running
-    ``lam_max``.  ``rank1_lanczos`` takes ``lam_max`` from one
-    top-eigenvalue call at dense scale and from Lanczos bounds above it.
+    ``lam_max``.  ``rank1_lanczos`` needs no decomposition to play, so its
+    step is matvecs only: it computes the running ``lam_max`` only at the
+    checkpoints t = 1, 2, 4, ... and t = T, by one top-eigenvalue call at
+    dense scale and by Lanczos bounds above it, and records NaN between
+    them.  ``lam_max_final`` and the regret come from the t = T checkpoint.
 
     ``rank1_lanczos`` stops each Krylov run once its error estimate is at
     most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
@@ -366,7 +375,7 @@ def run_online(adversary, strategy, schedule, rng):
 
     step_gain = np.zeros(T)
     cum_gain = np.zeros(T)
-    lam_running = np.zeros(T)
+    lam_running = np.full(T, np.nan)
     k_used = np.zeros(T, dtype=np.int64)
     k_cap = np.zeros(T, dtype=np.int64)
     matvecs = np.zeros(T, dtype=np.int64)
@@ -408,12 +417,13 @@ def run_online(adversary, strategy, schedule, rng):
         if decompose is not None:
             dual = decompose(eta * gain_sum)
             lam_running[t - 1] = dual.top / eta
-        elif dense_mode:
-            lam_running[t - 1] = top_eigenvalue(gain_sum)
-        else:
-            lam_max = op_norm_bounds(gain_op, LAM_TOL)[1]
-            lam_running[t - 1] = lam_max
-            lam_tol_abs = LAM_TOL * max(1.0, abs(lam_max))
+        elif t & (t - 1) == 0 or t == T:  # rank1_lanczos: checkpoints at powers of two and T
+            if dense_mode:
+                lam_running[t - 1] = top_eigenvalue(gain_sum)
+            else:
+                lam_max = op_norm_bounds(gain_op, LAM_TOL)[1]
+                lam_running[t - 1] = lam_max
+                lam_tol_abs = LAM_TOL * max(1.0, abs(lam_max))
         actions.append(action)
 
     lam_final = float(lam_running[-1])

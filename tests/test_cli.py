@@ -71,7 +71,7 @@ class TestOnlineEig:
         )
         assert code == 0
         meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v4"
+        assert meta["schema"] == "online-eig-trace-v5"
         assert header == [
             "t", "step_gain", "cum_gain", "lam_max_running",
             "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
@@ -92,9 +92,26 @@ class TestOnlineEig:
         assert meta["schema"] == "online-eig-trace-v1"
         assert rows == [["1", "0.5", "3", "3"]]
 
-    @pytest.mark.parametrize("schema", ["online-eig-trace-v2", "online-eig-trace-v3", "bench-lanczos-v1"])
+    def test_lanczos_trace_leaves_lam_max_empty_between_checkpoints(self, tmp_path):
+        out = tmp_path / "checkpoints"
+        for strategy in ("rank1", "rank1-lanczos"):
+            args = ["online-eig", "--n", "6", "--T", "10", "--strategy", strategy, "--seed", "1"]
+            assert run_cli(args + ["--out", str(out / strategy)]) == 0
+        header, lanczos_rows = cli.read_csv(out / "rank1-lanczos" / "online-eig-trace-seed1.csv")[1:]
+        col = header.index("lam_max_running")
+        filled = [int(row[0]) for row in lanczos_rows if row[col] != ""]
+        assert filled == [1, 2, 4, 8, 10]
+        summary = json.loads((out / "rank1-lanczos" / "online-eig-summary.json").read_text())
+        assert float(lanczos_rows[-1][col]) == summary["per_seed"][0]["lam_max"]
+        # a dense strategy fills every row
+        dense_rows = cli.read_csv(out / "rank1" / "online-eig-trace-seed1.csv")[2]
+        assert all(math.isfinite(float(row[col])) for row in dense_rows)
+
+    @pytest.mark.parametrize(
+        "schema", ["online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4", "bench-lanczos-v1"]
+    )
     def test_previous_schemas_still_readable(self, tmp_path, schema):
-        # only the config echo changed since these versions
+        # v2-v3 differ from v4 only in the config echo; v4 filled lam_max_running on every row
         path = tmp_path / "old.csv"
         cli.write_csv(path, schema, {"n": 4, "m": 10}, ["n", "k"], [[4, 2]])
         assert cli.read_csv(path)[0]["schema"] == schema

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwsketch import (
     ConvergenceError,
@@ -13,7 +15,7 @@ from mmwsketch import (
     required_iterations,
 )
 from mmwsketch import lanczos
-from conftest import expm_dense, random_symmetric, tridiagonal
+from conftest import expm_dense, haar_orthogonal, random_symmetric, tridiagonal
 
 
 class TestDecomposition:
@@ -59,6 +61,31 @@ class TestDecomposition:
                 assert np.abs(resid[:, : j - 1]).max() <= 1e-8 * scale
             # the trailing residual column lies outside the basis span
             assert np.abs(q.T @ resid[:, j - 1]).max() <= 1e-8 * scale
+
+    # a spectrum drawn from a few integers has degenerate eigenspaces, so the
+    # Krylov space can be exhausted before k: the invariants must hold at the stop too
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([None, 1e-3, 1e-10]),
+    )
+    def test_invariants_property(self, n, seed, degenerate, tol):
+        rng = SeededRng(seed)
+        if degenerate:
+            r = haar_orthogonal(rng, n)
+            a = (r * rng.integers(-2, 3, n).astype(float)) @ r.T
+            a = 0.5 * (a + a.T)
+        else:
+            a = random_symmetric(rng, n)
+        k = int(rng.integers(1, n + 1))
+        dec = lanczos_decompose(a, rng.standard_normal(n), k, tol=tol)
+        q = dec.basis
+        assert 1 <= dec.iterations <= k
+        assert np.abs(q.T @ q - np.eye(dec.iterations)).max() <= 1e-8
+        scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
+        assert np.abs(q.T @ a @ q - tridiagonal(dec)).max() <= 1e-8 * scale
 
     def test_zero_start_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

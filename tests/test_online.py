@@ -269,7 +269,8 @@ class TestRunOnline:
         for name in (
             "step_gain", "cum_gain", "lam_max_running", "k_used", "k_cap", "matvecs", "krylov_err_est",
         ):
-            assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+            # rank1_lanczos leaves NaN between its lam_max checkpoints: NaN must match NaN
+            assert np.array_equal(getattr(t1, name), getattr(t2, name), equal_nan=True), name
         assert t1.total_regret == t2.total_regret
 
     def test_gain_before_sphere_draw(self):
@@ -329,10 +330,11 @@ class TestRunOnline:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
-        # the dense strategies decompose once per step, plus once for the empty sum per game
+        # the dense strategies decompose once per step, plus once for the empty sum per game;
+        # rank1_lanczos computes lam_max only at its checkpoints t = 1, 2, 4, 8, 16 and 30
         expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "tridiagonalize": 0}
         if strategy == "rank1_lanczos":
-            expected["top_eigenvalue"] = games * horizon
+            expected["top_eigenvalue"] = games * 6
         elif strategy == "rank1_exact":
             expected["tridiagonalize"] = games * (horizon + 1)
         else:
@@ -496,6 +498,52 @@ class TestRunOnline:
         adv = builtin_adversaries("random_rotation", 4, rng)
         with pytest.raises(ValueError, match="strategy"):
             run_online(adv, "nope", Schedule(eta=0.1, T=2), rng)
+
+    def test_lanczos_lam_max_only_at_checkpoints(self, monkeypatch):
+        import mmwsketch.online as online
+
+        n, horizon = 9, 37
+        checkpoints = {1, 2, 4, 8, 16, 32, 37}
+        adv = _RecordingAdversary(builtin_adversaries("random_rotation", n, SeededRng(31)))
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return top_eigenvalue(a)
+
+        monkeypatch.setattr(online, "top_eigenvalue", counted)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=0.2, T=horizon), SeededRng(32))
+        trace.validate()
+        assert len(calls) == len(checkpoints)
+        gain_sum = np.zeros((n, n))
+        for t, gain in enumerate(adv.gains, start=1):
+            gain_sum += gain
+            if t in checkpoints:
+                # the same sum, summed in the same order: the same bits
+                assert trace.lam_max_running[t - 1] == top_eigenvalue(gain_sum), t
+            else:
+                assert np.isnan(trace.lam_max_running[t - 1]), t
+        assert trace.lam_max_final == trace.lam_max_running[-1]
+        assert trace.total_regret == trace.lam_max_final - trace.cum_gain[-1]
+
+    def test_operator_mode_lam_max_only_at_checkpoints(self, monkeypatch):
+        import mmwsketch.online as online
+
+        n, horizon = DENSE_LIMIT + 1, 5
+        adv = _RecordingAdversary(builtin_adversaries("streaming_pca", n, SeededRng(3)))
+        bounds, steps = online.op_norm_bounds, []
+
+        def counted(a, tol):
+            steps.append(len(adv.gains))  # the step whose gain was requested last
+            return bounds(a, tol)
+
+        monkeypatch.setattr(online, "op_norm_bounds", counted)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=default_eta(n, horizon), T=horizon), SeededRng(4))
+        trace.validate()
+        assert steps == [1, 2, 4, 5]
+        assert np.isnan(trace.lam_max_running[2])
+        assert np.isfinite(np.delete(trace.lam_max_running, 2)).all()
+        assert trace.lam_max_tol > 0.0
 
     def test_operator_mode_smoke(self):
         # one dimension above the limit: the engine's own operator route, no lowered limit

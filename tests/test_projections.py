@@ -116,6 +116,29 @@ class TestMmwProjection:
         rhs = r @ mmw_projection(y).matrix @ r.T
         assert np.abs(lhs - rhs).max() <= 1e-9
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
+    def test_unit_trace_and_psd_property(self, n, seed, op_norm):
+        x = mmw_projection(random_symmetric(SeededRng(seed), n, op_norm=op_norm if op_norm > 0.0 else None))
+        assert abs(np.trace(x.matrix) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(x.matrix)[0] >= -1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+    def test_shift_invariance_property(self, n, seed, c):
+        y = random_symmetric(SeededRng(seed), n)
+        shifted = mmw_projection(y + c * np.eye(n)).matrix
+        assert np.abs(shifted - mmw_projection(y).matrix).max() <= 1e-10
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_rotation_equivariance_property(self, n, seed):
+        rng = SeededRng(seed)
+        y = random_symmetric(rng, n)
+        r = haar_orthogonal(rng, n)
+        lhs = mmw_projection(r @ y @ r.T).matrix
+        assert np.abs(lhs - r @ mmw_projection(y).matrix @ r.T).max() <= 1e-9
+
 
 class TestRank1Projection:
     def test_zero_matrix(self, rng):

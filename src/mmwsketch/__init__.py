@@ -24,7 +24,6 @@ from .linalg import (  # noqa: F401
     SparseSymOperator,
     TridiagonalForm,
     dense_eigh,
-    op_norm_bounds,
     sample_dirichlet_half,
     sample_unit_sphere,
     tridiagonalize,

@@ -131,8 +131,8 @@ def write_csv(path, schema, config, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path, known_schemas=KNOWN_CSV_SCHEMAS):
-    """Read an emitted CSV artifact; rejects unknown schema versions."""
+def read_csv(path):
+    """Read an emitted CSV artifact; rejects schema versions outside :data:`KNOWN_CSV_SCHEMAS`."""
     meta = {}
     header = None
     rows = []
@@ -150,8 +150,8 @@ def read_csv(path, known_schemas=KNOWN_CSV_SCHEMAS):
             else:
                 rows.append(line.split(","))
     schema = meta.get("schema")
-    if schema not in known_schemas:
-        raise UsageError(f"unknown CSV schema {schema!r}; known: {sorted(known_schemas)}")
+    if schema not in KNOWN_CSV_SCHEMAS:
+        raise UsageError(f"unknown CSV schema {schema!r}; known: {sorted(KNOWN_CSV_SCHEMAS)}")
     return meta, header, rows
 
 

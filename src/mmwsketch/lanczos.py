@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import ConvergenceError, as_operator, tridiagonal_eigh
 
@@ -162,13 +161,6 @@ def lanczos_decompose(a, b, k, tol=None):
     )
 
 
-def ritz_values(dec):
-    """Eigenvalues of the tridiagonal matrix of a decomposition, ascending."""
-    if dec.iterations == 1:
-        return dec.alphas.copy()
-    return scipy.linalg.eigvalsh_tridiagonal(dec.alphas, dec.betas)
-
-
 def _shifted_exp_e1(theta, v):
     """``exp(T - theta_max I) e_1`` from the eigenpairs ``(theta, v)`` of T."""
     return v @ (np.exp(theta - theta.max()) * v[0, :])
@@ -190,14 +182,14 @@ def expm_multiply(a, b, k):
     return lanczos_decompose(a, b, k).expm()
 
 
-def required_iterations(op_norm_bound, epsilon, delta, n, k0=DEFAULT_K0):
+def required_iterations(op_norm_bound, epsilon, delta, n):
     """Krylov depth sufficient for an epsilon-accurate sketched projection.
 
     Returns ``ceil(k0 * sqrt(M * log(n M / (epsilon delta))))`` with
-    ``M = max(op_norm_bound, log(n/(epsilon delta)), 1)``.  At this depth the
-    rank-1 projection built from the approximate exponential is within
-    ``epsilon`` trace-norm distance of the exact one with probability at
-    least ``1 - delta`` over the uniform sphere draw.
+    ``k0 = DEFAULT_K0`` and ``M = max(op_norm_bound, log(n/(epsilon delta)), 1)``.
+    At this depth the rank-1 projection built from the approximate
+    exponential is within ``epsilon`` trace-norm distance of the exact one
+    with probability at least ``1 - delta`` over the uniform sphere draw.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -208,5 +200,5 @@ def required_iterations(op_norm_bound, epsilon, delta, n, k0=DEFAULT_K0):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     m = max(float(op_norm_bound), math.log(n / (epsilon * delta)), 1.0)
-    k = math.ceil(k0 * math.sqrt(m * math.log(n * m / (epsilon * delta))))
+    k = math.ceil(DEFAULT_K0 * math.sqrt(m * math.log(n * m / (epsilon * delta))))
     return max(int(k), 1)

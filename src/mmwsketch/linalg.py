@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 #: Largest dimension for which dense eigendecompositions are allowed.
 DENSE_LIMIT = 2048
+
+#: Relative stability of the extreme Ritz values at which Lanczos estimates stop above the dense limit.
+LANCZOS_RTOL = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 #: 2x2 minors of a rank-one ``fl(c b b')`` vanish to this relative rounding.
@@ -43,10 +47,10 @@ def require_dense(n, what):
         raise DenseLimitError(f"{what} requires n <= dense limit {DENSE_LIMIT}, got n = {n}")
 
 
-def sym_array(a, atol_scale=1e-8):
+def sym_array(a):
     """Coerce ``a`` to an exactly symmetric float ndarray.
 
-    Accepts any square array-like whose asymmetry is below ``atol_scale``
+    Accepts any square array-like whose asymmetry is below ``1e-8``
     relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
     bitwise.
     """
@@ -54,7 +58,7 @@ def sym_array(a, atol_scale=1e-8):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     scale = 1.0 + np.abs(arr).max() if arr.size else 1.0
-    if np.abs(arr - arr.T).max() > atol_scale * scale:
+    if np.abs(arr - arr.T).max() > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (arr + arr.T)
 
@@ -87,29 +91,15 @@ class SparseSymOperator:
         arr = sym_array(a)
         return cls(arr.shape[0], lambda v: arr @ v, nnz_hint=np.count_nonzero(arr))
 
-    @classmethod
-    def from_sparse(cls, m):
-        import scipy.sparse as sp
-
-        csr = sp.csr_matrix(m, dtype=float)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError("operator matrix must be square")
-        csr = 0.5 * (csr + csr.T)
-        return cls(csr.shape[0], lambda v: csr @ v, nnz_hint=csr.nnz)
-
     def scaled(self, c):
         """Operator computing ``c * (self v)``; applications also count on self."""
         return SparseSymOperator(self.n, lambda v: c * self.matvec(v), nnz_hint=self.nnz_hint)
 
 
 def as_operator(a):
-    """Coerce dense/sparse symmetric input to a :class:`SparseSymOperator`."""
+    """A :class:`SparseSymOperator` as it is, or one for the dense symmetric ``a``."""
     if isinstance(a, SparseSymOperator):
         return a
-    import scipy.sparse as sp
-
-    if sp.issparse(a):
-        return SparseSymOperator.from_sparse(a)
     return SparseSymOperator.from_dense(a)
 
 
@@ -285,16 +275,73 @@ def rank_one_within(a, lo, hi):
 
 
 def top_eigenvalue(a):
-    """Largest eigenvalue of the symmetric ``a``: LAPACK ``syevr`` for that one eigenvalue.
+    """Largest eigenvalue of the symmetric dense or scipy-sparse ``a``, and its uncertainty.
 
-    Reads the lower triangle of ``a`` and raises :class:`ConvergenceError` if
-    ``syevr`` reports a failure.
+    Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``, LAPACK
+    ``syevr`` computes that one eigenvalue from the lower triangle of ``a``
+    (densified if sparse) and ``tol`` is 0; it raises
+    :class:`ConvergenceError` if ``syevr`` reports a failure.  Above it,
+    ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes` and
+    ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
+    estimate, not a bound.
     """
     n = a.shape[0]
+    if n > DENSE_LIMIT:
+        lam_max = _lanczos_extremes(a)[1]
+        return lam_max, LANCZOS_RTOL * max(1.0, abs(lam_max))
+    if sp.issparse(a):
+        a = a.toarray()
     w, _, _, _, info = scipy.linalg.lapack.dsyevr(a.T, compute_v=0, range="I", il=n, iu=n)
     if info != 0:
         raise ConvergenceError(f"top eigenvalue failed for n={n} (info={info})")
-    return float(w[0])
+    return float(w[0]), 0.0
+
+
+def operator_norm(a):
+    """``max |lam_i|`` of the symmetric dense or scipy-sparse ``a``.
+
+    Exact at dense scale, ``n <= DENSE_LIMIT`` (``np.linalg.eigvalsh`` of
+    ``a``, densified if sparse), and the Lanczos estimate of
+    :func:`_lanczos_extremes` above it.
+    """
+    if a.shape[0] > DENSE_LIMIT:
+        lam_min, lam_max = _lanczos_extremes(a)
+    else:
+        lam = np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
+        lam_min, lam_max = lam[0], lam[-1]
+    return max(abs(lam_min), abs(lam_max))
+
+
+def _lanczos_extremes(a):
+    """Lanczos estimates ``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``.
+
+    Runs Krylov tridiagonalization from a fixed random start, doubling the
+    subspace dimension until the extreme Ritz values are stable to a relative
+    :data:`LANCZOS_RTOL` or the subspace exhausts the full dimension, which
+    is exact.  The Ritz values come from LAPACK ``stevd`` without vectors.
+    Stable Ritz values are an estimate, not a bound.
+    """
+    from .lanczos import lanczos_decompose
+
+    n = a.shape[0]
+    op = SparseSymOperator(n, lambda v: a @ v)
+    k = min(n, max(8, 2 * int(np.ceil(np.log(max(n, 2))))))
+    b = sample_unit_sphere(n, SeededRng(0x5EED_0B0B))
+    prev = None
+    while True:
+        dec = lanczos_decompose(op, b, k)
+        theta = dec.alphas
+        if dec.iterations > 1:
+            theta, _, info = scipy.linalg.lapack.dstevd(dec.alphas, dec.betas, compute_v=0)
+            if info != 0:
+                raise ConvergenceError(f"tridiagonal eigensolver failed for n={dec.iterations} (info={info})")
+        est = (float(theta.min()), float(theta.max()))
+        if dec.terminated_early or dec.iterations >= n:
+            return est  # Krylov space exhausted: extremes exact for this start
+        if prev is not None and all(abs(e - p) <= 0.5 * LANCZOS_RTOL * max(1.0, abs(e)) for e, p in zip(est, prev)):
+            return est
+        prev = est
+        k = min(2 * k, n)
 
 
 class SeededRng:
@@ -374,31 +421,3 @@ def sample_dirichlet_half(n, rng, size=None):
         raise ValueError("dimension must be >= 2")
     u = sample_unit_sphere(n, rng, size=size)
     return u * u
-
-
-def op_norm_bounds(a, tol):
-    """Estimate the extreme eigenvalues ``(lam_min, lam_max)`` of a symmetric operator.
-
-    Runs Krylov tridiagonalization from a fixed random start, doubling the
-    subspace dimension until the extremal Ritz values stabilize within ``tol``
-    relative accuracy or the subspace exhausts the full dimension, which is
-    exact.  Stable Ritz values are an estimate, not a bound.
-    """
-    from .lanczos import lanczos_decompose, ritz_values
-
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    op = as_operator(a)
-    k = min(op.n, max(8, 2 * int(np.ceil(np.log(max(op.n, 2))))))
-    b = sample_unit_sphere(op.n, SeededRng(0x5EED_0B0B))
-    prev = None
-    while True:
-        dec = lanczos_decompose(op, b, k)
-        theta = ritz_values(dec)
-        est = (float(theta.min()), float(theta.max()))
-        if dec.terminated_early or dec.iterations >= op.n:
-            return est  # Krylov space exhausted: extremes exact for this start
-        if prev is not None and all(abs(e - p) <= 0.5 * tol * max(1.0, abs(e)) for e, p in zip(est, prev)):
-            return est
-        prev = est
-        k = min(2 * k, op.n)

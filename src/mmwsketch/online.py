@@ -19,12 +19,10 @@ from numpy.linalg import _umath_linalg
 
 from .lanczos import DEFAULT_K0
 from .linalg import (
-    DENSE_LIMIT,
     ConvergenceError,
     SparseSymOperator,
     dense_eigh,
     gaussian_symmetric,
-    op_norm_bounds,
     rank_one_within,
     require_dense,
     sample_unit_sphere,
@@ -44,8 +42,6 @@ GAIN_SPECTRUM = {
 #: Step size at or below which the refined (PSD-gain) regret bound applies.
 REFINED_ETA_MAX = 1.0 / 6.0
 
-#: Relative accuracy of the running top eigenvalue above the dense limit.
-LAM_TOL = 1e-6
 
 
 class GainValidationError(Exception):
@@ -252,8 +248,9 @@ class RegretTrace:
     total_regret: float = 0.0
     avg_regret: float = 0.0
 
-    def validate(self, tol=1e-9):
-        """Check that cumulative fields are prefix sums of the per-step fields."""
+    def validate(self):
+        """Check to within 1e-9 that cumulative fields are prefix sums of the per-step fields."""
+        tol = 1e-9
         recomputed = np.cumsum(self.step_gain)
         if np.abs(recomputed - self.cum_gain).max() > tol:
             raise ValueError("cumulative gain is not the prefix sum of step gains")
@@ -263,10 +260,10 @@ class RegretTrace:
         if abs(self.total_regret / self.T - self.avg_regret) > tol:
             raise ValueError("average regret does not match total")
 
-    def rows(self, include_timing=True):
-        """Per-step rows for CSV emission (timing column optional)."""
+    def rows(self):
+        """Per-step rows for CSV emission, in the order of :meth:`columns`."""
         for i in range(self.T):
-            row = [
+            yield [
                 i + 1,
                 repr(float(self.step_gain[i])),
                 repr(float(self.cum_gain[i])),
@@ -275,20 +272,15 @@ class RegretTrace:
                 int(self.k_cap[i]),
                 int(self.matvecs[i]),
                 repr(float(self.krylov_err_est[i])),
+                int(self.wall_ns[i]),
             ]
-            if include_timing:
-                row.append(int(self.wall_ns[i]))
-            yield row
 
     @staticmethod
-    def columns(include_timing=True):
-        cols = [
+    def columns():
+        return [
             "t", "step_gain", "cum_gain", "lam_max_running",
-            "k_used", "k_cap", "matvecs", "krylov_err_est",
+            "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
         ]
-        if include_timing:
-            cols.append("wall_ns")
-        return cols
 
 
 def _validate_gain(g, gain_class, t, n):
@@ -338,8 +330,10 @@ def run_online(adversary, strategy, schedule, rng):
     (3) projects the scaled gain sum accumulated strictly before this step,
     and (4) records the earned inner product.  Total regret compares the
     cumulative gain against the top eigenvalue of the realized gain sum
-    (exact at dense scale, ``n <= DENSE_LIMIT``, and certified within a
-    recorded tolerance above it, where only ``rank1_lanczos`` runs).
+    (exact at dense scale, ``n <= DENSE_LIMIT``; above it, where only
+    ``rank1_lanczos`` runs, a Lanczos estimate whose Ritz values are stable
+    to a relative ``LANCZOS_RTOL``, with that tolerance recorded as
+    ``lam_max_tol``; see :func:`top_eigenvalue`).
     The gain sum is one dense running matrix in both modes, behind one
     operator for the whole game, so a Krylov matvec costs O(n^2) whatever
     the step.  An exactly symmetric gain within rounding of rank one, such
@@ -354,9 +348,9 @@ def run_online(adversary, strategy, schedule, rng):
     step, and its top eigenvalue over ``eta > 0`` is the step's running
     ``lam_max``.  ``rank1_lanczos`` needs no decomposition to play, so its
     step is matvecs only: it computes the running ``lam_max`` only at the
-    checkpoints t = 1, 2, 4, ... and t = T, by one top-eigenvalue call at
-    dense scale and by Lanczos bounds above it, and records NaN between
-    them.  ``lam_max_final`` and the regret come from the t = T checkpoint.
+    checkpoints t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue`
+    call, and records NaN between them.  ``lam_max_final`` and the regret
+    come from the t = T checkpoint.
 
     ``rank1_lanczos`` stops each Krylov run once its error estimate is at
     most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
@@ -367,7 +361,6 @@ def run_online(adversary, strategy, schedule, rng):
     require_strategy(strategy, n)
     T = schedule.T
     eta = schedule.eta
-    dense_mode = n <= DENSE_LIMIT
     decompose = _dense_decompose(strategy)
     kt_rule = schedule.kt_rule
     if strategy == "rank1_lanczos" and kt_rule is None:
@@ -418,12 +411,7 @@ def run_online(adversary, strategy, schedule, rng):
             dual = decompose(eta * gain_sum)
             lam_running[t - 1] = dual.top / eta
         elif t & (t - 1) == 0 or t == T:  # rank1_lanczos: checkpoints at powers of two and T
-            if dense_mode:
-                lam_running[t - 1] = top_eigenvalue(gain_sum)
-            else:
-                lam_max = op_norm_bounds(gain_op, LAM_TOL)[1]
-                lam_running[t - 1] = lam_max
-                lam_tol_abs = LAM_TOL * max(1.0, abs(lam_max))
+            lam_running[t - 1], lam_tol_abs = top_eigenvalue(gain_sum)
         actions.append(action)
 
     lam_final = float(lam_running[-1])

@@ -20,8 +20,8 @@ import numpy as np
 from .lanczos import lanczos_decompose
 from .linalg import (
     EigenDecomposition,
-    SparseSymOperator,
     TridiagonalForm,
+    as_operator,
     dense_eigh,
     sample_unit_sphere,
     sym_array,
@@ -207,9 +207,7 @@ def rank1_projection_lanczos(y, u, k, tol=None):
     """
     u = np.asarray(u, dtype=float)
     _unit_norm(u, "u")
-    if not isinstance(y, SparseSymOperator):
-        y = SparseSymOperator.from_dense(y)
-    dec = lanczos_decompose(y.scaled(0.5), u, k, tol=tol)
+    dec = lanczos_decompose(as_operator(y).scaled(0.5), u, k, tol=tol)
     action = _direction_action(dec.expm(normalized=True), "Krylov exponential returned a zero vector")
     action.error_estimate = dec.error_estimate
     return action

@@ -20,11 +20,10 @@ import scipy.sparse as sp
 
 from .lanczos import required_iterations
 from .linalg import (
-    DENSE_LIMIT,
     SeededRng,
     SparseSymOperator,
     gaussian_symmetric,
-    op_norm_bounds,
+    operator_norm,
     require_dense,
     sample_unit_sphere,
     top_eigenvalue,
@@ -38,9 +37,6 @@ from .projections import (
 )
 
 VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
-
-#: Relative accuracy of the Lanczos eigenvalue estimates above the dense limit.
-_LAM_TOL = 1e-8
 
 #: Played unit factors are folded into the dense average in blocks of this
 #: many rows, with one ``F' F`` product per block.
@@ -127,14 +123,6 @@ class SdpInstance:
                 out.append((i + 1, int(r) + 1, int(c) + 1, float(v)))
         return out
 
-    def dense(self, i):
-        """Densified symmetric constraint matrix A_i (0-based index)."""
-        a = np.zeros((self.n, self.n))
-        r, c, v = self.rows[i], self.cols[i], self.vals[i]
-        a[r, c] = v
-        a[c, r] = v
-        return a
-
     def stack(self):
         """All constraints over one sparsity pattern; built once, then cached.
 
@@ -179,19 +167,13 @@ class SdpInstance:
     def compute_width(self):
         """Width ``max_i |A_i|_inf``; cached on the instance.
 
-        Exact at dense scale, ``n <= DENSE_LIMIT``, and estimated by Lanczos
-        within a relative ``1e-8`` above it.
+        Each ``|A_i|_inf`` is :func:`operator_norm` of the CSR matrix of
+        ``A_i``: exact at dense scale, ``n <= DENSE_LIMIT``, and above it a
+        Lanczos estimate whose extreme Ritz values are stable to a relative
+        ``LANCZOS_RTOL``, which is not a bound.
         """
         if self.width is None:
-            w = 0.0
-            for i in range(self.m):
-                if self.n <= DENSE_LIMIT:
-                    lam = np.linalg.eigvalsh(self.dense(i))
-                    w = max(w, abs(lam[0]), abs(lam[-1]))
-                else:
-                    lam_min, lam_max = op_norm_bounds(_adjoint_operator(self, np.eye(1, self.m, i)[0]), _LAM_TOL)
-                    w = max(w, abs(lam_min), abs(lam_max))
-            self.width = w
+            self.width = max(operator_norm(_adjoint_csr(self, np.eye(1, self.m, i)[0])) for i in range(self.m))
         return self.width
 
 
@@ -269,16 +251,6 @@ def _adjoint_csr(instance, weights):
     )
 
 
-def _adjoint_operator(instance, weights):
-    """``sum_i w_i A_i`` as a matvec-only operator."""
-    a = _adjoint_csr(instance, weights)
-    return SparseSymOperator(instance.n, lambda v: a @ v, nnz_hint=a.nnz)
-
-
-def _adjoint_dense(instance, weights):
-    return _adjoint_csr(instance, weights).toarray()
-
-
 def costs(instance, action):
     """Cost vector ``c_i = <A_i, X>`` for a spectrahedron action.
 
@@ -317,17 +289,15 @@ class GapReport:
 def duality_gap(instance, action, y):
     """Duality gap ``lam_max(A* y) - min_i <A_i, X>`` with an uncertainty interval.
 
-    The top eigenvalue is exact at dense scale, ``n <= DENSE_LIMIT`` (one
-    LAPACK ``syevr`` eigenvalue).  Above it, Lanczos estimates it until its
-    Ritz values are stable to a relative ``1e-8``, and the interval is padded
-    by that amount; stable Ritz values are an estimate, not a bound.
+    ``lam_max`` and the interval's half-width come from :func:`top_eigenvalue`
+    of the CSR matrix ``A* y``.  At dense scale, ``n <= DENSE_LIMIT``, it is
+    one LAPACK ``syevr`` eigenvalue and the interval has zero width.  Above
+    it, Lanczos runs until its Ritz values are stable to a relative
+    ``LANCZOS_RTOL``, and the interval is padded by that amount; stable Ritz
+    values are an estimate, not a bound.
     """
     weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
-    if instance.n <= DENSE_LIMIT:
-        lam_max, uncertainty = top_eigenvalue(_adjoint_dense(instance, weights)), 0.0
-    else:
-        lam_max = op_norm_bounds(_adjoint_operator(instance, weights), _LAM_TOL)[1]
-        uncertainty = _LAM_TOL * max(1.0, abs(lam_max))
+    lam_max, uncertainty = top_eigenvalue(_adjoint_csr(instance, weights))
     min_cost = float(costs(instance, action).min())
     value = lam_max - min_cost
     return GapReport(value=value, lo=value - uncertainty, hi=value + uncertainty)

@@ -63,6 +63,15 @@ def symmetry_defect(op, rng, probes=8):
     return worst / max(op_scale, 1e-300)
 
 
+def dense_constraint(instance, i):
+    """The constraint ``A_i`` (0-based) of an ``SdpInstance``, densified from its own upper triplets."""
+    a = np.zeros((instance.n, instance.n))
+    r, c, v = instance.rows[i], instance.cols[i], instance.vals[i]
+    a[r, c] = v
+    a[c, r] = v
+    return a
+
+
 def simplex_regret_certificate(result):
     """Deterministic multiplicative-weights regret check on a feasibility solve.
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
 from scipy.special import digamma
@@ -13,7 +14,6 @@ from mmwsketch import (
     SeededRng,
     SparseSymOperator,
     dense_eigh,
-    op_norm_bounds,
     sample_dirichlet_half,
     sample_unit_sphere,
     tridiagonalize,
@@ -22,7 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwsketch.lanczos import lanczos_decompose
-from mmwsketch.linalg import rank_one_within, spectrum_within, sym_array, top_eigenvalue
+from mmwsketch.linalg import (
+    LANCZOS_RTOL,
+    _lanczos_extremes,
+    operator_norm,
+    rank_one_within,
+    spectrum_within,
+    sym_array,
+    top_eigenvalue,
+)
 from mmwsketch.online import GAIN_SPECTRUM
 from conftest import haar_orthogonal, random_symmetric, symmetry_defect
 
@@ -247,7 +255,9 @@ class TestTopEigenvalue:
         clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
         for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered):
             expected = np.linalg.eigvalsh(a)[-1]
-            assert abs(top_eigenvalue(a) - expected) <= 1e-12 * abs(expected)
+            lam, tol = top_eigenvalue(a)
+            assert tol == 0.0
+            assert abs(lam - expected) <= 1e-12 * abs(expected)
 
     def test_lapack_failure_raises(self, monkeypatch):
         import scipy.linalg
@@ -287,7 +297,7 @@ class TestTridiagonalize:
         factors = sample_unit_sphere(n, rng, size=max(1, n // 2))
         rank_deficient = 0.7 * (factors.T @ factors)  # a streaming-PCA gain sum: repeated zero eigenvalues
         for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered, rank_deficient, -4.0 * np.eye(n)):
-            expected = top_eigenvalue(a)
+            expected = top_eigenvalue(a)[0]
             assert abs(tridiagonalize(a).top - expected) <= 1e-12 * abs(expected)
 
     def test_one_by_one_has_no_reflectors(self):
@@ -405,7 +415,8 @@ class TestSparseSymOperator:
 
     def test_symmetry_probe_sparse_and_derived(self, rng):
         mat = sp.random(30, 30, density=0.2, random_state=7)
-        op = SparseSymOperator.from_sparse(mat + mat.T)
+        sym = (mat + mat.T).tocsr()
+        op = SparseSymOperator(30, lambda v: sym @ v, nnz_hint=sym.nnz)
         assert symmetry_defect(op, rng) <= 1e-8
         assert symmetry_defect(op.scaled(-2.5), rng) <= 1e-8
 
@@ -423,34 +434,85 @@ class TestSparseSymOperator:
             op.matvec(np.zeros(4))
 
 
-class TestOpNormBounds:
+class TestLanczosExtremes:
+    """``_lanczos_extremes``: the Lanczos route of both extreme-eigenvalue routines above the dense limit."""
+
     def test_identity(self, rng):
-        lam_min, lam_max = op_norm_bounds(SparseSymOperator.from_dense(np.eye(5)), 1e-6)
+        lam_min, lam_max = _lanczos_extremes(np.eye(5))
         assert lam_min == pytest.approx(1.0, abs=1e-12)
         assert lam_max == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self, rng):
-        lam_min, lam_max = op_norm_bounds(np.diag([3.0, -2.0, 0.0]), 1e-8)
+        lam_min, lam_max = _lanczos_extremes(np.diag([3.0, -2.0, 0.0]))
         assert lam_min == pytest.approx(-2.0, abs=1e-8)
         assert lam_max == pytest.approx(3.0, abs=1e-8)
 
     def test_random_sparse_vs_dense(self, rng):
         mat = sp.random(100, 100, density=0.05, random_state=3)
         mat = mat + mat.T
-        tol = 1e-6
-        lam_min, lam_max = op_norm_bounds(SparseSymOperator.from_sparse(mat), tol)
+        lam_min, lam_max = _lanczos_extremes(mat)
         lam = np.linalg.eigvalsh(mat.toarray())
-        assert abs(lam_max - lam[-1]) <= tol * max(1.0, abs(lam[-1]))
-        assert abs(lam_min - lam[0]) <= tol * max(1.0, abs(lam[0]))
-
-    def test_tolerance_validated(self, rng):
-        with pytest.raises(ValueError):
-            op_norm_bounds(np.eye(2), 0.0)
+        assert abs(lam_max - lam[-1]) <= LANCZOS_RTOL * max(1.0, abs(lam[-1]))
+        assert abs(lam_min - lam[0]) <= LANCZOS_RTOL * max(1.0, abs(lam[0]))
 
     def test_error_raised_for_nonfinite(self, rng):
-        op = SparseSymOperator(3, lambda v: v * np.nan)
         with pytest.raises(ConvergenceError):
-            op_norm_bounds(op, 1e-6)
+            _lanczos_extremes(np.full((3, 3), np.nan))
+
+    def test_ritz_values_are_scipy_eigvalsh_tridiagonal(self, monkeypatch, rng):
+        stevd, solves = scipy.linalg.lapack.dstevd, []
+
+        def recorded(d, e, compute_v):
+            out = stevd(d, e, compute_v=compute_v)
+            solves.append((d.copy(), e.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", recorded)
+        for n in (9, 60, 300):
+            _lanczos_extremes(random_symmetric(rng, n))
+        assert len(solves) >= 8  # one solve per doubling of the Krylov depth
+        for d, e, theta in solves:
+            assert theta.tobytes() == scipy.linalg.eigvalsh_tridiagonal(d, e).tobytes()
+
+
+class TestExtremeEigenvalues:
+    """``top_eigenvalue`` and ``operator_norm``: exact at dense scale, Lanczos above it."""
+
+    @staticmethod
+    def sparse_symmetric(rng, n, density=0.1):
+        a = random_symmetric(rng, n)
+        return sp.csr_matrix(np.where(np.abs(a) < density, a, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_sparse_and_dense_input_agree_bitwise(self, rng, n):
+        a = self.sparse_symmetric(rng, n)
+        dense = a.toarray()
+        lam, tol = top_eigenvalue(a)
+        assert (lam, tol) == top_eigenvalue(dense) and tol == 0.0
+        norm = operator_norm(a)
+        assert norm == operator_norm(dense) == np.abs(np.linalg.eigvalsh(dense)).max()
+
+    def test_zero_padded_above_the_limit_runs_lanczos(self, monkeypatch, rng):
+        import mmwsketch.linalg as linalg
+
+        extremes, calls = linalg._lanczos_extremes, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return extremes(a)
+
+        monkeypatch.setattr(linalg, "_lanczos_extremes", counted)
+        small = self.sparse_symmetric(rng, 30, density=0.3) - 2.0 * sp.eye(30)  # lam_max < 0 < |lam_min|
+        n = DENSE_LIMIT + 1
+        padded = sp.block_diag([small, sp.csr_matrix((n - 30, n - 30))], format="csr")
+        lam = np.linalg.eigvalsh(small.toarray())
+        assert lam[-1] < 0.0
+        top, tol = top_eigenvalue(padded)
+        assert tol == LANCZOS_RTOL * max(1.0, abs(top))
+        assert abs(top - max(lam[-1], 0.0)) <= tol  # the padding adds zero eigenvalues
+        norm = operator_norm(padded)
+        assert abs(norm - np.abs(lam).max()) <= LANCZOS_RTOL * max(1.0, norm)
+        assert calls == [(n, n), (n, n)]
 
 
 class TestVectorNorm:

@@ -27,7 +27,7 @@ from mmwsketch import (
 from mmwsketch.linalg import dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SimplexWeights, SpectrahedronAction
-from mmwsketch.sdp import _adjoint_dense, make_random_instance
+from mmwsketch.sdp import _adjoint_csr, make_random_instance
 from conftest import expm_dense, haar_orthogonal, random_symmetric, trace_norm
 
 
@@ -373,7 +373,7 @@ class TestBudgetedKrylovSketch:
         for t in range(1, horizon + 1):
             u = sample_unit_sphere(instance.n, rng)
             if t % 5 == 1:
-                exact = rank1_projection(_adjoint_dense(instance, eta_y_sum), u)
+                exact = rank1_projection(_adjoint_csr(instance, eta_y_sum).toarray(), u)
                 played = SpectrahedronAction.rank1(result.x_factor_history[t - 1])
                 worst = max(worst, trace_norm_distance(played, exact))
             eta_y_sum += eta * result.y_history[t - 1]

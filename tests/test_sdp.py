@@ -9,6 +9,7 @@ from mmwsketch import (
     DENSE_LIMIT,
     SdpInstance,
     SeededRng,
+    SparseSymOperator,
     builtin_instance,
     costs,
     duality_gap,
@@ -22,11 +23,10 @@ from mmwsketch import (
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.sdp import (
     InstanceFormatError,
-    _adjoint_dense,
-    _adjoint_operator,
+    _adjoint_csr,
     make_random_instance,
 )
-from conftest import random_symmetric, simplex_regret_certificate, symmetry_defect
+from conftest import dense_constraint, random_symmetric, simplex_regret_certificate, symmetry_defect
 
 
 def _simple_instance():
@@ -49,15 +49,15 @@ class TestSdpInstance:
     def test_dense_and_csr_mirror(self):
         inst = SdpInstance(3, 1, [(1, 1, 2, 2.0), (1, 3, 3, -1.0)])
         expected = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        assert np.array_equal(inst.dense(0), expected)
+        assert np.array_equal(dense_constraint(inst, 0), expected)
         # the stack's CSR for the unit weight is the mirrored A_1
-        assert np.array_equal(_adjoint_dense(inst, np.ones(1)), expected)
+        assert np.array_equal(_adjoint_csr(inst, np.ones(1)).toarray(), expected)
 
     def test_from_dense_list_round_trip(self, rng):
         mats = [random_symmetric(rng, 4) for _ in range(3)]
         inst = SdpInstance.from_dense_list(mats)
         for i, m in enumerate(mats):
-            assert np.abs(inst.dense(i) - m).max() <= 1e-15
+            assert np.abs(dense_constraint(inst, i) - m).max() <= 1e-15
 
     def test_width_of_symmetric_fixture(self, rng):
         assert _simple_instance().compute_width() == pytest.approx(1.0, abs=1e-12)
@@ -94,8 +94,8 @@ class TestInstanceIo:
             "2 2 2 1.0\n"
         )
         inst = load_instance(path)
-        assert np.array_equal(inst.dense(0), np.diag([1.0, -1.0]))
-        assert np.array_equal(inst.dense(1), np.diag([-1.0, 1.0]))
+        assert np.array_equal(dense_constraint(inst, 0), np.diag([1.0, -1.0]))
+        assert np.array_equal(dense_constraint(inst, 1), np.diag([-1.0, 1.0]))
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         cases = [
@@ -133,32 +133,32 @@ class TestAdjointApply:
     def test_single_constraint(self, rng):
         a = random_symmetric(rng, 4)
         inst = SdpInstance.from_dense_list([a])
-        op = _adjoint_operator(inst, np.array([1.0]))
+        adj = _adjoint_csr(inst, np.array([1.0]))
         v = rng.standard_normal(4)
-        assert np.allclose(op.matvec(v), a @ v, atol=1e-12)
+        assert np.allclose(adj @ v, a @ v, atol=1e-12)
 
     def test_simplex_vertex_selects_constraint(self, rng):
         mats = [random_symmetric(rng, 4) for _ in range(3)]
         inst = SdpInstance.from_dense_list(mats)
-        op = _adjoint_operator(inst, np.array([0.0, 0.0, 1.0]))
+        adj = _adjoint_csr(inst, np.array([0.0, 0.0, 1.0]))
         v = rng.standard_normal(4)
-        assert np.allclose(op.matvec(v), mats[2] @ v, atol=1e-12)
+        assert np.allclose(adj @ v, mats[2] @ v, atol=1e-12)
 
     def test_random_weights_match_dense_sum(self, rng):
         mats = [random_symmetric(rng, 10) for _ in range(4)]
         inst = SdpInstance.from_dense_list(mats)
         y = softmax_grad(rng.standard_normal(4))
-        op = _adjoint_operator(inst, y.weights)
+        adj = _adjoint_csr(inst, y.weights)
         dense = sum(w * m for w, m in zip(y.weights, mats))
         for _ in range(3):
             v = rng.standard_normal(10)
-            assert np.allclose(op.matvec(v), dense @ v, atol=1e-12)
+            assert np.allclose(adj @ v, dense @ v, atol=1e-12)
 
     def test_operator_is_symmetric(self, rng):
         mats = [random_symmetric(rng, 8) for _ in range(3)]
         inst = SdpInstance.from_dense_list(mats)
-        op = _adjoint_operator(inst, softmax_grad(rng.standard_normal(3)).weights)
-        assert symmetry_defect(op, rng) <= 1e-8
+        adj = _adjoint_csr(inst, softmax_grad(rng.standard_normal(3)).weights)
+        assert symmetry_defect(SparseSymOperator(8, lambda v: adj @ v), rng) <= 1e-8
 
 
 def _rejects_int(token):
@@ -290,7 +290,7 @@ def _example(*mats):
 
 
 class TestConstraintStack:
-    """The stacked constraints against ``sum_i w_i A_i`` built from ``dense(i)``."""
+    """The stacked constraints against ``sum_i w_i A_i`` built from ``dense_constraint``."""
 
     @settings(deadline=None)
     @given(stacked_cases())
@@ -305,14 +305,14 @@ class TestConstraintStack:
         n, m = inst.n, inst.m
         gen = np.random.default_rng(seed)
         w = gen.dirichlet(np.ones(m))
-        oracle = sum(w_i * inst.dense(i) for i, w_i in enumerate(w))
+        oracle = sum(w_i * dense_constraint(inst, i) for i, w_i in enumerate(w))
 
-        dense = _adjoint_dense(inst, w)
+        adj = _adjoint_csr(inst, w)
+        dense = adj.toarray()
         assert np.allclose(dense, oracle, rtol=0.0, atol=1e-12)
         assert np.array_equal(dense, dense.T)
-        op = _adjoint_operator(inst, w)
         v = gen.standard_normal(n)
-        assert np.allclose(op.matvec(v), oracle @ v, rtol=0.0, atol=1e-12)
+        assert np.allclose(adj @ v, oracle @ v, rtol=0.0, atol=1e-12)
 
         x = sample_unit_sphere(n, SeededRng(seed))
         g = gen.standard_normal((n, n))
@@ -321,18 +321,18 @@ class TestConstraintStack:
             (SpectrahedronAction.rank1(x), np.outer(x, x)),
             (SpectrahedronAction.dense(xm), xm),
         ):
-            expected = np.array([np.vdot(inst.dense(i), xd) for i in range(m)])
+            expected = np.array([np.vdot(dense_constraint(inst, i), xd) for i in range(m)])
             assert np.allclose(costs(inst, action), expected, rtol=0.0, atol=1e-12)
 
     def test_operators_do_not_alias(self, rng):
         inst = make_random_instance(6, 3, rng, density=0.6)
         v = rng.standard_normal(6)
-        first = _adjoint_operator(inst, np.array([1.0, 0.0, 0.0]))
-        before = first.matvec(v)
-        _adjoint_operator(inst, np.array([0.0, 0.5, 0.5])).matvec(v)
-        _adjoint_dense(inst, np.array([0.0, 0.0, 1.0]))
-        assert np.array_equal(first.matvec(v), before)
-        assert np.allclose(before, inst.dense(0) @ v, rtol=0.0, atol=1e-12)
+        first = _adjoint_csr(inst, np.array([1.0, 0.0, 0.0]))
+        before = first @ v
+        _adjoint_csr(inst, np.array([0.0, 0.5, 0.5])) @ v
+        _adjoint_csr(inst, np.array([0.0, 0.0, 1.0])).toarray()
+        assert np.array_equal(first @ v, before)
+        assert np.allclose(before, dense_constraint(inst, 0) @ v, rtol=0.0, atol=1e-12)
 
     @settings(deadline=None, max_examples=50)
     @given(stacked_cases())

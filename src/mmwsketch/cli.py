@@ -67,7 +67,7 @@ ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 TRACE_SCHEMA = "online-eig-trace-v5"
 BENCH_SCHEMA = "bench-lanczos-v2"
 ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v3"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v3"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v4"
 #: Older CSVs stay readable: v4 traces fill ``lam_max_running`` on every row, where v5
 #: leaves it empty between rank1-lanczos checkpoints; trace v2-v3 and bench v1 differ
 #: from v4 only in the config echo, and v1 traces lack ``k_cap``/``krylov_err_est``

@@ -66,7 +66,7 @@ class LanczosDecomposition:
         theta, v = self.ritz if self.ritz is not None else tridiagonal_eigh(self.alphas, self.betas)
         y = self.basis @ (self.input_norm * _shifted_exp_e1(theta, v))
         if not normalized:
-            theta_max = float(theta.max())
+            theta_max = float(theta[-1])
             try:
                 with np.errstate(over="raise"):
                     y = y * math.exp(theta_max)
@@ -125,8 +125,9 @@ def lanczos_decompose(a, b, k, tol=None):
         alpha = float(w @ q)
         w = w - alpha * q
         # two Gram-Schmidt passes keep the basis orthonormal to roundoff
+        block = basis[:, : i + 1]
         for _ in range(2):
-            w -= basis[:, : i + 1] @ (basis[:, : i + 1].T @ w)
+            w -= block @ (block.T @ w)
         alphas[i] = alpha
         j = i + 1
         if j == k and tol is None:
@@ -162,8 +163,8 @@ def lanczos_decompose(a, b, k, tol=None):
 
 
 def _shifted_exp_e1(theta, v):
-    """``exp(T - theta_max I) e_1`` from the eigenpairs ``(theta, v)`` of T."""
-    return v @ (np.exp(theta - theta.max()) * v[0, :])
+    """``exp(T - theta_max I) e_1`` from the eigenpairs ``(theta, v)`` of T, ``theta`` ascending."""
+    return v @ (np.exp(theta - theta[-1]) * v[0, :])
 
 
 def _error_estimate(beta, theta, v):

@@ -66,9 +66,10 @@ def sym_array(a):
 class SparseSymOperator:
     """Symmetric linear operator exposed only through matrix-vector products.
 
-    ``matvec_count`` tallies every application.  Derived operators made via
-    :meth:`scaled` delegate to the parent's ``matvec``, so cost accounting
-    accrues to the base operator as well.
+    ``matvec_count`` tallies every application.  An operator made by
+    :meth:`scaled` applies its base's function directly, one call per
+    product, and each of its applications also counts on every operator it
+    derives from.
     """
 
     def __init__(self, n, apply_fn, nnz_hint=None):
@@ -78,12 +79,15 @@ class SparseSymOperator:
         self._apply = apply_fn
         self.nnz_hint = int(nnz_hint) if nnz_hint is not None else self.n * self.n
         self.matvec_count = 0
+        self._ancestors = ()  # what an application also counts on; no self-reference, so no cycle
 
     def matvec(self, v):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
         self.matvec_count += 1
+        for op in self._ancestors:
+            op.matvec_count += 1
         return self._apply(v)
 
     @classmethod
@@ -92,8 +96,11 @@ class SparseSymOperator:
         return cls(arr.shape[0], lambda v: arr @ v, nnz_hint=np.count_nonzero(arr))
 
     def scaled(self, c):
-        """Operator computing ``c * (self v)``; applications also count on self."""
-        return SparseSymOperator(self.n, lambda v: c * self.matvec(v), nnz_hint=self.nnz_hint)
+        """Operator computing ``c * (self v)``; applications also count on self and its ancestors."""
+        apply = self._apply
+        op = SparseSymOperator(self.n, lambda v: c * apply(v), nnz_hint=self.nnz_hint)
+        op._ancestors = (self,) + self._ancestors
+        return op
 
 
 def as_operator(a):

@@ -48,14 +48,17 @@ class InstanceFormatError(ValueError):
 
 
 class ConstraintStack(NamedTuple):
-    """Constraint values over the union CSR pattern (see :meth:`SdpInstance.stack`)."""
+    """Constraint values over the union CSR pattern and over their upper triangles (see :meth:`SdpInstance.stack`)."""
 
     values: sp.csc_matrix
     indices: np.ndarray
     indptr: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    values_t: sp.csr_matrix
+    half: sp.csr_matrix
+    half_scale: np.ndarray
+
+
+#: Off-diagonal entries above this magnitude would double to inf in :attr:`ConstraintStack.half`.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 class SdpInstance:
@@ -73,28 +76,39 @@ class SdpInstance:
             raise ValueError("m must be >= 1")
         self.n = int(n)
         self.m = int(m)
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        seen = set()
-        by_constraint = [[] for _ in range(self.m)]
-        for (i, r, c, v) in triplets:
-            if not (1 <= i <= self.m):
-                raise ValueError(f"constraint index {i} outside [1, {self.m}]")
-            if not (1 <= r <= self.n and 1 <= c <= self.n):
-                raise ValueError(f"entry index ({r}, {c}) outside [1, {self.n}]^2")
-            if r > c:
-                raise ValueError(f"entry ({i}, {r}, {c}) must satisfy row <= col")
-            key = (i, r, c)
-            if key in seen:
-                raise ValueError(f"duplicate entry ({i}, {r}, {c})")
-            seen.add(key)
-            by_constraint[i - 1].append((r - 1, c - 1, float(v)))
-        for entries in by_constraint:
-            entries.sort()
-            self.rows.append(np.array([e[0] for e in entries], dtype=np.int64))
-            self.cols.append(np.array([e[1] for e in entries], dtype=np.int64))
-            self.vals.append(np.array([e[2] for e in entries], dtype=float))
+        triplets = list(triplets)
+        if set(map(len, triplets)) - {4}:
+            raise ValueError("every triplet must be (i, row, col, value)")
+        columns = tuple(zip(*triplets)) or ((),) * 4
+        i, r, c = (_index_array(col) for col in columns[:3])
+        v = np.asarray(columns[3], dtype=float)
+        # each triplet's checks in order; the first triplet that fails one names the error
+        bad_i = (i < 1) | (i > self.m)
+        bad_rc = (r < 1) | (r > self.n) | (c < 1) | (c > self.n)
+        lower = r > c
+        order = np.lexsort((c, r, i))  # stable: of equal keys, the first in input order leads
+        keys = np.stack((i, r, c))[:, order]
+        duplicate = np.zeros(len(triplets), dtype=bool)
+        duplicate[order[1:][np.all(keys[:, 1:] == keys[:, :-1], axis=0)]] = True
+        non_finite = ~np.isfinite(v)
+        failed = np.flatnonzero(bad_i | bad_rc | lower | duplicate | non_finite)
+        if len(failed):
+            at = failed[0]
+            ti, tr, tc, tv = triplets[at]
+            if bad_i[at]:
+                raise ValueError(f"constraint index {ti} outside [1, {self.m}]")
+            if bad_rc[at]:
+                raise ValueError(f"entry index ({tr}, {tc}) outside [1, {self.n}]^2")
+            if lower[at]:
+                raise ValueError(f"entry ({ti}, {tr}, {tc}) must satisfy row <= col")
+            if duplicate[at]:
+                raise ValueError(f"duplicate entry ({ti}, {tr}, {tc})")
+            raise ValueError(f"entry ({ti}, {tr}, {tc}) has the non-finite value {float(tv)!r}")
+        # sorted by constraint, then row, then column: each constraint's entries in (row, col) order
+        splits = np.cumsum(np.bincount(i - 1, minlength=self.m))[:-1]
+        self.rows = np.split(keys[1] - 1, splits)
+        self.cols = np.split(keys[2] - 1, splits)
+        self.vals = np.split(v[order], splits)
         self.width = None
         self._stack = None
 
@@ -106,7 +120,9 @@ class SdpInstance:
         for i, a in enumerate(mats, start=1):
             if a.shape != (n, n):
                 raise ValueError("all constraint matrices must share one dimension")
-            if np.abs(a - a.T).max() > 1e-10 * (1.0 + np.abs(a).max()):
+            with np.errstate(invalid="ignore"):  # non-finite entries pass here; the constructor names them
+                asymmetric = np.abs(a - a.T).max() > 1e-10 * (1.0 + np.abs(a).max())
+            if asymmetric:
                 raise ValueError(f"constraint {i} is not symmetric")
             a = 0.5 * (a + a.T)
             for r in range(n):
@@ -133,8 +149,15 @@ class SdpInstance:
         sum ``sum_i w_i A_i`` is then the CSR matrix with data
         ``values @ w``.  Mirrored entries sit in rows of ``values`` with
         identical contents, so every such sum is bitwise symmetric.
-        ``rows``/``cols`` are each pattern entry's row and column as ``intp``,
-        and ``values_t`` is ``values.T`` in CSR form, for :func:`costs`.
+
+        ``half`` (``m n x n`` CSR) holds in row ``i n + r`` row ``r`` of the
+        upper triangle of ``A_i`` with its off-diagonal entries doubled, so
+        that ``<A_i, x x'>`` is ``half_scale[i]`` times entry ``i`` of
+        ``(half @ x).reshape(m, n) @ x``.  ``half_scale[i]`` is 1, or 2 for
+        a constraint with an off-diagonal entry that would double past the
+        float range; such a constraint keeps its off-diagonal entries and
+        halves its diagonal.  Doubling and halving are exact in binary
+        (halving a subnormal diagonal entry aside).
         """
         if self._stack is None:
             n = self.n
@@ -149,20 +172,39 @@ class SdpInstance:
                 upper, mirror = slice(ends[i], ends[i] + len(v)), slice(ends[i] + len(v), ends[i + 1])
                 keys[upper], keys[mirror] = r * n + c, c[off] * n + r[off]
                 data[upper], data[mirror] = v, v[off]
-            union = np.unique(keys)
             index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
-            slot = np.searchsorted(union, keys).astype(index)
-            del keys
-            indptr = np.searchsorted(union, np.arange(n + 1) * n).astype(index)
+            # the union pattern from one sort: a key opens a slot where it differs from its predecessor
+            order = np.argsort(keys)
+            opens = np.empty(len(keys), dtype=bool)
+            opens[:1] = True
+            np.not_equal(keys[order[1:]], keys[order[:-1]], out=opens[1:])
+            union = keys[order[opens]]
+            slot = np.empty(len(keys), dtype=index)
+            slot[order] = np.cumsum(opens) - 1
+            del keys, order, opens
+            indptr = np.zeros(n + 1, dtype=index)
+            np.cumsum(np.bincount(union // n, minlength=n), out=indptr[1:])
             indices = (union % n).astype(index)
             del union
             # column i of ``values`` lists A_i's entries at their union slots
             values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), self.m))
-            rows = np.repeat(np.arange(n), np.diff(indptr))
-            self._stack = ConstraintStack(
-                values, indices, indptr, rows, indices.astype(np.intp), values.T.tocsr()
-            )
+            self._stack = ConstraintStack(values, indices, indptr, *self._half_stack())
         return self._stack
+
+    def _half_stack(self):
+        """``(half, half_scale)`` of :meth:`stack`, straight from the upper triplets, which are in CSR order."""
+        n, m = self.n, self.m
+        con = np.repeat(np.arange(m), [len(v) for v in self.vals])
+        r, c, v = (np.concatenate(parts) for parts in (self.rows, self.cols, self.vals))
+        off = r != c
+        halved = np.zeros(m, dtype=bool)
+        halved[con[off & (np.abs(v) > _HALF_MAX)]] = True
+        factor = np.where(halved[con], 0.5, 1.0)
+        index = np.int32 if max(m * n, len(v)) < 2**31 else np.int64
+        indptr = np.zeros(m * n + 1, dtype=index)
+        np.cumsum(np.bincount(con * n + r, minlength=m * n), out=indptr[1:])
+        half = sp.csr_matrix((v * np.where(off, 2.0 * factor, factor), c.astype(index), indptr), shape=(m * n, n))
+        return half, np.where(halved, 2.0, 1.0)
 
     def compute_width(self):
         """Width ``max_i |A_i|_inf``; cached on the instance.
@@ -175,6 +217,14 @@ class SdpInstance:
         if self.width is None:
             self.width = max(operator_norm(_adjoint_csr(self, np.eye(1, self.m, i)[0])) for i in range(self.m))
         return self.width
+
+
+def _index_array(column):
+    """One index column of a triplet list as ``int64``; raises ``TypeError`` unless its entries are integers."""
+    arr = np.asarray(column)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise TypeError(f"constraint, row and column indices must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def save_instance(instance, path):
@@ -254,20 +304,28 @@ def _adjoint_csr(instance, weights):
 def costs(instance, action):
     """Cost vector ``c_i = <A_i, X>`` for a spectrahedron action.
 
-    All constraints are paired with ``X`` in one sparse product over the
-    union pattern; a rank-1 action ``x x'`` is read on the pattern as
-    ``x[row] * x[col]``.  When the instance width is known, any cost
-    exceeding it signals a broken action and raises.
+    Every constraint is read once, over its upper triangle in the stack's
+    ``half`` matrix.  A rank-1 action ``x x'`` costs one sparse product:
+    ``c = (half @ x).reshape(m, n) @ x``.  A dense ``X`` is read on the same
+    pattern with one gather, and the products are summed by constraint.
+    When the instance width is known, any cost exceeding it signals a
+    broken action and raises.
     """
     if action.n != instance.n:
         raise ValueError("dimension mismatch")
+    n, m = instance.n, instance.m
     stack = instance.stack()
+    half = stack.half
     if action.is_rank1:
         x = action.factor
-        on_pattern = x[stack.rows] * x[stack.cols]
+        out = (half @ x).reshape(m, n) @ x
     else:
-        on_pattern = action.matrix[stack.rows, stack.cols]
-    out = stack.values_t @ on_pattern
+        # each entry's row r within its constraint, and its constraint i
+        r = np.repeat(np.tile(np.arange(n), m), np.diff(half.indptr))
+        con = np.repeat(np.arange(m), np.diff(half.indptr[::n]))
+        on_pattern = action.matrix.ravel()[r * n + half.indices]
+        out = np.bincount(con, weights=half.data * on_pattern, minlength=m)
+    out = out * stack.half_scale  # also a float array where bincount of no entries is not
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:

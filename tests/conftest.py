@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmwsketch import SeededRng
 
@@ -70,6 +71,59 @@ def dense_constraint(instance, i):
     a[r, c] = v
     a[c, r] = v
     return a
+
+
+def upper_triplets_by_loop(n, m, triplets):
+    """Per-constraint sorted ``(rows, cols, vals)`` of an ``SdpInstance``, checked one triplet at a time.
+
+    The reference for the vectorized constructor: the first triplet that
+    fails a check raises, and the checks run in the constructor's order
+    (constraint index, entry range, ``row <= col``, duplicate, finite value).
+    """
+    seen = set()
+    by_constraint = [[] for _ in range(m)]
+    for (i, r, c, v) in triplets:
+        if not (1 <= i <= m):
+            raise ValueError(f"constraint index {i} outside [1, {m}]")
+        if not (1 <= r <= n and 1 <= c <= n):
+            raise ValueError(f"entry index ({r}, {c}) outside [1, {n}]^2")
+        if r > c:
+            raise ValueError(f"entry ({i}, {r}, {c}) must satisfy row <= col")
+        key = (i, r, c)
+        if key in seen:
+            raise ValueError(f"duplicate entry ({i}, {r}, {c})")
+        if not math.isfinite(float(v)):
+            raise ValueError(f"entry ({i}, {r}, {c}) has the non-finite value {float(v)!r}")
+        seen.add(key)
+        by_constraint[i - 1].append((r - 1, c - 1, float(v)))
+    rows, cols, vals = [], [], []
+    for entries in by_constraint:
+        entries.sort()
+        rows.append(np.array([e[0] for e in entries], dtype=np.int64))
+        cols.append(np.array([e[1] for e in entries], dtype=np.int64))
+        vals.append(np.array([e[2] for e in entries], dtype=float))
+    return rows, cols, vals
+
+
+def union_stack_by_unique(instance):
+    """``(values, indices, indptr)`` of the union-pattern stack, built with ``np.unique`` and ``searchsorted``."""
+    n = instance.n
+    triples = list(zip(instance.rows, instance.cols, instance.vals))
+    ends = np.cumsum([0] + [len(v) + np.count_nonzero(r != c) for r, c, v in triples])
+    keys = np.empty(ends[-1], dtype=np.int64)
+    data = np.empty(ends[-1])
+    for i, (r, c, v) in enumerate(triples):
+        off = r != c
+        upper, mirror = slice(ends[i], ends[i] + len(v)), slice(ends[i] + len(v), ends[i + 1])
+        keys[upper], keys[mirror] = r * n + c, c[off] * n + r[off]
+        data[upper], data[mirror] = v, v[off]
+    union = np.unique(keys)
+    index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
+    slot = np.searchsorted(union, keys).astype(index)
+    indptr = np.searchsorted(union, np.arange(n + 1) * n).astype(index)
+    indices = (union % n).astype(index)
+    values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), instance.m))
+    return values, indices, indptr
 
 
 def simplex_regret_certificate(result):

@@ -428,6 +428,24 @@ class TestSparseSymOperator:
         derived.matvec(v)
         assert base.matvec_count == 2
 
+    def test_nested_scaled_is_one_call_with_the_layered_bits(self, rng, monkeypatch):
+        a = random_symmetric(rng, 9)
+        calls = []
+        base = SparseSymOperator(9, lambda v: calls.append(None) or a @ v)
+        inner = base.scaled(1.0 / 3.0)
+        outer = inner.scaled(-0.7)
+        matvecs = []
+        matvec = SparseSymOperator.matvec
+        monkeypatch.setattr(SparseSymOperator, "matvec", lambda op, v: matvecs.append(op) or matvec(op, v))
+        for _ in range(3):
+            v = rng.standard_normal(9)
+            assert np.array_equal(outer.matvec(v), -0.7 * ((1.0 / 3.0) * (a @ v)))
+        assert np.array_equal(inner.matvec(v), (1.0 / 3.0) * (a @ v))
+        # one matvec call and one call of the base function per product, counted on every ancestor
+        assert matvecs == [outer] * 3 + [inner]
+        assert len(calls) == 4
+        assert (outer.matvec_count, inner.matvec_count, base.matvec_count) == (3, 4, 4)
+
     def test_shape_validation(self, rng):
         op = SparseSymOperator.from_dense(np.eye(3))
         with pytest.raises(ValueError):

@@ -26,11 +26,46 @@ from mmwsketch.sdp import (
     _adjoint_csr,
     make_random_instance,
 )
-from conftest import dense_constraint, random_symmetric, simplex_regret_certificate, symmetry_defect
+from conftest import (
+    dense_constraint,
+    random_symmetric,
+    simplex_regret_certificate,
+    symmetry_defect,
+    union_stack_by_unique,
+    upper_triplets_by_loop,
+)
 
 
 def _simple_instance():
     return SdpInstance.from_dense_list([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])
+
+
+@st.composite
+def faulty_triplet_lists(draw):
+    """``(n, m, triplets)``, the triplets valid but for up to three injected faults (and chance repeats)."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    key = st.tuples(st.integers(1, m), st.integers(1, n), st.integers(1, n)).map(
+        lambda k: (k[0], min(k[1:]), max(k[1:]))
+    )
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    triplets = draw(st.lists(st.tuples(key, value).map(lambda kv: kv[0] + (kv[1],)), max_size=15))
+    faults = st.sampled_from(["index", "range", "lower", "duplicate", "non_finite"])
+    for fault in draw(st.lists(faults, max_size=3)):
+        i, r, c = draw(key)
+        v = draw(value)
+        if fault == "index":
+            i = draw(st.sampled_from([0, -1, m + 1, 2**40]))
+        elif fault == "range":
+            bad = draw(st.sampled_from([0, -3, n + 1]))
+            r, c = (bad, c) if draw(st.booleans()) else (r, bad)
+        elif fault == "lower":
+            r, c = c + 1, c  # out of range too when c == n: the range check comes first
+        elif fault == "duplicate" and triplets:
+            i, r, c = draw(st.sampled_from(triplets))[:3]
+        elif fault == "non_finite":
+            v = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        triplets.insert(draw(st.integers(0, len(triplets))), (i, r, c, v))
+    return n, m, triplets
 
 
 class TestSdpInstance:
@@ -45,6 +80,35 @@ class TestSdpInstance:
             SdpInstance(2, 1, [(1, 1, 2, 1.0), (1, 1, 2, 2.0)])
         with pytest.raises(ValueError, match="m must be"):
             SdpInstance(2, 0, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_entry(self, bad):
+        with pytest.raises(ValueError, match=r"entry \(1, 1, 1\) has the non-finite value"):
+            SdpInstance(2, 1, [(1, 1, 1, bad), (1, 1, 2, 1.0)])
+        with pytest.raises(ValueError, match=r"entry \(2, 1, 2\) has the non-finite value"):
+            SdpInstance(2, 2, [(1, 2, 2, 1.0), (2, 1, 2, bad)])
+        # NaN fails the symmetry test's comparison and inf - inf is NaN: the constructor names the entry
+        with pytest.raises(ValueError, match=r"entry \(1, 1, 2\) has the non-finite value"):
+            SdpInstance.from_dense_list([[[1.0, bad], [bad, 0.0]]])
+        with pytest.raises(ValueError, match=r"entry \(2, 2, 2\) has the non-finite value"):
+            SdpInstance.from_dense_list([np.eye(2), [[1.0, 0.0], [0.0, bad]]])
+
+    @settings(deadline=None, max_examples=300)
+    @given(faulty_triplet_lists())
+    def test_matches_the_triplet_loop(self, case):
+        """Errors (the first failing triplet, checks in order) and per-constraint arrays equal the loop's."""
+        n, m, triplets = case
+        try:
+            expected = upper_triplets_by_loop(n, m, triplets)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                SdpInstance(n, m, triplets)
+            assert str(raised.value) == str(err)
+            return
+        inst = SdpInstance(n, m, triplets)
+        for got, want in zip((inst.rows, inst.cols, inst.vals), expected):
+            assert len(got) == m
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_dense_and_csr_mirror(self):
         inst = SdpInstance(3, 1, [(1, 1, 2, 2.0), (1, 3, 3, -1.0)])
@@ -324,6 +388,28 @@ class TestConstraintStack:
             expected = np.array([np.vdot(dense_constraint(inst, i), xd) for i in range(m)])
             assert np.allclose(costs(inst, action), expected, rtol=0.0, atol=1e-12)
 
+    @settings(deadline=None)
+    @given(stacked_cases())
+    @_example(np.zeros((3, 3)), np.zeros((3, 3)))  # the all-zero instance
+    @_example([[0.5, -1.0], [-1.0, 0.0]])  # m = 1
+    @_example(np.zeros((3, 3)), np.diag([1.0, -2.0, 0.5]))  # empty and diagonal-only
+    @_example(np.diag([1.0, 0.0, 3.0]), np.diag([0.0, -2.0, 0.5]))  # diagonal-only
+    @_example(_sym(3, {(0, 2): 1.0, (1, 1): 0.5}), _sym(3, {(0, 2): -0.3, (1, 1): 0.9}))  # identical
+    def test_matches_the_unique_build_bitwise(self, case):
+        """The one-sort union pattern against ``np.unique`` + ``searchsorted``; ``half`` against each ``A_i``."""
+        inst = SdpInstance.from_dense_list(case[0])
+        n, m = inst.n, inst.m
+        stack = inst.stack()
+        values, indices, indptr = union_stack_by_unique(inst)
+        for got, want in ((stack.values.data, values.data), (stack.values.indices, values.indices),
+                          (stack.values.indptr, values.indptr), (stack.indices, indices), (stack.indptr, indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert stack.values.shape == values.shape
+        assert np.array_equal(stack.half_scale, np.ones(m))
+        for i, block in enumerate(stack.half.toarray().reshape(m, n, n)):
+            a = dense_constraint(inst, i)
+            assert np.array_equal(block, 2.0 * np.triu(a, 1) + np.diag(np.diag(a)))
+
     def test_operators_do_not_alias(self, rng):
         inst = make_random_instance(6, 3, rng, density=0.6)
         v = rng.standard_normal(6)
@@ -371,6 +457,19 @@ class TestCosts:
         act = SpectrahedronAction.rank1(x)
         expected = np.array([float(x @ (m @ x)) for m in mats])
         assert np.allclose(costs(inst, act), expected, atol=1e-12)
+
+    def test_entry_near_the_float_max_stays_finite(self):
+        # 2 * 1e308 overflows: that constraint keeps its off-diagonal and halves its diagonal instead
+        inst = SdpInstance(2, 2, [(1, 1, 1, 3.0), (1, 1, 2, 1e308), (2, 1, 2, 0.5), (2, 2, 2, -1.0)])
+        stack = inst.stack()
+        assert np.array_equal(stack.half_scale, [2.0, 1.0])
+        assert np.all(np.isfinite(stack.half.data))
+        x = np.array([0.6, 0.8])
+        mats = [dense_constraint(inst, i) for i in range(2)]
+        expected = np.array([x @ (a @ x) for a in mats])
+        assert np.isfinite(expected[0])
+        for action in (SpectrahedronAction.rank1(x), SpectrahedronAction.dense(np.outer(x, x))):
+            assert np.allclose(costs(inst, action), expected, rtol=1e-12, atol=0.0)
 
     def test_width_certifies_cost_range(self):
         inst = SdpInstance.from_dense_list([np.diag([1.0, -1.0])])

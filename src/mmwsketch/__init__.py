@@ -35,7 +35,6 @@ from .lanczos import (  # noqa: F401
     required_iterations,
 )
 from .projections import (  # noqa: F401
-    SimplexWeights,
     SpectrahedronAction,
     estimate_avg_projection_direct,
     estimate_avg_projection_dirichlet,

@@ -98,8 +98,13 @@ def _resolve_seeds(cfg):
             seeds = [int(s) for s in cfg["seed_list"].split(",") if s.strip() != ""]
         except ValueError as err:
             raise UsageError(f"bad --seed-list: {err}") from err
-        if min(seeds, default=0) < 0:
+        if not seeds:
+            raise UsageError("bad --seed-list: no seeds")
+        if min(seeds) < 0:
             raise UsageError("bad --seed-list: seeds must be >= 0")
+        repeated = [s for s in seeds if seeds.count(s) > 1]
+        if repeated:
+            raise UsageError(f"bad --seed-list: seed {repeated[0]} repeated")
         return seeds
     if cfg["seed"] is not None:
         return [cfg["seed"]]

@@ -37,9 +37,10 @@ class LanczosDecomposition:
     and ``betas`` (length j-1) are the tridiagonal diagonal/off-diagonal.
     ``terminated_early`` flags a breakdown (off-diagonal vanished) before the
     requested iteration count.  Runs with an error budget also carry the
-    estimate at the stop (``error_estimate``) and the eigenpairs of the
-    final tridiagonal matrix from that check (``ritz``); both are ``None``
-    for fixed-depth runs.
+    estimate at the stop (``error_estimate``) and, from that check, the
+    pair ``(c, theta_max)`` of the final tridiagonal matrix ``T``, where
+    ``c = exp(T - theta_max I) e_1`` and ``theta_max`` is its top eigenvalue
+    (``exp_e1``); both are ``None`` for fixed-depth runs.
     """
 
     basis: np.ndarray
@@ -48,7 +49,7 @@ class LanczosDecomposition:
     input_norm: float
     terminated_early: bool
     error_estimate: float | None = None
-    ritz: tuple | None = None
+    exp_e1: tuple | None = None
 
     @property
     def iterations(self):
@@ -60,13 +61,12 @@ class LanczosDecomposition:
         The tridiagonal eigenvalues are exponentiated after subtracting their
         maximum; the scalar ``exp(max)`` is reapplied multiplicatively, or
         dropped with ``normalized=True``.  Raises ``OverflowError`` when the
-        scalar or the scaled vector is not finite in float64.  Reuses the
-        eigenpairs of the last error check.
+        scalar or the scaled vector is not finite in float64.  Reuses ``c``
+        and ``theta_max`` of the last error check.
         """
-        theta, v = self.ritz if self.ritz is not None else tridiagonal_eigh(self.alphas, self.betas)
-        y = self.basis @ (self.input_norm * _shifted_exp_e1(theta, v))
+        c, theta_max = self.exp_e1 or _exp_e1(*tridiagonal_eigh(self.alphas, self.betas))
+        y = self.basis @ (self.input_norm * c)
         if not normalized:
-            theta_max = float(theta[-1])
             try:
                 with np.errstate(over="raise"):
                     y = y * math.exp(theta_max)
@@ -111,7 +111,7 @@ def lanczos_decompose(a, b, k, tol=None):
     beta_prev = 0.0
     scale = 1.0
     terminated = False
-    estimate = ritz = None
+    estimate = exp_e1 = None
     j = 1
     for i in range(k):
         w = op.matvec(q)
@@ -137,8 +137,10 @@ def lanczos_decompose(a, b, k, tol=None):
             raise ConvergenceError(f"non-finite values at iteration {i + 1}")
         breakdown = beta <= BREAKDOWN_RTOL * scale
         if tol is not None:
-            ritz = tridiagonal_eigh(alphas[:j], betas[: j - 1])
-            estimate = _error_estimate(beta, *ritz)
+            # Saad's estimate beta |c_j| / ||c||
+            exp_e1 = _exp_e1(*tridiagonal_eigh(alphas[:j], betas[: j - 1]))
+            c = exp_e1[0]
+            estimate = beta * abs(float(c[-1])) / math.sqrt(c @ c)
             if estimate <= tol or j == k:
                 terminated = breakdown and j < k
                 break
@@ -158,19 +160,13 @@ def lanczos_decompose(a, b, k, tol=None):
         input_norm=input_norm,
         terminated_early=terminated,
         error_estimate=estimate,
-        ritz=ritz,
+        exp_e1=exp_e1,
     )
 
 
-def _shifted_exp_e1(theta, v):
-    """``exp(T - theta_max I) e_1`` from the eigenpairs ``(theta, v)`` of T, ``theta`` ascending."""
-    return v @ (np.exp(theta - theta[-1]) * v[0, :])
-
-
-def _error_estimate(beta, theta, v):
-    """Saad's relative error estimate ``beta |c_j| / ||c||`` with ``c = exp(T - theta_max I) e_1``."""
-    c = _shifted_exp_e1(theta, v)
-    return beta * abs(float(c[-1])) / math.sqrt(c @ c)
+def _exp_e1(theta, v):
+    """``(exp(T - theta_max I) e_1, theta_max)`` from the eigenpairs ``(theta, v)`` of T, ``theta`` ascending."""
+    return v @ (np.exp(theta - theta[-1]) * v[0, :]), float(theta[-1])
 
 
 def expm_multiply(a, b, k):

@@ -40,31 +40,19 @@ def _unit_norm(x, what, tol=1e-9):
 
 
 def softmax_grad(c):
-    """Gradient of log-sum-exp: the multiplicative-weights simplex projection."""
+    """Gradient of log-sum-exp at ``c``: the multiplicative-weights simplex vector.
+
+    The exponentials are taken after subtracting ``max(c)``, to which the
+    result is invariant, so very negative accumulated costs cannot underflow
+    the normalization.
+    """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("entries must be finite")
-    return SimplexWeights(c)
-
-
-class SimplexWeights:
-    """Simplex vector stored in the log domain.
-
-    Materialization is invariant to adding a constant to the log weights, so
-    very negative accumulated costs cannot underflow the normalization.
-    """
-
-    __slots__ = ("log_weights",)
-
-    def __init__(self, log_weights):
-        self.log_weights = np.asarray(log_weights, dtype=float).copy()
-        if self.log_weights.ndim != 1 or len(self.log_weights) < 1:
-            raise ValueError("log weights must be a nonempty vector")
-
-    @property
-    def weights(self):
-        t = np.exp(self.log_weights - self.log_weights.max())
-        return t / t.sum()
+    if c.ndim != 1 or len(c) < 1:
+        raise ValueError("log weights must be a nonempty vector")
+    t = np.exp(c - c.max())
+    return t / t.sum()
 
 
 class SpectrahedronAction:

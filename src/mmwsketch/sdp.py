@@ -29,7 +29,6 @@ from .linalg import (
     top_eigenvalue,
 )
 from .projections import (
-    SimplexWeights,
     SpectrahedronAction,
     rank1_projection,
     rank1_projection_lanczos,
@@ -54,19 +53,17 @@ class ConstraintStack(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     half: sp.csr_matrix
-    half_scale: np.ndarray
-
-
-#: Off-diagonal entries above this magnitude would double to inf in :attr:`ConstraintStack.half`.
-_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 class SdpInstance:
     """Symmetric constraint matrices in upper-triplet form.
 
     Each constraint stores entries with ``row <= col``; the lower triangle is
-    implied by symmetry.  ``width`` is ``max_i |A_i|_inf`` once
-    :meth:`compute_width` has run, and ``None`` before.
+    implied by symmetry.  The entries of all constraints are kept in four
+    flat arrays, sorted by constraint, then row, then column: the 0-based
+    ``con``, ``row`` and ``col``, and ``val``.  ``width`` is
+    ``max_i |A_i|_inf`` once :meth:`compute_width` has run, and ``None``
+    before.
     """
 
     def __init__(self, n, m, triplets):
@@ -104,40 +101,31 @@ class SdpInstance:
             if duplicate[at]:
                 raise ValueError(f"duplicate entry ({ti}, {tr}, {tc})")
             raise ValueError(f"entry ({ti}, {tr}, {tc}) has the non-finite value {float(tv)!r}")
-        # sorted by constraint, then row, then column: each constraint's entries in (row, col) order
-        splits = np.cumsum(np.bincount(i - 1, minlength=self.m))[:-1]
-        self.rows = np.split(keys[1] - 1, splits)
-        self.cols = np.split(keys[2] - 1, splits)
-        self.vals = np.split(v[order], splits)
+        self.con, self.row, self.col = keys - 1
+        self.val = v[order]
         self.width = None
         self._stack = None
 
     @classmethod
     def from_dense_list(cls, mats):
-        mats = [np.asarray(m, dtype=float) for m in mats]
-        n = mats[0].shape[0]
-        triplets = []
-        for i, a in enumerate(mats, start=1):
-            if a.shape != (n, n):
-                raise ValueError("all constraint matrices must share one dimension")
-            with np.errstate(invalid="ignore"):  # non-finite entries pass here; the constructor names them
-                asymmetric = np.abs(a - a.T).max() > 1e-10 * (1.0 + np.abs(a).max())
-            if asymmetric:
-                raise ValueError(f"constraint {i} is not symmetric")
-            a = 0.5 * (a + a.T)
-            for r in range(n):
-                for c in range(r, n):
-                    if a[r, c] != 0.0:
-                        triplets.append((i, r + 1, c + 1, a[r, c]))
-        return cls(n, len(mats), triplets)
+        shapes = set(map(np.shape, mats))
+        if not shapes:
+            raise ValueError("at least one constraint matrix is required")
+        if len(shapes) > 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+            raise ValueError("all constraint matrices must share one dimension")
+        a = np.asarray(mats, dtype=float)
+        with np.errstate(invalid="ignore"):  # non-finite entries pass here; the constructor names them
+            asymmetric = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * (1.0 + np.abs(a).max(axis=(1, 2)))
+        if asymmetric.any():
+            raise ValueError(f"constraint {np.argmax(asymmetric) + 1} is not symmetric")
+        a = 0.5 * (a + a.swapaxes(1, 2))
+        con, r, c = np.nonzero(np.triu(a))  # in (constraint, row, col) order, -0.0 left out and NaN kept
+        entries = (con + 1, r + 1, c + 1, a[con, r, c])
+        return cls(shape[0], len(a), zip(*(column.tolist() for column in entries)))
 
     def triplets(self):
         """Canonical (i, row, col, value) tuples, 1-based, sorted."""
-        out = []
-        for i in range(self.m):
-            for r, c, v in zip(self.rows[i], self.cols[i], self.vals[i]):
-                out.append((i + 1, int(r) + 1, int(c) + 1, float(v)))
-        return out
+        return list(zip((self.con + 1).tolist(), (self.row + 1).tolist(), (self.col + 1).tolist(), self.val.tolist()))
 
     def stack(self):
         """All constraints over one sparsity pattern; built once, then cached.
@@ -151,28 +139,23 @@ class SdpInstance:
         identical contents, so every such sum is bitwise symmetric.
 
         ``half`` (``m n x n`` CSR) holds in row ``i n + r`` row ``r`` of the
-        upper triangle of ``A_i`` with its off-diagonal entries doubled, so
-        that ``<A_i, x x'>`` is ``half_scale[i]`` times entry ``i`` of
-        ``(half @ x).reshape(m, n) @ x``.  ``half_scale[i]`` is 1, or 2 for
-        a constraint with an off-diagonal entry that would double past the
-        float range; such a constraint keeps its off-diagonal entries and
-        halves its diagonal.  Doubling and halving are exact in binary
-        (halving a subnormal diagonal entry aside).
+        upper triangle of ``A_i`` with its off-diagonal entries as given and
+        its diagonal halved, so that ``<A_i, x x'>`` is twice entry ``i`` of
+        ``(half @ x).reshape(m, n) @ x``.  Nothing is doubled, so every entry
+        stays finite, and halving is exact in binary (a subnormal diagonal
+        entry aside).
         """
         if self._stack is None:
-            n = self.n
-            # every stored entry and its mirror, keyed by row * n + col, constraint by constraint
-            ends = np.cumsum(
-                [0] + [len(v) + np.count_nonzero(r != c) for r, c, v in zip(self.rows, self.cols, self.vals)]
-            )
-            keys = np.empty(ends[-1], dtype=np.int64)
-            data = np.empty(ends[-1])
-            for i, (r, c, v) in enumerate(zip(self.rows, self.cols, self.vals)):
-                off = r != c
-                upper, mirror = slice(ends[i], ends[i] + len(v)), slice(ends[i] + len(v), ends[i + 1])
-                keys[upper], keys[mirror] = r * n + c, c[off] * n + r[off]
-                data[upper], data[mirror] = v, v[off]
+            n, m = self.n, self.m
+            # every stored entry, then the mirror of every off-diagonal one, grouped by constraint
+            off = self.row != self.col
+            con = np.concatenate((self.con, self.con[off]))
+            group = np.argsort(con, kind="stable")
+            keys = np.concatenate((self.row * n + self.col, self.col[off] * n + self.row[off]))[group]
+            data = np.concatenate((self.val, self.val[off]))[group]
             index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
+            ends = np.zeros(m + 1, dtype=index)
+            np.cumsum(np.bincount(con, minlength=m), out=ends[1:])
             # the union pattern from one sort: a key opens a slot where it differs from its predecessor
             order = np.argsort(keys)
             opens = np.empty(len(keys), dtype=bool)
@@ -187,24 +170,15 @@ class SdpInstance:
             indices = (union % n).astype(index)
             del union
             # column i of ``values`` lists A_i's entries at their union slots
-            values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), self.m))
-            self._stack = ConstraintStack(values, indices, indptr, *self._half_stack())
+            values = sp.csc_matrix((data, slot, ends), shape=(len(indices), m))
+            # the stored entries are in CSR order already: row i n + r of ``half`` is row r of A_i's upper triangle
+            index = np.int32 if max(m * n, len(self.val)) < 2**31 else np.int64
+            half_ptr = np.zeros(m * n + 1, dtype=index)
+            np.cumsum(np.bincount(self.con * n + self.row, minlength=m * n), out=half_ptr[1:])
+            half_data = np.where(off, self.val, 0.5 * self.val)
+            half = sp.csr_matrix((half_data, self.col.astype(index), half_ptr), shape=(m * n, n))
+            self._stack = ConstraintStack(values, indices, indptr, half)
         return self._stack
-
-    def _half_stack(self):
-        """``(half, half_scale)`` of :meth:`stack`, straight from the upper triplets, which are in CSR order."""
-        n, m = self.n, self.m
-        con = np.repeat(np.arange(m), [len(v) for v in self.vals])
-        r, c, v = (np.concatenate(parts) for parts in (self.rows, self.cols, self.vals))
-        off = r != c
-        halved = np.zeros(m, dtype=bool)
-        halved[con[off & (np.abs(v) > _HALF_MAX)]] = True
-        factor = np.where(halved[con], 0.5, 1.0)
-        index = np.int32 if max(m * n, len(v)) < 2**31 else np.int64
-        indptr = np.zeros(m * n + 1, dtype=index)
-        np.cumsum(np.bincount(con * n + r, minlength=m * n), out=indptr[1:])
-        half = sp.csr_matrix((v * np.where(off, 2.0 * factor, factor), c.astype(index), indptr), shape=(m * n, n))
-        return half, np.where(halved, 2.0, 1.0)
 
     def compute_width(self):
         """Width ``max_i |A_i|_inf``; cached on the instance.
@@ -305,27 +279,26 @@ def costs(instance, action):
     """Cost vector ``c_i = <A_i, X>`` for a spectrahedron action.
 
     Every constraint is read once, over its upper triangle in the stack's
-    ``half`` matrix.  A rank-1 action ``x x'`` costs one sparse product:
-    ``c = (half @ x).reshape(m, n) @ x``.  A dense ``X`` is read on the same
-    pattern with one gather, and the products are summed by constraint.
+    ``half`` matrix, whose diagonal is halved: ``c`` is twice the product.
+    A rank-1 action ``x x'`` costs one sparse product,
+    ``c = 2 (half @ x).reshape(m, n) @ x``.  A dense ``X`` is read on the
+    instance's stored entries with one gather, and the products are summed
+    by constraint.  Scaling by two is exact, so ``c`` rounds as if the
+    off-diagonal entries had been doubled instead.
     When the instance width is known, any cost exceeding it signals a
     broken action and raises.
     """
     if action.n != instance.n:
         raise ValueError("dimension mismatch")
     n, m = instance.n, instance.m
-    stack = instance.stack()
-    half = stack.half
+    half = instance.stack().half
     if action.is_rank1:
         x = action.factor
         out = (half @ x).reshape(m, n) @ x
     else:
-        # each entry's row r within its constraint, and its constraint i
-        r = np.repeat(np.tile(np.arange(n), m), np.diff(half.indptr))
-        con = np.repeat(np.arange(m), np.diff(half.indptr[::n]))
-        on_pattern = action.matrix.ravel()[r * n + half.indices]
-        out = np.bincount(con, weights=half.data * on_pattern, minlength=m)
-    out = out * stack.half_scale  # also a float array where bincount of no entries is not
+        on_pattern = action.matrix.ravel()[instance.row * n + instance.col]
+        out = np.bincount(instance.con, weights=half.data * on_pattern, minlength=m)
+    out = 2.0 * out  # also a float array where bincount of no entries is not
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:
@@ -354,8 +327,7 @@ def duality_gap(instance, action, y):
     ``LANCZOS_RTOL``, and the interval is padded by that amount; stable Ritz
     values are an estimate, not a bound.
     """
-    weights = y.weights if isinstance(y, SimplexWeights) else np.asarray(y, dtype=float)
-    lam_max, uncertainty = top_eigenvalue(_adjoint_csr(instance, weights))
+    lam_max, uncertainty = top_eigenvalue(_adjoint_csr(instance, np.asarray(y, dtype=float)))
     min_cost = float(costs(instance, action).min())
     value = lam_max - min_cost
     return GapReport(value=value, lo=value - uncertainty, hi=value + uncertainty)
@@ -456,8 +428,7 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
             matvecs += gain_op.matvec_count
         else:
             action = rank1_projection(gain_csr.toarray(), u)
-        y = softmax_grad(-eta * cost_sum)
-        yw = y.weights
+        yw = softmax_grad(-eta * cost_sum)
 
         cost = costs(instance, action)
         y_avg += yw

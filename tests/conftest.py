@@ -67,7 +67,8 @@ def symmetry_defect(op, rng, probes=8):
 def dense_constraint(instance, i):
     """The constraint ``A_i`` (0-based) of an ``SdpInstance``, densified from its own upper triplets."""
     a = np.zeros((instance.n, instance.n))
-    r, c, v = instance.rows[i], instance.cols[i], instance.vals[i]
+    mine = instance.con == i
+    r, c, v = instance.row[mine], instance.col[mine], instance.val[mine]
     a[r, c] = v
     a[c, r] = v
     return a
@@ -108,7 +109,8 @@ def upper_triplets_by_loop(n, m, triplets):
 def union_stack_by_unique(instance):
     """``(values, indices, indptr)`` of the union-pattern stack, built with ``np.unique`` and ``searchsorted``."""
     n = instance.n
-    triples = list(zip(instance.rows, instance.cols, instance.vals))
+    triples = [(instance.row[mine], instance.col[mine], instance.val[mine])
+               for mine in (instance.con == i for i in range(instance.m))]
     ends = np.cumsum([0] + [len(v) + np.count_nonzero(r != c) for r, c, v in triples])
     keys = np.empty(ends[-1], dtype=np.int64)
     data = np.empty(ends[-1])
@@ -124,6 +126,44 @@ def union_stack_by_unique(instance):
     indices = (union % n).astype(index)
     values = sp.csc_matrix((data, slot, ends.astype(index)), shape=(len(indices), instance.m))
     return values, indices, indptr
+
+
+def doubled_half_costs(instance, action):
+    """``<A_i, X>`` by the doubled-off-diagonal rule, the reference for ``costs``' halved-diagonal rule.
+
+    Each upper triangle is read in CSR order with its off-diagonal entries
+    doubled and its diagonal as given, and the products need no final scale:
+    ``(half @ x).reshape(m, n) @ x`` for a rank-1 action, a sum by
+    constraint of ``half * X[row, col]`` for a dense one.
+    """
+    n, m = instance.n, instance.m
+    trip = instance.triplets()
+    i, r, c = (np.array([t[k] - 1 for t in trip], dtype=np.int64) for k in range(3))
+    v = np.array([t[3] for t in trip], dtype=float)
+    half = np.where(r == c, v, 2.0 * v)
+    if action.is_rank1:
+        x = action.factor
+        indptr = np.searchsorted(i * n + r, np.arange(m * n + 1))
+        return (sp.csr_matrix((half, c, indptr), shape=(m * n, n)) @ x).reshape(m, n) @ x
+    return np.bincount(i, weights=half * action.matrix[r, c], minlength=m).astype(float)
+
+
+def upper_triplets_of_dense_by_loop(mats):
+    """The ``(i, row, col, value)`` triplets of symmetric matrices, 1-based, one upper-triangle entry at a time.
+
+    The reference for ``SdpInstance.from_dense_list``: each matrix is
+    symmetrized as ``(a + a') / 2`` and every entry with ``row <= col`` that
+    compares unequal to zero is kept (NaN is kept, ``-0.0`` is not).
+    """
+    triplets = []
+    for i, a in enumerate(mats, start=1):
+        a = np.asarray(a, dtype=float)
+        a = 0.5 * (a + a.T)
+        for r in range(a.shape[0]):
+            for c in range(r, a.shape[0]):
+                if a[r, c] != 0.0:
+                    triplets.append((i, r + 1, c + 1, a[r, c]))
+    return triplets
 
 
 def simplex_regret_certificate(result):

@@ -130,6 +130,8 @@ class TestOnlineEig:
             (["--workers", "0"], "error: workers must be >= 1\n"),
             (["--seed", "-1"], "error: --seed must be >= 0\n"),
             (["--seed-list", "3,-1"], "error: bad --seed-list: seeds must be >= 0\n"),
+            (["--seed-list", ","], "error: bad --seed-list: no seeds\n"),
+            (["--seed-list", "1,1"], "error: bad --seed-list: seed 1 repeated\n"),
         ],
     )
     def test_bad_eta_or_hp_delta_is_usage_error(self, tmp_path, capsys, extra, message):
@@ -288,6 +290,13 @@ class TestSdpFeas:
         err = capsys.readouterr().err
         assert err == "error: delta must lie in (0, 1)\n"
         assert not (tmp_path / "sdp-feas-summary.json").exists()
+
+    @pytest.mark.parametrize("seed_list,message", [(",", "no seeds"), ("2,1,2", "seed 2 repeated")])
+    def test_seed_list_without_distinct_seeds_is_usage_error(self, tmp_path, capsys, seed_list, message):
+        args = ["sdp-feas", "--instance", "builtin:sym2x2", "--seed-list", seed_list, "--out", str(tmp_path / "out")]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == f"error: bad --seed-list: {message}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_exact_projections_beyond_dense_limit_is_usage_error(self, tmp_path, capsys):
         instance = tmp_path / "large.sdpi"

@@ -227,7 +227,7 @@ class TestErrorBudget:
         b = rng.standard_normal(12)
         dec = lanczos_decompose(a, b, 7, tol=None)
         assert dec.iterations == 7
-        assert dec.error_estimate is None and dec.ritz is None
+        assert dec.error_estimate is None and dec.exp_e1 is None
         # the product is the textbook formula on the k-step tridiagonal
         theta, v = scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
         coeff = v @ (np.exp(theta - theta.max()) * v[0, :])

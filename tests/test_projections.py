@@ -26,31 +26,36 @@ from mmwsketch import (
 )
 from mmwsketch.linalg import dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
-from mmwsketch.projections import SimplexWeights, SpectrahedronAction
+from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.sdp import _adjoint_csr, make_random_instance
 from conftest import expm_dense, haar_orthogonal, random_symmetric, trace_norm
 
 
 class TestSoftmaxGrad:
     def test_uniform(self):
-        assert np.allclose(softmax_grad(np.zeros(4)).weights, 0.25, atol=1e-15)
+        assert np.allclose(softmax_grad(np.zeros(4)), 0.25, atol=1e-15)
 
     def test_log_three(self):
-        w = softmax_grad(np.array([math.log(3.0), 0.0])).weights
+        w = softmax_grad(np.array([math.log(3.0), 0.0]))
         assert np.allclose(w, [0.75, 0.25], atol=1e-14)
 
     def test_shift_invariance(self, rng):
         c = rng.standard_normal(6)
-        w1 = softmax_grad(c).weights
-        w2 = softmax_grad(c + 7.0).weights
+        w1 = softmax_grad(c)
+        w2 = softmax_grad(c + 7.0)
         assert np.abs(w1 - w2).max() <= 1e-14
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             softmax_grad(np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("c", [np.zeros(0), np.zeros((2, 2)), np.float64(1.0)])
+    def test_rejects_all_but_a_nonempty_vector(self, c):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            softmax_grad(c)
+
     def test_simplex_membership(self, rng):
-        w = softmax_grad(rng.standard_normal(9) * 50).weights
+        w = softmax_grad(rng.standard_normal(9) * 50)
         assert w.min() >= 0.0
         assert abs(w.sum() - 1.0) <= 1e-12
 

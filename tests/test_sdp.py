@@ -28,11 +28,13 @@ from mmwsketch.sdp import (
 )
 from conftest import (
     dense_constraint,
+    doubled_half_costs,
     random_symmetric,
     simplex_regret_certificate,
     symmetry_defect,
     union_stack_by_unique,
     upper_triplets_by_loop,
+    upper_triplets_of_dense_by_loop,
 )
 
 
@@ -68,6 +70,22 @@ def faulty_triplet_lists(draw):
     return n, m, triplets
 
 
+@st.composite
+def dense_constraint_lists(draw):
+    """Symmetric matrices mixing all-zero ("empty") ones with entries that include 0.0, -0.0 and NaN."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, -0.0, math.nan, 1.0, -0.5]) | st.floats(-1e300, 1e300)
+    mats = []
+    for _ in range(m):
+        a = np.zeros((n, n))
+        if draw(st.booleans()):
+            for r in range(n):
+                for c in range(r, n):
+                    a[r, c] = a[c, r] = draw(value)
+        mats.append(a)
+    return mats
+
+
 class TestSdpInstance:
     def test_triplet_validation(self):
         with pytest.raises(ValueError, match="outside"):
@@ -96,7 +114,7 @@ class TestSdpInstance:
     @settings(deadline=None, max_examples=300)
     @given(faulty_triplet_lists())
     def test_matches_the_triplet_loop(self, case):
-        """Errors (the first failing triplet, checks in order) and per-constraint arrays equal the loop's."""
+        """Errors (the first failing triplet, checks in order) and the stored arrays equal the loop's."""
         n, m, triplets = case
         try:
             expected = upper_triplets_by_loop(n, m, triplets)
@@ -106,9 +124,33 @@ class TestSdpInstance:
             assert str(raised.value) == str(err)
             return
         inst = SdpInstance(n, m, triplets)
-        for got, want in zip((inst.rows, inst.cols, inst.vals), expected):
-            assert len(got) == m
-            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        con = np.repeat(np.arange(m), [len(v) for v in expected[2]])
+        for got, want in zip((inst.con, inst.row, inst.col, inst.val), (con, *map(np.concatenate, expected))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(dense_constraint_lists())
+    @example([np.zeros((3, 3)), np.diag([-0.0, 2.0, 0.0])])
+    @example([np.array([[1.0, math.nan], [math.nan, -0.0]])])
+    def test_from_dense_list_matches_the_entry_loop(self, mats):
+        """The ``np.nonzero`` scan keeps the triplets, their order and bits, or the error, of the per-entry loop."""
+        n, m = mats[0].shape[0], len(mats)
+        try:
+            expected = SdpInstance(n, m, upper_triplets_of_dense_by_loop(mats))
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                SdpInstance.from_dense_list(mats)
+            assert str(raised.value) == str(err)
+            return
+        inst = SdpInstance.from_dense_list(mats)
+        bits = lambda trips: [(i, r, c, v.hex()) for i, r, c, v in trips]  # noqa: E731
+        assert bits(inst.triplets()) == bits(expected.triplets())
+
+    def test_from_dense_list_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="at least one constraint matrix"):
+            SdpInstance.from_dense_list([])
+        with pytest.raises(ValueError, match="share one dimension"):
+            SdpInstance.from_dense_list([np.eye(2), np.eye(3)])
 
     def test_dense_and_csr_mirror(self):
         inst = SdpInstance(3, 1, [(1, 1, 2, 2.0), (1, 3, 3, -1.0)])
@@ -212,8 +254,8 @@ class TestAdjointApply:
         mats = [random_symmetric(rng, 10) for _ in range(4)]
         inst = SdpInstance.from_dense_list(mats)
         y = softmax_grad(rng.standard_normal(4))
-        adj = _adjoint_csr(inst, y.weights)
-        dense = sum(w * m for w, m in zip(y.weights, mats))
+        adj = _adjoint_csr(inst, y)
+        dense = sum(w * m for w, m in zip(y, mats))
         for _ in range(3):
             v = rng.standard_normal(10)
             assert np.allclose(adj @ v, dense @ v, atol=1e-12)
@@ -221,7 +263,7 @@ class TestAdjointApply:
     def test_operator_is_symmetric(self, rng):
         mats = [random_symmetric(rng, 8) for _ in range(3)]
         inst = SdpInstance.from_dense_list(mats)
-        adj = _adjoint_csr(inst, softmax_grad(rng.standard_normal(3)).weights)
+        adj = _adjoint_csr(inst, softmax_grad(rng.standard_normal(3)))
         assert symmetry_defect(SparseSymOperator(8, lambda v: adj @ v), rng) <= 1e-8
 
 
@@ -405,10 +447,9 @@ class TestConstraintStack:
                           (stack.values.indptr, values.indptr), (stack.indices, indices), (stack.indptr, indptr)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert stack.values.shape == values.shape
-        assert np.array_equal(stack.half_scale, np.ones(m))
         for i, block in enumerate(stack.half.toarray().reshape(m, n, n)):
             a = dense_constraint(inst, i)
-            assert np.array_equal(block, 2.0 * np.triu(a, 1) + np.diag(np.diag(a)))
+            assert np.array_equal(block, np.triu(a, 1) + 0.5 * np.diag(np.diag(a)))
 
     def test_operators_do_not_alias(self, rng):
         inst = make_random_instance(6, 3, rng, density=0.6)
@@ -437,6 +478,19 @@ class TestConstraintStack:
         assert estimated.lo <= padded <= estimated.hi
 
 
+@st.composite
+def scaled_instances(draw):
+    """Constraint ``i`` with entries of magnitude ``2^e_i`` times [1/2, 2), ``e_i`` in [-1000, 1000]; and a seed."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    upper = [(r, c) for r in range(1, n + 1) for c in range(r, n + 1)]
+    mantissa = st.floats(0.5, 2.0, exclude_max=True) | st.floats(-2.0, -0.5, exclude_min=True)
+    triplets = []
+    for i in range(1, m + 1):
+        e = draw(st.integers(-1000, 1000))
+        triplets += [(i, r, c, math.ldexp(draw(mantissa), e)) for r, c in draw(st.lists(st.sampled_from(upper), unique=True))]
+    return SdpInstance(n, m, triplets), draw(st.integers(0, 2**32 - 1))
+
+
 class TestCosts:
     def test_identity_constraint_gives_one(self, rng):
         inst = SdpInstance.from_dense_list([np.eye(3)])
@@ -459,17 +513,27 @@ class TestCosts:
         assert np.allclose(costs(inst, act), expected, atol=1e-12)
 
     def test_entry_near_the_float_max_stays_finite(self):
-        # 2 * 1e308 overflows: that constraint keeps its off-diagonal and halves its diagonal instead
+        # 2 * 1e308 would overflow: ``half`` keeps the off-diagonal entry and halves the diagonal
         inst = SdpInstance(2, 2, [(1, 1, 1, 3.0), (1, 1, 2, 1e308), (2, 1, 2, 0.5), (2, 2, 2, -1.0)])
-        stack = inst.stack()
-        assert np.array_equal(stack.half_scale, [2.0, 1.0])
-        assert np.all(np.isfinite(stack.half.data))
+        assert np.all(np.isfinite(inst.stack().half.data))
         x = np.array([0.6, 0.8])
         mats = [dense_constraint(inst, i) for i in range(2)]
         expected = np.array([x @ (a @ x) for a in mats])
         assert np.isfinite(expected[0])
         for action in (SpectrahedronAction.rank1(x), SpectrahedronAction.dense(np.outer(x, x))):
             assert np.allclose(costs(inst, action), expected, rtol=1e-12, atol=0.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(scaled_instances())
+    @example((SdpInstance(2, 2, [(1, 1, 1, 2.0**-1000), (1, 1, 2, -(2.0**-1000)), (2, 2, 2, 2.0**1000)]), 5))
+    def test_both_routes_match_the_doubled_rule_bitwise(self, case):
+        """Halving the diagonal and doubling the product rounds as doubling the off-diagonal did."""
+        inst, seed = case
+        g = np.random.default_rng(seed).standard_normal((inst.n, inst.n))
+        for action in (SpectrahedronAction.rank1(sample_unit_sphere(inst.n, SeededRng(seed))),
+                       SpectrahedronAction.dense(g @ g.T / np.trace(g @ g.T))):
+            got, want = costs(inst, action), doubled_half_costs(inst, action)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_width_certifies_cost_range(self):
         inst = SdpInstance.from_dense_list([np.diag([1.0, -1.0])])
@@ -497,7 +561,7 @@ class TestDualityGap:
             mats = [random_symmetric(rng, 5) for _ in range(3)]
             inst = SdpInstance.from_dense_list(mats)
             x = SpectrahedronAction.dense(np.eye(5) / 5.0)
-            y = softmax_grad(rng.standard_normal(3)).weights
+            y = softmax_grad(rng.standard_normal(3))
             report = duality_gap(inst, x, y)
             adjoint = sum(w * m for w, m in zip(y, mats))
             brute = float(np.linalg.eigvalsh(adjoint)[-1]) - min(

@@ -64,19 +64,20 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v5"
-BENCH_SCHEMA = "bench-lanczos-v2"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v3"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v4"
-#: Older CSVs stay readable: v4 traces fill ``lam_max_running`` on every row, where v5
-#: leaves it empty between rank1-lanczos checkpoints; trace v2-v3 and bench v1 differ
-#: from v4 only in the config echo, and v1 traces lack ``k_cap``/``krylov_err_est``
-#: (``k_used`` the scheduled depth).
+TRACE_SCHEMA = "online-eig-trace-v6"
+BENCH_SCHEMA = "bench-lanczos-v3"
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v4"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v5"
+#: Older CSVs stay readable: v5 traces and bench v2 have v6's and v3's columns, with
+#: Krylov values from the earlier recurrence; v4 traces fill ``lam_max_running`` on
+#: every row, where v5 leaves it empty between rank1-lanczos checkpoints; trace v2-v3
+#: and bench v1 differ from v4 only in the config echo, and v1 traces lack
+#: ``k_cap``/``krylov_err_est`` (``k_used`` the scheduled depth).
 KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
-        TRACE_SCHEMA,
-        "bench-lanczos-v1", BENCH_SCHEMA,
+        "online-eig-trace-v5", TRACE_SCHEMA,
+        "bench-lanczos-v1", "bench-lanczos-v2", BENCH_SCHEMA,
     }
 )
 

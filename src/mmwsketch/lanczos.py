@@ -1,8 +1,12 @@
 """Krylov-subspace approximation of matrix-exponential-vector products.
 
 The core routine tridiagonalizes a symmetric operator against a start vector
-via the three-term recurrence with full reorthogonalization, then evaluates
-exp on the small tridiagonal matrix.  Exponentials are always
+by Lanczos with full reorthogonalization, then evaluates exp on the small
+tridiagonal matrix.  An iteration is one matvec and two classical
+Gram-Schmidt sweeps against the whole basis; the sweeps' coefficients on the
+newest basis vector sum to the tridiagonal diagonal entry, and their
+coefficients on the one before take out the three-term recurrence's
+off-diagonal term with the rest.  Exponentials are always
 taken after subtracting the top Ritz value so that large spectra cannot
 overflow; the scalar is reapplied multiplicatively (an overflow there raises),
 or dropped entirely in normalized mode for callers that only need the direction.
@@ -102,66 +106,96 @@ def lanczos_decompose(a, b, k, tol=None):
         raise ValueError("iteration count must be >= 1")
     k = min(int(k), n)
 
-    basis = np.empty((n, k))
-    alphas = np.empty(k)
-    betas = np.empty(max(k - 1, 0))
-    q_prev = np.zeros(n)
-    q = b / input_norm
-    basis[:, 0] = q
-    beta_prev = 0.0
-    scale = 1.0
-    terminated = False
+    run = _Recurrence(op, b / input_norm, k)
     estimate = exp_e1 = None
-    j = 1
-    for i in range(k):
-        w = op.matvec(q)
-        w_norm = math.sqrt(w @ w)
-        # a NaN or inf entry makes the norm non-finite; only then is the scan
-        # needed, to tell it apart from finite entries whose squares overflow
-        if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
-            raise ConvergenceError(f"non-finite values at iteration {i + 1}")
-        scale = max(scale, w_norm)
-        w = w - beta_prev * q_prev
-        alpha = float(w @ q)
-        w = w - alpha * q
-        # two Gram-Schmidt passes keep the basis orthonormal to roundoff
-        block = basis[:, : i + 1]
-        for _ in range(2):
-            w -= block @ (block.T @ w)
-        alphas[i] = alpha
-        j = i + 1
-        if j == k and tol is None:
-            break
-        beta = math.sqrt(w @ w)
-        if not math.isfinite(beta):
-            raise ConvergenceError(f"non-finite values at iteration {i + 1}")
-        breakdown = beta <= BREAKDOWN_RTOL * scale
+    for j, beta, breakdown in run.iterations(k, last_beta=tol is not None):
         if tol is not None:
-            # Saad's estimate beta |c_j| / ||c||
-            exp_e1 = _exp_e1(*tridiagonal_eigh(alphas[:j], betas[: j - 1]))
-            c = exp_e1[0]
-            estimate = beta * abs(float(c[-1])) / math.sqrt(c @ c)
-            if estimate <= tol or j == k:
-                terminated = breakdown and j < k
+            # Saad's estimate beta |c_j| / ||c||: with c = V s and V orthogonal, ||c|| = ||s|| and c_j is
+            # one row of V times s, so c itself is formed only at the stop
+            theta, v = tridiagonal_eigh(run.alphas[:j], run.betas[: j - 1])
+            s = np.exp(theta - theta[-1]) * v[0, :]
+            estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
+            if estimate <= tol or breakdown or j == k:
+                exp_e1 = v @ s, float(theta[-1])
                 break
-        if breakdown:
-            terminated = True
+        elif breakdown:
             break
-        betas[i] = beta
-        q_prev = q
-        q = w / beta
-        basis[:, i + 1] = q
-        beta_prev = beta
 
     return LanczosDecomposition(
-        basis=basis[:, :j].copy(),
-        alphas=alphas[:j].copy(),
-        betas=betas[: j - 1].copy(),
+        basis=run.rows[:j].copy().T,
+        alphas=run.alphas[:j].copy(),
+        betas=run.betas[: j - 1].copy(),
         input_norm=input_norm,
-        terminated_early=terminated,
+        terminated_early=breakdown and j < k,
         error_estimate=estimate,
         exp_e1=exp_e1,
     )
+
+
+class _Recurrence:
+    """One symmetric Lanczos run with full reorthogonalization, grown an iteration at a time.
+
+    ``rows[:j]`` is the orthonormal basis after j iterations, one vector a
+    row, so that a Gram-Schmidt sweep is one product with a contiguous
+    ``j x n`` block; ``alphas[:j]`` and ``betas[:j-1]`` are the tridiagonal
+    coefficients.  The three buffers start with ``capacity`` entries and
+    double when full.
+    """
+
+    def __init__(self, op, q, capacity):
+        self.op = op
+        self.rows = np.empty((capacity, op.n))
+        self.rows[0] = q
+        self.alphas = np.empty(capacity)
+        self.betas = np.empty(capacity)
+
+    def iterations(self, k, last_beta):
+        """Run iterations 1..k, yielding ``(j, beta, breakdown)`` after iteration j.
+
+        ``beta`` is the norm of the new residual: resuming stores it in
+        ``betas[j-1]`` and the residual's direction in ``rows[j]``.  After
+        iteration k it is computed only with ``last_beta``, and is ``None``
+        otherwise.  ``breakdown`` flags a ``beta`` of at most
+        ``BREAKDOWN_RTOL`` times the largest matvec norm so far, which ends the
+        run.  Raises :class:`ConvergenceError` naming the iteration if a
+        matvec or ``beta`` is not finite.
+        """
+        op, rows, alphas, betas = self.op, self.rows, self.alphas, self.betas
+        scale = 1.0
+        for i in range(k):
+            j = i + 1
+            w = op.matvec(rows[i])
+            w_norm = math.sqrt(w @ w)
+            # a NaN or inf entry makes the norm non-finite; only then is the scan
+            # needed, to tell it apart from finite entries whose squares overflow
+            if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
+                raise ConvergenceError(f"non-finite values at iteration {j}")
+            scale = max(scale, w_norm)
+            # two classical Gram-Schmidt sweeps, whose coefficients on rows[i] sum to alpha; the
+            # first makes a new w, since an operator may return its input or a buffer it keeps
+            block = rows[:j]
+            h = block @ w
+            w = w - h @ block
+            h2 = block @ w
+            w -= h2 @ block
+            alphas[i] = h[i] + h2[i]
+            if j == k and not last_beta:
+                yield j, None, False
+                return
+            beta = math.sqrt(w @ w)
+            if not math.isfinite(beta):
+                raise ConvergenceError(f"non-finite values at iteration {j}")
+            breakdown = beta <= BREAKDOWN_RTOL * scale
+            yield j, beta, breakdown
+            if breakdown or j == k:
+                return
+            if j == len(alphas):
+                more = min(j, k - j)
+                self.rows = rows = np.concatenate([rows, np.empty((more, rows.shape[1]))])
+                self.alphas = alphas = np.concatenate([alphas, np.empty(more)])
+                self.betas = betas = np.concatenate([betas, np.empty(more)])
+            betas[i] = beta
+            np.divide(w, beta, out=rows[j])
 
 
 def _exp_e1(theta, v):

@@ -270,7 +270,7 @@ def rank_one_within(a, lo, hi):
     b_sq = float(b @ b)
     if not b_sq < math.inf:  # a non-finite b would make inf - inf in E
         return False
-    resid = np.multiply.outer(b, b)
+    resid = _outer_self(b)
     np.subtract(a, resid, out=resid)
     flat = resid.ravel()
     e_norm = math.sqrt(flat @ flat)
@@ -279,6 +279,18 @@ def rank_one_within(a, lo, hi):
     # rounds once; the factors here are about twice that
     err = (1.0 + (n * n + 8) * _EPS) * e_norm + 4.0 * (n + 2) * _EPS * b_sq + n * _UNDERFLOW_NORM
     return lo <= -err and b_sq + err <= hi
+
+
+def _outer_self(v):
+    """``np.outer(v, v)`` in one BLAS rank-one update (``dger`` into zeros), C-ordered.
+
+    Each entry is one rounded product, as in ``np.outer``, so the bits are
+    its bits except that a zero product is ``+0.0``, and the result is
+    exactly symmetric; numpy's row-by-row loop takes two to three times as
+    long from n = 128 up.
+    """
+    n = len(v)
+    return scipy.linalg.blas.dger(1.0, v, v, a=np.zeros((n, n), order="F"), overwrite_a=1).T
 
 
 def top_eigenvalue(a):
@@ -322,28 +334,32 @@ def operator_norm(a):
 def _lanczos_extremes(a):
     """Lanczos estimates ``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``.
 
-    Runs Krylov tridiagonalization from a fixed random start, doubling the
-    subspace dimension until the extreme Ritz values are stable to a relative
-    :data:`LANCZOS_RTOL` or the subspace exhausts the full dimension, which
-    is exact.  The Ritz values come from LAPACK ``stevd`` without vectors.
-    Stable Ritz values are an estimate, not a bound.
+    Runs one Krylov tridiagonalization from a fixed random start and reads
+    its Ritz values at depths that double, until the extreme ones are stable
+    to a relative :data:`LANCZOS_RTOL` or the subspace exhausts the full
+    dimension, which is exact.  A depth-j run is the first j iterations of a
+    deeper one, so the values are those of a fresh run to each depth.  The
+    Ritz values come from LAPACK ``stevd`` without vectors.  Stable Ritz
+    values are an estimate, not a bound.
     """
-    from .lanczos import lanczos_decompose
+    from .lanczos import _Recurrence
 
     n = a.shape[0]
     op = SparseSymOperator(n, lambda v: a @ v)
     k = min(n, max(8, 2 * int(np.ceil(np.log(max(n, 2))))))
     b = sample_unit_sphere(n, SeededRng(0x5EED_0B0B))
+    run = _Recurrence(op, b / math.sqrt(b @ b), k)  # normalized as lanczos_decompose does, to its bits
     prev = None
-    while True:
-        dec = lanczos_decompose(op, b, k)
-        theta = dec.alphas
-        if dec.iterations > 1:
-            theta, _, info = scipy.linalg.lapack.dstevd(dec.alphas, dec.betas, compute_v=0)
+    for j, _, breakdown in run.iterations(n, last_beta=False):
+        if j < k and not breakdown:
+            continue
+        theta = run.alphas[:j]
+        if j > 1:
+            theta, _, info = scipy.linalg.lapack.dstevd(theta, run.betas[: j - 1], compute_v=0)
             if info != 0:
-                raise ConvergenceError(f"tridiagonal eigensolver failed for n={dec.iterations} (info={info})")
+                raise ConvergenceError(f"tridiagonal eigensolver failed for n={j} (info={info})")
         est = (float(theta.min()), float(theta.max()))
-        if dec.terminated_early or dec.iterations >= n:
+        if breakdown or j >= n:
             return est  # Krylov space exhausted: extremes exact for this start
         if prev is not None and all(abs(e - p) <= 0.5 * LANCZOS_RTOL * max(1.0, abs(e)) for e, p in zip(est, prev)):
             return est

@@ -21,6 +21,7 @@ from .lanczos import DEFAULT_K0
 from .linalg import (
     ConvergenceError,
     SparseSymOperator,
+    _outer_self,
     dense_eigh,
     gaussian_symmetric,
     rank_one_within,
@@ -149,7 +150,7 @@ class StreamingPcaAdversary(Adversary):
 
     def next_gain(self, history):
         a = sample_unit_sphere(self.n, self._rng)
-        return np.outer(a, a)
+        return _outer_self(a)
 
 
 ADVERSARY_KINDS = ("random_rotation", "fixed_matrix", "psd_random", "streaming_pca")

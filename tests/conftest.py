@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from mmwsketch import SeededRng
+from mmwsketch import SeededRng, SparseSymOperator, lanczos_decompose, sample_unit_sphere
+from mmwsketch.linalg import LANCZOS_RTOL
 
 
 def expm_dense(a):
@@ -178,6 +180,80 @@ def simplex_regret_certificate(result):
     lhs = played - float(costs.sum(axis=0).min())
     rhs = math.log(costs.shape[1]) / eta + 0.5 * eta * float((np.abs(costs).max(axis=1) ** 2).sum())
     return lhs, rhs
+
+
+def rank_one_within_by_outer(a, lo, hi):
+    """``(decision, E)`` of ``linalg.rank_one_within(a, lo, hi)`` with ``b b'`` from ``np.multiply.outer``.
+
+    The reference for the library's one-call rank-one update: the same pivot,
+    2x2-minor exit, residual ``E = a - b b'`` and error bound, with numpy's
+    own outer product.  ``E`` is ``None`` where the test exits before forming it.
+    """
+    n = a.shape[0]
+    eps = float(np.finfo(float).eps)
+    diag = a.diagonal()
+    i = int(diag.argmax())
+    pivot = float(diag[i])
+    if not 0.0 < pivot < math.inf:
+        return False, None
+    if n > 1:
+        ajj, aij = float(diag[i - 1]), float(a[i, i - 1])
+        if abs(pivot * ajj - aij * aij) > 64.0 * eps * pivot * abs(ajj):
+            return False, None
+    b = a[:, i] / math.sqrt(pivot)
+    b_sq = float(b @ b)
+    if not b_sq < math.inf:
+        return False, None
+    resid = a - np.multiply.outer(b, b)
+    flat = resid.ravel()
+    e_norm = math.sqrt(flat @ flat)
+    err = (1.0 + (n * n + 8) * eps) * e_norm + 4.0 * (n + 2) * eps * b_sq + n * 2.0**-537
+    return lo <= -err and b_sq + err <= hi, resid
+
+
+def lanczos_extremes_by_restart(a):
+    """``linalg._lanczos_extremes(a)`` with a fresh ``lanczos_decompose`` run to every depth it checks.
+
+    The reference for the library's single growing run: the same start
+    vector, depths ``k, 2k, 4k, ...`` (capped at ``n``), Ritz values from
+    ``stevd`` and stop rule.  Also returns the matvecs that all runs made.
+    """
+    n = a.shape[0]
+    op = SparseSymOperator(n, lambda v: a @ v)
+    k = min(n, max(8, 2 * int(np.ceil(np.log(max(n, 2))))))
+    b = sample_unit_sphere(n, SeededRng(0x5EED_0B0B))
+    prev = None
+    while True:
+        dec = lanczos_decompose(op, b, k)
+        theta = dec.alphas
+        if dec.iterations > 1:
+            theta = scipy.linalg.lapack.dstevd(dec.alphas, dec.betas, compute_v=0)[0]
+        est = (float(theta.min()), float(theta.max()))
+        if dec.terminated_early or dec.iterations >= n:
+            return est, op.matvec_count
+        if prev is not None and all(abs(e - p) <= 0.5 * LANCZOS_RTOL * max(1.0, abs(e)) for e, p in zip(est, prev)):
+            return est, op.matvec_count
+        prev = est
+        k = min(2 * k, n)
+
+
+@pytest.fixture
+def extremes_against_restart(monkeypatch):
+    """Every ``linalg._lanczos_extremes`` call, as ``(result, lanczos_extremes_by_restart's result)``.
+
+    Each call also runs the oracle on the same matrix and still returns the
+    library's result, so a run's other outputs are the library's own.
+    """
+    import mmwsketch.linalg as linalg
+
+    extremes, pairs = linalg._lanczos_extremes, []
+
+    def both(a):
+        pairs.append((extremes(a), lanczos_extremes_by_restart(a)[0]))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(linalg, "_lanczos_extremes", both)
+    return pairs
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from mmwsketch import (
     trace_norm_distance,
 )
 from mmwsketch.online import (
+    Adversary,
     expected_regret_bound,
     high_probability_regret_bound,
     refined_regret_bound,
@@ -253,6 +254,32 @@ def test_criterion_07_curvature_sampling_suite():
            elapsed, budget=300.0)
 
 
+class _ReplayAdversary(Adversary):
+    """Hands the engine a recorded gain sequence of another adversary, one gain a step."""
+
+    def __init__(self, source, gains):
+        self.n, self.gain_class = source.n, source.gain_class
+        self._gains = iter(gains)
+
+    def next_gain(self, history):
+        return next(self._gains)
+
+
+def _criterion_08_game(seed, strategy, sched, gains=None):
+    """One game of criterion 08: seed ``seed``'s adversary draws its gains, or replays ``gains`` drawn before."""
+    adv_rng, play_rng = SeededRng(seed).spawn(2)
+    adv = builtin_adversaries("random_rotation", 64, adv_rng)
+    if gains is not None:
+        adv = _ReplayAdversary(adv, gains)
+    return run_online(adv, strategy, sched, play_rng)
+
+
+def _criterion_08_gains(seed, horizon):
+    """The gains of seed ``seed``'s oblivious adversary: its stream does not depend on the plays."""
+    adv = builtin_adversaries("random_rotation", 64, SeededRng(seed).spawn(2)[0])
+    return [adv.next_gain([]) for _ in range(horizon)]
+
+
 def test_criterion_08_lanczos_play_matches_exact():
     t0 = time.perf_counter()
     n, horizon = 64, 2000
@@ -261,14 +288,10 @@ def test_criterion_08_lanczos_play_matches_exact():
     hits = 0
     matvec_ok = True
     for seed in range(50):
-        def one(strategy):
-            master = SeededRng(800 + seed)
-            adv_rng, play_rng = master.spawn(2)
-            adv = builtin_adversaries("random_rotation", n, adv_rng)
-            return run_online(adv, strategy, sched, play_rng)
-
-        exact = one("rank1_exact")
-        approx = one("rank1_lanczos")
+        # both games see the same gains: draw them once
+        gains = _criterion_08_gains(800 + seed, horizon)
+        exact = _criterion_08_game(800 + seed, "rank1_exact", sched, gains)
+        approx = _criterion_08_game(800 + seed, "rank1_lanczos", sched, gains)
         hits += approx.cum_gain[-1] >= exact.cum_gain[-1] - 1.0
         # every step runs at least one matvec and never more than its depth cap
         matvec_ok &= bool(np.all((1 <= approx.matvecs) & (approx.matvecs <= approx.k_cap)))
@@ -277,6 +300,19 @@ def test_criterion_08_lanczos_play_matches_exact():
     report(8, "depth-scheduled play loses at most one unit", ok,
            f"{hits}/50 seeds within -1; 1 <= matvecs <= k_cap at every step: {matvec_ok}",
            elapsed)
+
+
+def test_criterion_08_replayed_gains_give_the_regenerated_games():
+    horizon = 2000
+    sched = Schedule(eta=default_eta(64, horizon), T=horizon, delta=0.1)
+    gains = _criterion_08_gains(800, horizon)
+    for strategy in ("rank1_exact", "rank1_lanczos"):
+        replayed = _criterion_08_game(800, strategy, sched, gains)
+        regenerated = _criterion_08_game(800, strategy, sched)
+        for name in ("step_gain", "cum_gain", "lam_max_running", "k_used", "k_cap", "matvecs", "krylov_err_est"):
+            assert getattr(replayed, name).tobytes() == getattr(regenerated, name).tobytes(), (strategy, name)
+        for name in ("lam_max_final", "lam_max_tol", "total_regret", "avg_regret"):
+            assert getattr(replayed, name) == getattr(regenerated, name), (strategy, name)
 
 
 def test_criterion_09_sdp_solver():

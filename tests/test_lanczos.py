@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,30 @@ class TestDecomposition:
     def test_oversized_k_clamped(self, rng):
         dec = lanczos_decompose(random_symmetric(rng, 5), rng.standard_normal(5), 50)
         assert dec.iterations <= 5
+
+
+class TestPrefix:
+    """A depth-k run is the first k iterations of a deeper one from the same start, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_shallow_run_is_a_prefix_of_a_deep_one(self, kind):
+        rng = SeededRng(61)
+        if kind == "dense":
+            n = 200
+            op = random_symmetric(rng, n)
+        else:
+            n = 4096
+            raw = sp.random(n, n, density=4.0 / n, random_state=5, format="csr")
+            csr = (raw + raw.T).tocsr()
+            op = SparseSymOperator(n, lambda v: csr @ v, nnz_hint=csr.nnz)
+        b = rng.standard_normal(n)
+        deep = lanczos_decompose(op, b, 96)
+        assert deep.iterations == 96
+        for k in (4, 16, 64):
+            dec = lanczos_decompose(op, b, k)
+            assert dec.alphas.tobytes() == deep.alphas[:k].tobytes(), k
+            assert dec.betas.tobytes() == deep.betas[: k - 1].tobytes(), k
+            assert dec.basis.tobytes() == np.ascontiguousarray(deep.basis[:, :k]).tobytes(), k
 
 
 class TestExpmMultiply:

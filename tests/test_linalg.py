@@ -32,7 +32,13 @@ from mmwsketch.linalg import (
     top_eigenvalue,
 )
 from mmwsketch.online import GAIN_SPECTRUM
-from conftest import haar_orthogonal, random_symmetric, symmetry_defect
+from conftest import (
+    haar_orthogonal,
+    lanczos_extremes_by_restart,
+    random_symmetric,
+    rank_one_within_by_outer,
+    symmetry_defect,
+)
 
 
 def reconstruct(dec):
@@ -229,6 +235,26 @@ class TestRankOneWithin:
         for lo, hi in GAIN_SPECTRUM.values():
             assert not rank_one_within(0.5 * np.eye(4), lo, hi)
             assert not rank_one_within(_with_spectrum(rng, np.linspace(0.1, 0.9, 6)), lo, hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 128, 257])
+    def test_residual_and_decision_match_the_outer_oracle(self, monkeypatch, rng, n):
+        import mmwsketch.linalg as linalg
+
+        # the residual is formed in place in the buffer the rank-one update returns
+        outer, formed = linalg._outer_self, []
+        monkeypatch.setattr(linalg, "_outer_self", lambda v: formed.append(outer(v)) or formed[-1])
+        for gain_class in sorted(GAIN_SPECTRUM):
+            lo, hi = GAIN_SPECTRUM[gain_class]
+            for offset in (-1e-6, -1e-11, 1e-11, 1e-6):
+                a = sample_unit_sphere(n, rng) * math.sqrt(hi + offset)
+                for g in (_rank_one(rng, n, hi + offset), np.outer(a, a), (hi + offset) * np.eye(n)):
+                    formed.clear()
+                    decision, resid = rank_one_within_by_outer(g, lo, hi)
+                    assert rank_one_within(g, lo, hi) == decision
+                    if resid is None:
+                        assert formed == []
+                    else:
+                        assert formed[0].tobytes() == resid.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_or_nonpositive_pivot_gives_false(self, rng):
@@ -491,6 +517,48 @@ class TestLanczosExtremes:
         assert len(solves) >= 8  # one solve per doubling of the Krylov depth
         for d, e, theta in solves:
             assert theta.tobytes() == scipy.linalg.eigvalsh_tridiagonal(d, e).tobytes()
+
+
+class TestGrowingLanczosRun:
+    """``_lanczos_extremes`` grows one run: its results are those of a fresh run to each depth it checks."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "degenerate", "padded"])
+    def test_matches_a_restart_at_every_check_bitwise(self, rng, kind):
+        n = 300
+        if kind == "dense":
+            a = random_symmetric(rng, n)
+        elif kind == "sparse":
+            a = TestExtremeEigenvalues.sparse_symmetric(rng, n, density=0.05)
+        elif kind == "degenerate":  # the Krylov space breaks down after a few iterations
+            a = np.diag(np.repeat([1.0, -2.0, 3.0], n // 3))
+        else:
+            small = TestExtremeEigenvalues.sparse_symmetric(rng, 30, density=0.3)
+            a = sp.block_diag([small, sp.csr_matrix((n - 30, n - 30))], format="csr")
+        counted = _CountingMatrix(a)
+        expected, restarted_matvecs = lanczos_extremes_by_restart(a)
+        got = _lanczos_extremes(counted)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert counted.calls <= restarted_matvecs
+
+    def test_saves_at_least_two_fifths_of_the_matvecs_at_4096(self):
+        n = 4096
+        raw = sp.random(n, n, density=4.0 / n, random_state=11, format="csr")
+        a = (raw + raw.T).tocsr()
+        counted = _CountingMatrix(a)
+        expected, restarted_matvecs = lanczos_extremes_by_restart(a)
+        assert np.array(_lanczos_extremes(counted)).tobytes() == np.array(expected).tobytes()
+        assert counted.calls <= 0.6 * restarted_matvecs
+
+
+class _CountingMatrix:
+    """A symmetric matrix that counts its products with a vector."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.calls = a, a.shape, 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.a @ v
 
 
 class TestExtremeEigenvalues:

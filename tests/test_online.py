@@ -90,6 +90,17 @@ class TestBuiltinAdversaries:
         assert lam[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(lam[:-1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 128, 257])
+    def test_streaming_pca_gain_is_numpy_outer_bitwise(self, n):
+        adv = builtin_adversaries("streaming_pca", n, SeededRng(17))
+        twin = SeededRng(17)
+        for _ in range(3):
+            g = adv.next_gain(())
+            a = sample_unit_sphere(n, twin)
+            assert g.tobytes() == np.outer(a, a).tobytes()
+            assert g.flags.c_contiguous
+            assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
+
     def test_psd_random_spectrum_in_unit_box(self, rng):
         adv = builtin_adversaries("psd_random", 8, rng)
         for _ in range(5):
@@ -545,6 +556,16 @@ class TestRunOnline:
         assert np.isnan(trace.lam_max_running[2])
         assert np.isfinite(np.delete(trace.lam_max_running, 2)).all()
         assert trace.lam_max_tol > 0.0
+
+    def test_checkpoints_equal_a_restarted_lanczos_bitwise(self, extremes_against_restart):
+        n, horizon = DENSE_LIMIT + 1, 40
+        adv_rng, play_rng = SeededRng(7).spawn(2)
+        adv = builtin_adversaries("streaming_pca", n, adv_rng)
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=default_eta(n, horizon), T=horizon), play_rng)
+        assert len(extremes_against_restart) == 7  # t = 1, 2, 4, 8, 16, 32, 40
+        for got, restarted in extremes_against_restart:
+            assert np.array(got).tobytes() == np.array(restarted).tobytes()
+        assert trace.lam_max_final == extremes_against_restart[-1][0][1]
 
     def test_operator_mode_smoke(self):
         # one dimension above the limit: the engine's own operator route, no lowered limit

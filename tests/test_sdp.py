@@ -626,6 +626,15 @@ class TestSolveFeasibility:
         res = solve_feasibility(infeasible, 0.5, rng=SeededRng(1))
         assert res.verdict == "infeasible"
 
+    def test_above_the_limit_equals_a_restarted_lanczos_bitwise(self, extremes_against_restart):
+        # the width (one call per constraint) and s_upper (one call) are the only Lanczos extremes of a solve
+        inst = builtin_instance("rand20x10")
+        result = solve_feasibility(_padded_above_the_limit(inst), 0.25, rng=SeededRng(909), use_lanczos=True)
+        assert len(extremes_against_restart) == inst.m + 1
+        for got, restarted in extremes_against_restart:
+            assert np.array(got).tobytes() == np.array(restarted).tobytes()
+        assert result.verdict == "feasible"
+
     def test_averaging_correctness(self):
         inst = builtin_instance("sym2x2")
         result = solve_feasibility(inst, 0.5, rng=SeededRng(11))

@@ -528,7 +528,8 @@ def build_parser():
     p.setting("--sizes", default="8,16", help="comma-separated dimensions")
     p.setting("--ks", default="1,2,4,8,16", help="comma-separated iteration counts")
     p.setting("--spectra", default=",".join(BENCH_SPECTRA), help="comma-separated kinds")
-    p.setting("--op-norm", type=float, default=4.0)
+    p.setting("--op-norm", type=float, default=4.0,
+              check=(lambda x: 0.0 <= x < math.inf, "op-norm must be a finite number >= 0"))
     p.setting("--bench-seeds", type=int, default=3, check=(_at_least_one, "bench-seeds must be >= 1"))
 
     sub.add_parser("selftest", help="fast invariant smoke checks").set_defaults(func=cmd_selftest)

@@ -17,10 +17,7 @@ Numer. Anal. 1992) is at most ``tol``; the requested depth is then a cap.
 The estimate is the first term of an error expansion, not a certified bound.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +30,104 @@ DEFAULT_K0 = 4.0
 BREAKDOWN_RTOL = 1e-12
 
 
-@dataclass
 class LanczosDecomposition:
-    """Orthonormal Krylov basis and tridiagonal coefficients.
+    """One symmetric Lanczos run with full reorthogonalization, grown an iteration at a time.
 
-    ``basis`` is n-by-j with ``basis[:, 0] = b/||b||``; ``alphas`` (length j)
-    and ``betas`` (length j-1) are the tridiagonal diagonal/off-diagonal.
-    ``terminated_early`` flags a breakdown (off-diagonal vanished) before the
-    requested iteration count.  Runs with an error budget also carry the
-    estimate at the stop (``error_estimate``) and, from that check, the
-    pair ``(c, theta_max)`` of the final tridiagonal matrix ``T``, where
-    ``c = exp(T - theta_max I) e_1`` and ``theta_max`` is its top eigenvalue
-    (``exp_e1``); both are ``None`` for fixed-depth runs.
+    The run keeps its orthonormal basis one vector a row, so that a
+    Gram-Schmidt sweep is one product with a contiguous ``j x n`` block; the
+    basis rows and the tridiagonal coefficients sit in buffers that double
+    when full.  After j iterations ``basis`` is the n-by-j view of the first
+    j rows, with ``basis[:, 0] = b/||b||``, and ``alphas`` (length j) and
+    ``betas`` (length j-1) are views of the tridiagonal diagonal and
+    off-diagonal.  ``terminated_early`` flags a breakdown (off-diagonal
+    vanished) before the requested iteration count.  Runs with an error
+    budget also carry the estimate at the stop (``error_estimate``) and, from
+    that check, the pair ``(c, theta_max)`` of the final tridiagonal matrix
+    ``T``, where ``c = exp(T - theta_max I) e_1`` and ``theta_max`` is its
+    top eigenvalue (``exp_e1``); both are ``None`` for fixed-depth runs.
     """
 
-    basis: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
-    input_norm: float
-    terminated_early: bool
-    error_estimate: float | None = None
-    exp_e1: tuple | None = None
+    def __init__(self, op, b, capacity):
+        """An unstarted run of the :class:`SparseSymOperator` ``op`` from ``b``, with room for ``capacity`` rows."""
+        n = op.n
+        # contiguous, so that b @ b runs the dot kernel np.linalg.norm does
+        b = np.ascontiguousarray(b, dtype=float)
+        if b.shape != (n,):
+            raise ValueError(f"expected start vector of length {n}, got shape {b.shape}")
+        self.input_norm = math.sqrt(b @ b)
+        if self.input_norm == 0.0:
+            raise ValueError("start vector must be nonzero")
+        self._op = op
+        self._rows = np.empty((capacity, n))
+        self._rows[0] = b / self.input_norm
+        self._alphas = np.empty(capacity)
+        self._betas = np.empty(capacity)
+        self.iterations = 0
+        self.terminated_early = False
+        self.error_estimate = None
+        self.exp_e1 = None
 
     @property
-    def iterations(self):
-        return len(self.alphas)
+    def basis(self):
+        return self._rows[: self.iterations].T
+
+    @property
+    def alphas(self):
+        return self._alphas[: self.iterations]
+
+    @property
+    def betas(self):
+        return self._betas[: max(self.iterations - 1, 0)]
+
+    def _grow(self, k, last_beta):
+        """Run iterations 1..k, yielding ``(j, beta, breakdown)`` after iteration j.
+
+        ``beta`` is the norm of the new residual: resuming stores it in
+        ``betas[j-1]`` and the residual's direction in basis row j.  After
+        iteration k it is computed only with ``last_beta``, and is ``None``
+        otherwise.  ``breakdown`` flags a ``beta`` of at most
+        ``BREAKDOWN_RTOL`` times the largest matvec norm so far, which ends the
+        run.  Raises :class:`ConvergenceError` naming the iteration if a
+        matvec or ``beta`` is not finite.
+        """
+        op, rows, alphas, betas = self._op, self._rows, self._alphas, self._betas
+        scale = 1.0
+        for i in range(k):
+            j = i + 1
+            w = op.matvec(rows[i])
+            w_norm = math.sqrt(w @ w)
+            # a NaN or inf entry makes the norm non-finite; only then is the scan
+            # needed, to tell it apart from finite entries whose squares overflow
+            if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
+                raise ConvergenceError(f"non-finite values at iteration {j}")
+            scale = max(scale, w_norm)
+            # two classical Gram-Schmidt sweeps, whose coefficients on rows[i] sum to alpha; the
+            # first makes a new w, since an operator may return its input or a buffer it keeps
+            block = rows[:j]
+            h = block @ w
+            w = w - h @ block
+            h2 = block @ w
+            w -= h2 @ block
+            alphas[i] = h[i] + h2[i]
+            self.iterations = j
+            if j == k and not last_beta:
+                yield j, None, False
+                return
+            beta = math.sqrt(w @ w)
+            if not math.isfinite(beta):
+                raise ConvergenceError(f"non-finite values at iteration {j}")
+            breakdown = beta <= BREAKDOWN_RTOL * scale
+            self.terminated_early = breakdown and j < k
+            yield j, beta, breakdown
+            if breakdown or j == k:
+                return
+            if j == len(alphas):
+                more = min(j, k - j)
+                self._rows = rows = np.concatenate([rows, np.empty((more, rows.shape[1]))])
+                self._alphas = alphas = np.concatenate([alphas, np.empty(more)])
+                self._betas = betas = np.concatenate([betas, np.empty(more)])
+            betas[i] = beta
+            np.divide(w, beta, out=rows[j])
 
     def expm(self, normalized=False):
         """Krylov approximation of ``exp(a) @ b`` from this decomposition.
@@ -89,113 +159,27 @@ def lanczos_decompose(a, b, k, tol=None):
     once the relative error estimate ``beta_j |c_j| / ||c||`` of the Krylov
     approximation of ``exp(a) b``, where ``c = exp(T_j - theta_max I) e_1``,
     is at most ``tol``; k is then the cap.  Requests with ``k > n`` are
-    clamped to ``n``.  Raises on a zero start vector, and raises
-    :class:`ConvergenceError` naming the iteration index if non-finite values
-    appear.
+    clamped to ``n``.  Returns the grown run.  Raises on a zero start vector,
+    and raises :class:`ConvergenceError` naming the iteration index if
+    non-finite values appear.
     """
     op = as_operator(a)
-    n = op.n
-    # contiguous, so that b @ b runs the dot kernel np.linalg.norm does
-    b = np.ascontiguousarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"expected start vector of length {n}, got shape {b.shape}")
-    input_norm = math.sqrt(b @ b)
-    if input_norm == 0.0:
-        raise ValueError("start vector must be nonzero")
     if k < 1:
         raise ValueError("iteration count must be >= 1")
-    k = min(int(k), n)
-
-    run = _Recurrence(op, b / input_norm, k)
-    estimate = exp_e1 = None
-    for j, beta, breakdown in run.iterations(k, last_beta=tol is not None):
-        if tol is not None:
-            # Saad's estimate beta |c_j| / ||c||: with c = V s and V orthogonal, ||c|| = ||s|| and c_j is
-            # one row of V times s, so c itself is formed only at the stop
-            theta, v = tridiagonal_eigh(run.alphas[:j], run.betas[: j - 1])
-            s = np.exp(theta - theta[-1]) * v[0, :]
-            estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
-            if estimate <= tol or breakdown or j == k:
-                exp_e1 = v @ s, float(theta[-1])
-                break
-        elif breakdown:
+    k = min(int(k), op.n)
+    run = LanczosDecomposition(op, b, k)
+    for j, beta, breakdown in run._grow(k, last_beta=tol is not None):
+        if tol is None:
+            continue
+        # Saad's estimate beta |c_j| / ||c||: with c = V s and V orthogonal, ||c|| = ||s|| and c_j is
+        # one row of V times s, so c itself is formed only at the stop
+        theta, v = tridiagonal_eigh(run.alphas, run.betas)
+        s = np.exp(theta - theta[-1]) * v[0, :]
+        run.error_estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
+        if run.error_estimate <= tol or breakdown or j == k:
+            run.exp_e1 = v @ s, float(theta[-1])
             break
-
-    return LanczosDecomposition(
-        basis=run.rows[:j].copy().T,
-        alphas=run.alphas[:j].copy(),
-        betas=run.betas[: j - 1].copy(),
-        input_norm=input_norm,
-        terminated_early=breakdown and j < k,
-        error_estimate=estimate,
-        exp_e1=exp_e1,
-    )
-
-
-class _Recurrence:
-    """One symmetric Lanczos run with full reorthogonalization, grown an iteration at a time.
-
-    ``rows[:j]`` is the orthonormal basis after j iterations, one vector a
-    row, so that a Gram-Schmidt sweep is one product with a contiguous
-    ``j x n`` block; ``alphas[:j]`` and ``betas[:j-1]`` are the tridiagonal
-    coefficients.  The three buffers start with ``capacity`` entries and
-    double when full.
-    """
-
-    def __init__(self, op, q, capacity):
-        self.op = op
-        self.rows = np.empty((capacity, op.n))
-        self.rows[0] = q
-        self.alphas = np.empty(capacity)
-        self.betas = np.empty(capacity)
-
-    def iterations(self, k, last_beta):
-        """Run iterations 1..k, yielding ``(j, beta, breakdown)`` after iteration j.
-
-        ``beta`` is the norm of the new residual: resuming stores it in
-        ``betas[j-1]`` and the residual's direction in ``rows[j]``.  After
-        iteration k it is computed only with ``last_beta``, and is ``None``
-        otherwise.  ``breakdown`` flags a ``beta`` of at most
-        ``BREAKDOWN_RTOL`` times the largest matvec norm so far, which ends the
-        run.  Raises :class:`ConvergenceError` naming the iteration if a
-        matvec or ``beta`` is not finite.
-        """
-        op, rows, alphas, betas = self.op, self.rows, self.alphas, self.betas
-        scale = 1.0
-        for i in range(k):
-            j = i + 1
-            w = op.matvec(rows[i])
-            w_norm = math.sqrt(w @ w)
-            # a NaN or inf entry makes the norm non-finite; only then is the scan
-            # needed, to tell it apart from finite entries whose squares overflow
-            if not math.isfinite(w_norm) and not np.all(np.isfinite(w)):
-                raise ConvergenceError(f"non-finite values at iteration {j}")
-            scale = max(scale, w_norm)
-            # two classical Gram-Schmidt sweeps, whose coefficients on rows[i] sum to alpha; the
-            # first makes a new w, since an operator may return its input or a buffer it keeps
-            block = rows[:j]
-            h = block @ w
-            w = w - h @ block
-            h2 = block @ w
-            w -= h2 @ block
-            alphas[i] = h[i] + h2[i]
-            if j == k and not last_beta:
-                yield j, None, False
-                return
-            beta = math.sqrt(w @ w)
-            if not math.isfinite(beta):
-                raise ConvergenceError(f"non-finite values at iteration {j}")
-            breakdown = beta <= BREAKDOWN_RTOL * scale
-            yield j, beta, breakdown
-            if breakdown or j == k:
-                return
-            if j == len(alphas):
-                more = min(j, k - j)
-                self.rows = rows = np.concatenate([rows, np.empty((more, rows.shape[1]))])
-                self.alphas = alphas = np.concatenate([alphas, np.empty(more)])
-                self.betas = betas = np.concatenate([betas, np.empty(more)])
-            betas[i] = beta
-            np.divide(w, beta, out=rows[j])
+    return run
 
 
 def _exp_e1(theta, v):

@@ -342,20 +342,19 @@ def _lanczos_extremes(a):
     Ritz values come from LAPACK ``stevd`` without vectors.  Stable Ritz
     values are an estimate, not a bound.
     """
-    from .lanczos import _Recurrence
+    from .lanczos import LanczosDecomposition
 
     n = a.shape[0]
     op = SparseSymOperator(n, lambda v: a @ v)
     k = min(n, max(8, 2 * int(np.ceil(np.log(max(n, 2))))))
-    b = sample_unit_sphere(n, SeededRng(0x5EED_0B0B))
-    run = _Recurrence(op, b / math.sqrt(b @ b), k)  # normalized as lanczos_decompose does, to its bits
+    run = LanczosDecomposition(op, sample_unit_sphere(n, SeededRng(0x5EED_0B0B)), k)
     prev = None
-    for j, _, breakdown in run.iterations(n, last_beta=False):
+    for j, _, breakdown in run._grow(n, last_beta=False):
         if j < k and not breakdown:
             continue
-        theta = run.alphas[:j]
+        theta = run.alphas
         if j > 1:
-            theta, _, info = scipy.linalg.lapack.dstevd(theta, run.betas[: j - 1], compute_v=0)
+            theta, _, info = scipy.linalg.lapack.dstevd(theta, run.betas, compute_v=0)
             if info != 0:
                 raise ConvergenceError(f"tridiagonal eigensolver failed for n={j} (info={info})")
         est = (float(theta.min()), float(theta.max()))

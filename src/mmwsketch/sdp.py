@@ -354,7 +354,10 @@ def feasibility_schedule(instance, epsilon):
 
 @dataclass
 class FeasibilityResult:
-    """Averaged iterates, certified gap, and the sign interval for the saddle value."""
+    """Averaged iterates, certified gap, and the sign interval for the saddle value.
+
+    ``completed`` says that the solve ran all ``T`` steps, which it always does.
+    """
 
     x_avg: SpectrahedronAction
     y_avg: np.ndarray
@@ -381,7 +384,7 @@ def _verdict(s_lower, s_upper):
     return "undetermined-at-epsilon"
 
 
-def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False, time_budget_s=None):
+def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False):
     """Run the primal-dual saddle-point game and certify the sign of its value.
 
     Per step: draw a sphere vector, play the rank-1 sketch of the running
@@ -412,7 +415,6 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
     y_history = np.zeros((horizon, m))
     x_factor_history = np.zeros((horizon, n))
     matvecs = 0
-    steps_done = 0
     # the scaled gain sum A* eta_y_sum, one CSR whose data each step rewrites in place
     stack_values = instance.stack().values
     gain_csr = _adjoint_csr(instance, eta_y_sum)
@@ -437,17 +439,13 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
         x_factor_history[t - 1] = action.factor
         cost_sum += cost
         eta_y_sum += eta * yw
-        steps_done = t
-        if time_budget_s is not None and (time.perf_counter_ns() - start_ns) > time_budget_s * 1e9:
-            break
 
-    factors = x_factor_history[:steps_done]
     x_avg = np.zeros((n, n))
-    for start in range(0, steps_done, X_AVG_BLOCK):
-        block = factors[start : start + X_AVG_BLOCK]
+    for start in range(0, horizon, X_AVG_BLOCK):
+        block = x_factor_history[start : start + X_AVG_BLOCK]
         x_avg += block.T @ block
-    x_avg /= steps_done
-    y_avg /= steps_done
+    x_avg /= horizon
+    y_avg /= horizon
     x_action = SpectrahedronAction.dense(x_avg)
     gap = duality_gap(instance, x_action, y_avg)
     s_lower = float(costs(instance, x_action).min())
@@ -456,7 +454,7 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
     result = FeasibilityResult(
         x_avg=x_action,
         y_avg=y_avg,
-        T=steps_done,
+        T=horizon,
         eta=eta,
         omega=omega,
         gap=gap,
@@ -465,10 +463,10 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False,
         verdict=_verdict(s_lower, s_upper),
         matvecs=matvecs,
         wall_ns=time.perf_counter_ns() - start_ns,
-        completed=steps_done == horizon,
-        cost_history=cost_history[:steps_done],
-        y_history=y_history[:steps_done],
-        x_factor_history=factors,
+        completed=True,
+        cost_history=cost_history,
+        y_history=y_history,
+        x_factor_history=x_factor_history,
     )
     return result
 

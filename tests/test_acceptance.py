@@ -5,9 +5,13 @@ lines as they complete.  The expensive game sweeps are shared through
 module-scoped fixtures.
 """
 
+import functools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -56,19 +60,26 @@ def report(num, title, ok, detail, elapsed=None, budget=None):
         assert within, f"criterion {num} exceeded runtime budget: {elapsed:.1f}s > {budget}s"
 
 
+def map_seeds(func, seeds):
+    """``[func(s) for s in seeds]``, computed in up to four worker processes started afresh."""
+    workers = min(4, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(func, seeds))
+
+
+def _unit_norm_run(n, horizon, seed):
+    adv_rng, play_rng = SeededRng(seed).spawn(2)
+    adv = builtin_adversaries("random_rotation", n, adv_rng)
+    return run_online(adv, "rank1_exact", Schedule(eta=default_eta(n, horizon), T=horizon), play_rng)
+
+
 @pytest.fixture(scope="module")
 def unit_norm_sweep():
     """50-seed sweep: n=32, T=5000, default eta, unit-norm oblivious gains."""
     n, horizon = 32, 5000
     eta = default_eta(n, horizon)
-    runs = []
     t0 = time.perf_counter()
-    for seed in range(50):
-        master = SeededRng(seed)
-        adv_rng, play_rng = master.spawn(2)
-        adv = builtin_adversaries("random_rotation", n, adv_rng)
-        trace = run_online(adv, "rank1_exact", Schedule(eta=eta, T=horizon), play_rng)
-        runs.append(trace)
+    runs = map_seeds(functools.partial(_unit_norm_run, n, horizon), range(50))
     return {"runs": runs, "eta": eta, "n": n, "T": horizon, "elapsed": time.perf_counter() - t0}
 
 
@@ -280,21 +291,23 @@ def _criterion_08_gains(seed, horizon):
     return [adv.next_gain([]) for _ in range(horizon)]
 
 
+def _criterion_08_seed(seed, horizon=2000):
+    """Seed ``seed``'s criterion-08 outcome: whether the Krylov game is within one unit, and its matvec check."""
+    sched = Schedule(eta=default_eta(64, horizon), T=horizon, delta=0.1)
+    # both games see the same gains: draw them once
+    gains = _criterion_08_gains(seed, horizon)
+    exact = _criterion_08_game(seed, "rank1_exact", sched, gains)
+    approx = _criterion_08_game(seed, "rank1_lanczos", sched, gains)
+    hit = bool(approx.cum_gain[-1] >= exact.cum_gain[-1] - 1.0)
+    # every step runs at least one matvec and never more than its depth cap
+    return hit, bool(np.all((1 <= approx.matvecs) & (approx.matvecs <= approx.k_cap)))
+
+
 def test_criterion_08_lanczos_play_matches_exact():
     t0 = time.perf_counter()
-    n, horizon = 64, 2000
-    eta = default_eta(n, horizon)
-    sched = Schedule(eta=eta, T=horizon, delta=0.1)
-    hits = 0
-    matvec_ok = True
-    for seed in range(50):
-        # both games see the same gains: draw them once
-        gains = _criterion_08_gains(800 + seed, horizon)
-        exact = _criterion_08_game(800 + seed, "rank1_exact", sched, gains)
-        approx = _criterion_08_game(800 + seed, "rank1_lanczos", sched, gains)
-        hits += approx.cum_gain[-1] >= exact.cum_gain[-1] - 1.0
-        # every step runs at least one matvec and never more than its depth cap
-        matvec_ok &= bool(np.all((1 <= approx.matvecs) & (approx.matvecs <= approx.k_cap)))
+    outcomes = map_seeds(_criterion_08_seed, [800 + seed for seed in range(50)])
+    hits = sum(hit for hit, _ in outcomes)
+    matvec_ok = all(ok for _, ok in outcomes)
     elapsed = time.perf_counter() - t0
     ok = hits >= 45 and matvec_ok
     report(8, "depth-scheduled play loses at most one unit", ok,

@@ -526,6 +526,12 @@ class TestSettingsBoundary:
         assert capsys.readouterr().err == "error: bench-seeds must be >= 1\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-4"])
+    def test_op_norm_not_finite_and_nonnegative_is_usage_error(self, tmp_path, capsys, value):
+        assert run_cli(["bench-lanczos", f"--op-norm={value}", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: op-norm must be a finite number >= 0\n"
+        assert os.listdir(tmp_path) == []
+
 
 SEED_FLAGS = {"--seeds", "--seed", "--seed-list"}
 OUTPUT_FLAGS = {"--out", "--config"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmwsketch import (
     ConvergenceError,
+    LanczosDecomposition,
     SeededRng,
     SparseSymOperator,
     expm_multiply,
@@ -138,6 +139,54 @@ class TestPrefix:
             assert dec.alphas.tobytes() == deep.alphas[:k].tobytes(), k
             assert dec.betas.tobytes() == deep.betas[: k - 1].tobytes(), k
             assert dec.basis.tobytes() == np.ascontiguousarray(deep.basis[:, :k]).tobytes(), k
+
+
+def _prefix_operator(kind):
+    """The dense n=200 or sparse n=4096 operator of :class:`TestPrefix` and a start vector."""
+    rng = SeededRng(61)
+    if kind == "dense":
+        n = 200
+        op = SparseSymOperator.from_dense(random_symmetric(rng, n))
+    else:
+        n = 4096
+        raw = sp.random(n, n, density=4.0 / n, random_state=5, format="csr")
+        csr = (raw + raw.T).tocsr()
+        op = SparseSymOperator(n, lambda v: csr @ v, nnz_hint=csr.nnz)
+    return op, rng.standard_normal(n)
+
+
+class TestGrownRun:
+    """``lanczos_decompose`` returns the run it grew: one buffer, read through views."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_growing_through_doublings_matches_fixed_depth_runs_bitwise(self, kind):
+        op, b = _prefix_operator(kind)
+        run, capacities = LanczosDecomposition(op, b, 8), set()
+        for j, _, _ in run._grow(64, last_beta=False):
+            capacities.add(len(run._alphas))
+            if j in (8, 9, 16, 17, 33, 64):  # full, and just past each of the three doublings
+                dec = lanczos_decompose(op, b, j)
+                assert run.iterations == dec.iterations == j
+                assert run.basis.tobytes() == dec.basis.tobytes(), j
+                assert run.alphas.tobytes() == dec.alphas.tobytes(), j
+                assert run.betas.tobytes() == dec.betas.tobytes(), j
+        assert capacities == {8, 16, 32, 64} and run.input_norm == dec.input_norm
+
+    def test_fields_are_views_and_outlive_later_runs(self):
+        op, b = _prefix_operator("dense")
+        dec = lanczos_decompose(op, b, 40, tol=1e-10)
+        # views of the grown buffers, not copies made on each read
+        assert np.shares_memory(dec.basis, dec.basis) and np.shares_memory(dec.alphas, dec.alphas)
+        assert np.shares_memory(dec.betas, dec.betas)
+        before = [np.array(f).tobytes() for f in (dec.basis, dec.alphas, dec.betas, *dec.exp_e1)]
+        state = (dec.iterations, dec.input_norm, dec.terminated_early, dec.error_estimate)
+        y = dec.expm(normalized=True)
+        for k, tol in ((60, None), (40, 1e-10), (5, 1e-3)):
+            lanczos_decompose(op, b, k, tol=tol)
+            lanczos_decompose(op, -b, k, tol=tol)
+        assert [np.array(f).tobytes() for f in (dec.basis, dec.alphas, dec.betas, *dec.exp_e1)] == before
+        assert (dec.iterations, dec.input_norm, dec.terminated_early, dec.error_estimate) == state
+        assert dec.expm(normalized=True).tobytes() == y.tobytes()
 
 
 class TestExpmMultiply:

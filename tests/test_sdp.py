@@ -22,6 +22,7 @@ from mmwsketch import (
 )
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.sdp import (
+    X_AVG_BLOCK,
     InstanceFormatError,
     _adjoint_csr,
     make_random_instance,
@@ -642,6 +643,11 @@ class TestSolveFeasibility:
         replay /= result.T
         assert np.abs(replay - result.x_avg.matrix).max() <= 1e-10
         assert np.allclose(result.y_history.mean(axis=0), result.y_avg, atol=1e-12)
+        # T = 856 = 13 * 64 + 24: the average covers every step, including a partly filled block
+        result = solve_feasibility(builtin_instance("rand20x10"), 0.25, rng=SeededRng(3))
+        assert result.completed and result.T == 856 and result.T % X_AVG_BLOCK
+        replay = result.x_factor_history.T @ result.x_factor_history / result.T
+        assert np.abs(replay - result.x_avg.matrix).max() <= 1e-12
 
     def test_averaged_iterates_satisfy_membership(self):
         result = solve_feasibility(builtin_instance("rand20x10"), 0.5, rng=SeededRng(21))
@@ -675,15 +681,6 @@ class TestSolveFeasibility:
         for delta in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
                 solve_feasibility(_simple_instance(), 0.5, delta=delta, use_lanczos=use_lanczos)
-
-    def test_time_budget_flags_partial_result(self):
-        inst = builtin_instance("rand20x10")
-        result = solve_feasibility(inst, 0.25, rng=SeededRng(3), time_budget_s=1e-9)
-        assert not result.completed
-        assert result.T < 856
-        # the average covers exactly the steps played, including a partly filled block
-        replay = result.x_factor_history.T @ result.x_factor_history / result.T
-        assert np.abs(replay - result.x_avg.matrix).max() <= 1e-12
 
     def test_determinism(self):
         r1 = solve_feasibility(builtin_instance("sym2x2"), 0.5, rng=SeededRng(6))

@@ -67,7 +67,7 @@ ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 TRACE_SCHEMA = "online-eig-trace-v6"
 BENCH_SCHEMA = "bench-lanczos-v3"
 ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v4"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v5"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v6"
 #: Older CSVs stay readable: v5 traces and bench v2 have v6's and v3's columns, with
 #: Krylov values from the earlier recurrence; v4 traces fill ``lam_max_running`` on
 #: every row, where v5 leaves it empty between rank1-lanczos checkpoints; trace v2-v3

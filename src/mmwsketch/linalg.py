@@ -27,6 +27,10 @@ _EPS = float(np.finfo(float).eps)
 _MINOR_RTOL = 64.0 * _EPS
 #: Squares below the smallest subnormal flush to zero, hiding at most ``n 2^-537`` of a Frobenius norm.
 _UNDERFLOW_NORM = 2.0**-537
+#: ``syevr`` scales a matrix whose largest entry lies outside ``[_SYEVR_RMIN, _SYEVR_RMAX]``: LAPACK's
+#: ``sqrt(safmin / eps)`` and ``min(sqrt(eps / safmin), 1 / sqrt(sqrt(safmin)))``, safmin = 2^-1022, eps = 2^-52.
+_SYEVR_RMIN = math.sqrt(2.0**-1022 / 2.0**-52)
+_SYEVR_RMAX = min(math.sqrt(2.0**-52 / 2.0**-1022), 1.0 / math.sqrt(math.sqrt(2.0**-1022)))
 
 
 class LinalgError(Exception):
@@ -52,11 +56,16 @@ def sym_array(a):
 
     Accepts any square array-like whose asymmetry is below ``1e-8``
     relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
-    bitwise.
+    bitwise.  Input that is already bitwise symmetric comes back as a copy;
+    otherwise the result is ``0.5 * (a + a')``, the same bits wherever the
+    doubled entries do not overflow.
     """
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    bits = arr.view(np.int64)
+    if np.array_equal(bits, bits.T):  # exactly symmetric, signed zeros and NaN payloads included
+        return arr
     scale = 1.0 + np.abs(arr).max() if arr.size else 1.0
     if np.abs(arr - arr.T).max() > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
@@ -319,16 +328,51 @@ def top_eigenvalue(a):
 def operator_norm(a):
     """``max |lam_i|`` of the symmetric dense or scipy-sparse ``a``.
 
-    Exact at dense scale, ``n <= DENSE_LIMIT`` (``np.linalg.eigvalsh`` of
-    ``a``, densified if sparse), and the Lanczos estimate of
-    :func:`_lanczos_extremes` above it.
+    Exact at dense scale, ``n <= DENSE_LIMIT``: the two extreme eigenvalues
+    of :func:`_dense_extremes`, which raises :class:`ConvergenceError` on a
+    NaN or inf entry.  Above it, the Lanczos estimate of
+    :func:`_lanczos_extremes`.
     """
-    if a.shape[0] > DENSE_LIMIT:
-        lam_min, lam_max = _lanczos_extremes(a)
-    else:
-        lam = np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
-        lam_min, lam_max = lam[0], lam[-1]
+    extremes = _lanczos_extremes if a.shape[0] > DENSE_LIMIT else _dense_extremes
+    lam_min, lam_max = extremes(a)
     return max(abs(lam_min), abs(lam_max))
+
+
+def _dense_extremes(a):
+    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, with the bits LAPACK ``syevr`` gives each.
+
+    Takes the route of ``syevr`` for one eigenvalue by index, with one
+    reduction for both ends: its scaling of a largest entry outside
+    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction as in
+    :func:`tridiagonalize`, then one ``stebz`` bisection for eigenvalue 1
+    and one for eigenvalue n.  Raises :class:`ConvergenceError`
+    if LAPACK reports a failure or the tridiagonal matrix is not finite (a
+    NaN or inf entry), where an unchecked bisection returns a number.
+    """
+    n = a.shape[0]
+    # a symmetric copy's transpose is the copy in Fortran order, which sytrd reduces in place
+    arr = (a.toarray() if sp.issparse(a) else np.array(a, dtype=float)).T
+    sigma = 1.0
+    if n > 1:
+        top = float(max(arr.max(), -arr.min()))
+        if 0.0 < top < _SYEVR_RMIN:
+            sigma = _SYEVR_RMIN / top
+        elif _SYEVR_RMAX < top < math.inf:
+            sigma = _SYEVR_RMAX / top
+        if sigma != 1.0:
+            arr *= sigma
+    _, d, e, _, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    if info != 0 or not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError(f"extreme eigenvalues failed for n={n}: tridiagonal reduction (info={info})")
+    if n == 1:
+        return float(d[0]), float(d[0])
+    ends = []
+    for i in (1, n):
+        _, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, 3, 0.0, 0.0, i, i, 0.0, "E")
+        if info != 0:
+            raise ConvergenceError(f"extreme eigenvalues failed for n={n}: bisection (info={info})")
+        ends.append(float(w[0]) * (1.0 / sigma))
+    return ends[0], ends[1]
 
 
 def _lanczos_extremes(a):

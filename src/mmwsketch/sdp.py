@@ -41,6 +41,14 @@ VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 #: many rows, with one ``F' F`` product per block.
 X_AVG_BLOCK = 64
 
+#: Krylov projections keep the scaled gain sum as a dense n x n array once the
+#: union pattern fills this share of it, so that array holds at most twice the
+#: pattern's entries.  Below it they keep a CSR matrix.  With one BLAS thread,
+#: a dense product beat the CSR one from a fill of 0.1 at n <= 300 and from
+#: about 0.4 at n = 700 to 3000, and was the faster at every n from a fill of
+#: 0.5.
+DENSE_GAIN_FILL = 0.5
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; message carries the offending line number."""
@@ -275,6 +283,31 @@ def _adjoint_csr(instance, weights):
     )
 
 
+def _gain_storage(instance, use_lanczos):
+    """Storage for a weighted constraint sum and the product that fills it.
+
+    Returns ``(gain, data, values)``: after ``data[:] = values @ w``,
+    ``gain`` is ``sum_i w_i A_i``.  It is a dense n x n array, with ``data``
+    its flat view, for exact projections, which decompose it densely, and
+    for Krylov ones once the union pattern fills :data:`DENSE_GAIN_FILL` of
+    it; ``values`` is then the stack's ``values`` with each union slot moved
+    to its flat position, so every entry is the same sum as in the CSR
+    data.  Below that fill ``gain`` is a CSR matrix over the union pattern
+    and ``data`` its data.
+    """
+    stack = instance.stack()
+    n, nnz = instance.n, len(stack.indices)
+    if use_lanczos and nnz < DENSE_GAIN_FILL * n * n:
+        gain = sp.csr_matrix((np.zeros(nnz), stack.indices, stack.indptr), shape=(n, n))
+        return gain, gain.data, stack.values
+    flat = np.repeat(np.arange(n), np.diff(stack.indptr)) * n + stack.indices
+    values = sp.csc_matrix(
+        (stack.values.data, flat[stack.values.indices], stack.values.indptr), shape=(n * n, instance.m)
+    )
+    gain = np.zeros((n, n))
+    return gain, gain.reshape(-1), values
+
+
 def costs(instance, action):
     """Cost vector ``c_i = <A_i, X>`` for a spectrahedron action.
 
@@ -415,21 +448,20 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     y_history = np.zeros((horizon, m))
     x_factor_history = np.zeros((horizon, n))
     matvecs = 0
-    # the scaled gain sum A* eta_y_sum, one CSR whose data each step rewrites in place
-    stack_values = instance.stack().values
-    gain_csr = _adjoint_csr(instance, eta_y_sum)
-    gain_op = SparseSymOperator(n, lambda v: gain_csr @ v, nnz_hint=gain_csr.nnz)
+    # the scaled gain sum A* eta_y_sum, whose storage each step rewrites in place
+    gain, gain_data, gain_values = _gain_storage(instance, use_lanczos)
+    gain_op = SparseSymOperator(n, lambda v: gain @ v, nnz_hint=gain.nnz if sp.issparse(gain) else n * n)
 
     for t in range(1, horizon + 1):
         u = sample_unit_sphere(n, rng)
-        gain_csr.data[:] = stack_values @ eta_y_sum
+        gain_data[:] = gain_values @ eta_y_sum
         if use_lanczos:
             gain_op.matvec_count = 0
             k = min(required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n), n)
             action = rank1_projection_lanczos(gain_op, u, k, tol=0.25 / horizon)
             matvecs += gain_op.matvec_count
         else:
-            action = rank1_projection(gain_csr.toarray(), u)
+            action = rank1_projection(gain, u)
         yw = softmax_grad(-eta * cost_sum)
 
         cost = costs(instance, action)

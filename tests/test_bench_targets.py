@@ -11,6 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,3 +71,16 @@ def test_workload_runs_at_toy_size(name):
         assert 0.0 < useful <= 1.0
     else:
         assert useful is None
+
+
+@pytest.mark.parametrize("toy", [True, False], ids=["toy", "full"])
+def test_sdp_instances_keep_a_dense_gain_sum(toy):
+    from mmwsketch.sdp import _gain_storage
+
+    workloads = _load_workloads()
+    wl = workloads.WORKLOADS["sdp-krylov"]
+    if toy:
+        wl = dataclasses.replace(wl, **TOY_SIZES["sdp-krylov"])
+    _, instance = workloads.sparse_instance(7, wl.n, wl.m, wl.density)
+    gain, _, _ = _gain_storage(instance, use_lanczos=True)
+    assert isinstance(gain, np.ndarray) and gain.shape == (wl.n, wl.n)

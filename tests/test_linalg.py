@@ -69,6 +69,27 @@ class TestSymmetricMatrix:
         sym_array(g)[0, 0] = 7.0
         assert np.array_equal(g, before)
 
+    def test_exactly_symmetric_input_keeps_the_average_bits(self, rng):
+        a = random_symmetric(rng, 6)
+        a[0, 0] = -0.0
+        a[1, 2] = a[2, 1] = -0.0
+        a[3, 4] = a[4, 3] = np.nan
+        out = sym_array(a)
+        assert out is not a and out.tobytes() == a.tobytes() == (0.5 * (a + a.T)).tobytes()
+
+    def test_signed_zero_pair_is_averaged(self):
+        a = np.zeros((3, 3))
+        a[0, 2] = -0.0
+        out = sym_array(a)
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes() and not np.signbit(out).any()
+
+    def test_entries_above_half_the_largest_double_do_not_overflow(self, rng):
+        a = random_symmetric(rng, 4)
+        a[1, 1] = a[2, 3] = a[3, 2] = 0.75 * np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert np.isinf(0.5 * (a + a.T)).any()
+        assert sym_array(a).tobytes() == a.tobytes()
+
     def test_asymmetry_within_tolerance_still_averaged(self, rng):
         a = random_symmetric(rng, 7)
         a[1, 4] += 1e-12
@@ -569,14 +590,49 @@ class TestExtremeEigenvalues:
         a = random_symmetric(rng, n)
         return sp.csr_matrix(np.where(np.abs(a) < density, a, 0.0))
 
-    @pytest.mark.parametrize("n", [1, 2, 40])
-    def test_sparse_and_dense_input_agree_bitwise(self, rng, n):
-        a = self.sparse_symmetric(rng, n)
+    @staticmethod
+    def dense_scale_case(rng, kind):
+        if kind == "all_zero":
+            return sp.csr_matrix((5, 5))
+        if kind == "negative_end_dominant":  # lam_max < 0 < |lam_min|
+            return TestExtremeEigenvalues.sparse_symmetric(rng, 30, density=0.3) - 2.0 * sp.eye(30, format="csr")
+        if kind in ("huge", "tiny"):  # both take syevr's scaling
+            return TestExtremeEigenvalues.sparse_symmetric(rng, 40) * (1e300 if kind == "huge" else 1e-200)
+        return TestExtremeEigenvalues.sparse_symmetric(rng, int(kind))
+
+    @pytest.mark.parametrize("kind", ["1", "2", "40", "all_zero", "negative_end_dominant", "huge", "tiny"])
+    def test_sparse_and_dense_input_agree_bitwise(self, rng, kind):
+        a = self.dense_scale_case(rng, kind)
         dense = a.toarray()
+        n = dense.shape[0]
         lam, tol = top_eigenvalue(a)
         assert (lam, tol) == top_eigenvalue(dense) and tol == 0.0
         norm = operator_norm(a)
-        assert norm == operator_norm(dense) == np.abs(np.linalg.eigvalsh(dense)).max()
+        assert norm == operator_norm(dense)
+        # syevr's reduction and bisection for one index, through scipy's public driver
+        ends = [scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[i, i], driver="evr")[0] for i in (0, n - 1)]
+        assert norm == max(abs(ends[0]), abs(ends[1]))
+        if kind not in ("huge", "tiny"):  # there syevr and eigvalsh's syevd scale by different factors
+            # a bisection does not reproduce the bits of eigvalsh's sterf, but stays within a few ulps of it
+            assert abs(norm - np.abs(np.linalg.eigvalsh(dense)).max()) <= 4 * np.spacing(norm)
+        if kind == "negative_end_dominant":
+            assert ends[1] < 0.0 and norm == -ends[0]
+
+    @pytest.mark.parametrize("kind", ["nan_off_diagonal_pair", "inf_diagonal", "nan_one_by_one"])
+    def test_non_finite_input_raises(self, kind):
+        a = np.eye(1 if kind == "nan_one_by_one" else 4)
+        if kind == "nan_off_diagonal_pair":
+            a[0, 1] = a[1, 0] = np.nan
+        elif kind == "inf_diagonal":
+            a[2, 2] = np.inf
+        else:
+            a[0, 0] = np.nan
+        for form in (a, sp.csr_matrix(a)):
+            with pytest.raises(ConvergenceError, match=f"n={len(a)}"):
+                operator_norm(form)
+            if len(a) > 1:  # as top_eigenvalue does, whose syevr returns a 1 x 1 matrix's entry unchecked
+                with pytest.raises(ConvergenceError, match="n=4"):
+                    top_eigenvalue(form)
 
     def test_zero_padded_above_the_limit_runs_lanczos(self, monkeypatch, rng):
         import mmwsketch.linalg as linalg

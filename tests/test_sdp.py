@@ -21,10 +21,12 @@ from mmwsketch import (
     solve_feasibility,
 )
 from mmwsketch.projections import SpectrahedronAction
+from mmwsketch import sdp
 from mmwsketch.sdp import (
     X_AVG_BLOCK,
     InstanceFormatError,
     _adjoint_csr,
+    _gain_storage,
     make_random_instance,
 )
 from conftest import (
@@ -601,6 +603,57 @@ class TestFeasibilitySchedule:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             feasibility_schedule(_simple_instance(), 0.0)
+
+
+def _sparse_dense_scale_instance():
+    """n = 200 with a tridiagonal and a diagonal constraint: the union pattern fills 1.5% of n^2."""
+    n = 200
+    triplets = [(1, r, r, 1.0) for r in range(1, n + 1)] + [(1, r, r + 1, -0.5) for r in range(1, n)]
+    triplets += [(2, r, r, (-1.0) ** r) for r in range(1, n + 1)]
+    return SdpInstance(n, 2, triplets)
+
+
+class TestGainStorage:
+    """The scaled gain sum: a dense array for a dense union pattern or exact projections, a CSR matrix otherwise."""
+
+    @pytest.mark.parametrize(
+        "name, use_lanczos, dense",
+        [
+            ("rand20x10", True, True),
+            ("rand20x10", False, True),
+            ("padded", True, False),
+            ("sparse_n200", True, False),
+            ("sparse_n200", False, True),
+        ],
+    )
+    def test_layout_rule_and_the_csr_sums_bitwise(self, name, use_lanczos, dense):
+        inst = {
+            "rand20x10": lambda: builtin_instance("rand20x10"),
+            "padded": lambda: _padded_above_the_limit(builtin_instance("rand20x10")),
+            "sparse_n200": _sparse_dense_scale_instance,
+        }[name]()
+        gain, data, values = _gain_storage(inst, use_lanczos)
+        assert isinstance(gain, np.ndarray) == dense
+        w = np.random.default_rng(5).uniform(size=inst.m)
+        data[:] = values @ w
+        want = _adjoint_csr(inst, w)
+        if dense:
+            assert gain.shape == (inst.n, inst.n) and gain.tobytes() == want.toarray().tobytes()
+        else:
+            assert gain.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(gain.indices, want.indices) and np.array_equal(gain.indptr, want.indptr)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_both_layouts_play_the_same_game(self, monkeypatch, seed):
+        inst = builtin_instance("rand20x10")
+        results = {}
+        for fill in (0.0, math.inf):  # every pattern dense, then every pattern CSR
+            monkeypatch.setattr(sdp, "DENSE_GAIN_FILL", fill)
+            results[fill] = solve_feasibility(inst, 0.5, rng=SeededRng(seed), use_lanczos=True)
+        dense, csr = results[0.0], results[math.inf]
+        assert (dense.T, dense.verdict, dense.matvecs) == (csr.T, csr.verdict, csr.matvecs)
+        assert np.abs(dense.x_factor_history - csr.x_factor_history).max() <= 1e-12
+        assert np.abs(dense.y_history - csr.y_history).max() <= 1e-12
 
 
 class TestSolveFeasibility:

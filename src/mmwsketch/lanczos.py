@@ -59,7 +59,7 @@ class LanczosDecomposition:
             raise ValueError("start vector must be nonzero")
         self._op = op
         self._rows = np.empty((capacity, n))
-        self._rows[0] = b / self.input_norm
+        np.divide(b, self.input_norm, out=self._rows[0])
         self._alphas = np.empty(capacity)
         self._betas = np.empty(capacity)
         self.iterations = 0
@@ -90,11 +90,11 @@ class LanczosDecomposition:
         run.  Raises :class:`ConvergenceError` naming the iteration if a
         matvec or ``beta`` is not finite.
         """
-        op, rows, alphas, betas = self._op, self._rows, self._alphas, self._betas
+        matvec, rows, alphas, betas = self._op.matvec, self._rows, self._alphas, self._betas
         scale = 1.0
         for i in range(k):
             j = i + 1
-            w = op.matvec(rows[i])
+            w = matvec(rows[i])
             w_norm = math.sqrt(w @ w)
             # a NaN or inf entry makes the norm non-finite; only then is the scan
             # needed, to tell it apart from finite entries whose squares overflow
@@ -168,15 +168,20 @@ def lanczos_decompose(a, b, k, tol=None):
         raise ValueError("iteration count must be >= 1")
     k = min(int(k), op.n)
     run = LanczosDecomposition(op, b, k)
-    for j, beta, breakdown in run._grow(k, last_beta=tol is not None):
-        if tol is None:
-            continue
+    if tol is None:
+        for _ in run._grow(k, last_beta=False):
+            pass
+        return run
+    # a run of capacity k never outgrows its coefficient buffers
+    alphas, betas = run._alphas, run._betas
+    for j, beta, breakdown in run._grow(k, last_beta=True):
         # Saad's estimate beta |c_j| / ||c||: with c = V s and V orthogonal, ||c|| = ||s|| and c_j is
         # one row of V times s, so c itself is formed only at the stop
-        theta, v = tridiagonal_eigh(run.alphas, run.betas)
-        s = np.exp(theta - theta[-1]) * v[0, :]
-        run.error_estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
-        if run.error_estimate <= tol or breakdown or j == k:
+        theta, v = tridiagonal_eigh(alphas[:j], betas[: j - 1])
+        s = np.exp(theta - theta[-1]) * v[0]
+        estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
+        if estimate <= tol or breakdown or j == k:
+            run.error_estimate = estimate
             run.exp_e1 = v @ s, float(theta[-1])
             break
     return run

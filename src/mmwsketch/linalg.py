@@ -253,16 +253,24 @@ def spectrum_within(a, lo, hi):
 
 
 def rank_one_within(a, lo, hi):
-    """Whether ``lo I <= a <= hi I`` is proved in ``O(n^2)`` by splitting the exactly symmetric ``a`` at a rank-one term.
+    """Whether ``lo I <= a <= hi I`` is proved in ``O(n^2)`` by splitting ``a`` at a rank-one term.
 
     With the pivot ``i`` of the largest diagonal entry, ``b = a[:, i] / sqrt(a_ii)``
     and ``E = a - b b'``, Weyl's inequality puts the spectrum of ``a`` in
-    ``[-|E|_2, |b|^2 + |E|_2]``, and ``|E|_2 <= |E|_F``.  That interval, widened
-    by a bound on the rounding of ``E``, ``|E|_F`` and ``|b|^2``, must lie in
-    ``[lo, hi]``.  ``True`` is a proof; ``False`` proves nothing, and callers
-    then ask :func:`spectrum_within`.  A matrix far from rank one leaves after
-    one 2x2 minor ``a_ii a_jj - a_ij^2``, which vanishes to rounding for a
-    rank-one ``a``.  A non-finite pivot, ``|E|_F`` or ``|b|^2`` gives ``False``.
+    ``[-|E|_2, |b|^2 + |E|_2]``, and ``|E|_2 <= |E|_F``.  The lower end, widened
+    by a bound on the rounding of ``E`` and ``|E|_F``, and the upper end,
+    widened also for the rounding of ``|b|^2``, must lie in ``[lo, hi]``.
+    ``True`` is a proof; ``False`` proves nothing, and callers then ask
+    :func:`spectrum_within`.  A matrix far from rank one leaves after one 2x2
+    minor ``a_ii a_jj - a_ij^2``, which vanishes to rounding for a rank-one
+    ``a``.  A non-finite pivot, ``|E|_F`` or ``|b|^2`` gives ``False``.
+
+    ``a`` need not be symmetric: ``True`` then proves the interval for
+    ``(a + a') / 2``, and its lower end bounds ``|E|_F`` by ``-lo``, so that
+    ``|a - a'|_F = |E - E'|_F <= -2 lo`` and the symmetric matrix that the
+    lower triangle of ``a`` defines lies within ``sqrt(2) |E|_F`` of ``b b'``
+    in the 2-norm.  A caller that narrows ``lo`` can thus check symmetry and
+    the spectrum of that lower triangle without reading ``a'``.
     """
     n = a.shape[0]
     diag = a.diagonal()
@@ -283,11 +291,12 @@ def rank_one_within(a, lo, hi):
     np.subtract(a, resid, out=resid)
     flat = resid.ravel()
     e_norm = math.sqrt(flat @ flat)
-    # with u = eps / 2: the computed E is within about u |b|^2 of a - b b' in the Frobenius norm,
-    # |E|_F and |b|^2 come out within (n^2 + 2) u and (n + 1) u relative, and each sum below
-    # rounds once; the factors here are about twice that
+    # with u = eps / 2: the computed E is within u |b|^2 of a - b b' in the Frobenius norm, |E|_F and
+    # |b|^2 come out within (n^2 + 2) u and (n + 1) u relative, and each sum below rounds once; the
+    # factors here are about twice that.  e_bound bounds |a - b b'|_F, err also the rounding of |b|^2
+    e_bound = (1.0 + (n * n + 8) * _EPS) * e_norm + 2.0 * _EPS * b_sq + n * _UNDERFLOW_NORM
     err = (1.0 + (n * n + 8) * _EPS) * e_norm + 4.0 * (n + 2) * _EPS * b_sq + n * _UNDERFLOW_NORM
-    return lo <= -err and b_sq + err <= hi
+    return lo <= -e_bound and b_sq + err <= hi
 
 
 def _outer_self(v):
@@ -308,7 +317,8 @@ def top_eigenvalue(a):
     Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``, LAPACK
     ``syevr`` computes that one eigenvalue from the lower triangle of ``a``
     (densified if sparse) and ``tol`` is 0; it raises
-    :class:`ConvergenceError` if ``syevr`` reports a failure.  Above it,
+    :class:`ConvergenceError` if ``syevr`` reports a failure or the
+    eigenvalue is not finite.  Above it,
     ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes` and
     ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
     estimate, not a bound.
@@ -322,7 +332,10 @@ def top_eigenvalue(a):
     w, _, _, _, info = scipy.linalg.lapack.dsyevr(a.T, compute_v=0, range="I", il=n, iu=n)
     if info != 0:
         raise ConvergenceError(f"top eigenvalue failed for n={n} (info={info})")
-    return float(w[0]), 0.0
+    lam_max = float(w[0])
+    if not math.isfinite(lam_max):  # syevr copies a 1 x 1 matrix's entry, NaN or inf included
+        raise ConvergenceError(f"top eigenvalue failed for n={n}: {lam_max!r}")
+    return lam_max, 0.0
 
 
 def operator_norm(a):

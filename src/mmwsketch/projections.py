@@ -76,7 +76,7 @@ class SpectrahedronAction:
 
     @classmethod
     def rank1(cls, x):
-        x = np.asarray(x, dtype=float).copy()
+        x = np.array(x, dtype=float)
         x /= _unit_norm(x, "rank-1 factor")
         nz = np.nonzero(x)[0]
         if len(nz) and x[nz[0]] < 0:

@@ -191,13 +191,25 @@ class SdpInstance:
     def compute_width(self):
         """Width ``max_i |A_i|_inf``; cached on the instance.
 
-        Each ``|A_i|_inf`` is :func:`operator_norm` of the CSR matrix of
-        ``A_i``: exact at dense scale, ``n <= DENSE_LIMIT``, and above it a
-        Lanczos estimate whose extreme Ritz values are stable to a relative
-        ``LANCZOS_RTOL``, which is not a bound.
+        Each ``|A_i|_inf`` is :func:`operator_norm` of the sparse matrix of
+        ``A_i``, built in COO form from its own slice of the stored entries
+        and their mirrors: exact at dense scale, ``n <= DENSE_LIMIT``, and
+        above it a Lanczos estimate whose extreme Ritz values are stable to a
+        relative ``LANCZOS_RTOL``, which is not a bound.
         """
         if self.width is None:
-            self.width = max(operator_norm(_adjoint_csr(self, np.eye(1, self.m, i)[0])) for i in range(self.m))
+            n = self.n
+            ends = np.searchsorted(self.con, np.arange(self.m + 1)).tolist()
+            norms = []
+            for start, stop in zip(ends[:-1], ends[1:]):
+                r, c, v = self.row[start:stop], self.col[start:stop], self.val[start:stop]
+                off = r != c
+                a = sp.coo_matrix(
+                    (np.concatenate((v, v[off])), (np.concatenate((r, c[off])), np.concatenate((c, r[off])))),
+                    shape=(n, n),
+                )
+                norms.append(operator_norm(a))
+            self.width = max(norms)
         return self.width
 
 

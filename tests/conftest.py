@@ -188,6 +188,8 @@ def rank_one_within_by_outer(a, lo, hi):
     The reference for the library's one-call rank-one update: the same pivot,
     2x2-minor exit, residual ``E = a - b b'`` and error bound, with numpy's
     own outer product.  ``E`` is ``None`` where the test exits before forming it.
+    The lower end is tested against the bound on ``|E|_F``, the upper end also
+    against the rounding of ``|b|^2``.
     """
     n = a.shape[0]
     eps = float(np.finfo(float).eps)
@@ -207,8 +209,9 @@ def rank_one_within_by_outer(a, lo, hi):
     resid = a - np.multiply.outer(b, b)
     flat = resid.ravel()
     e_norm = math.sqrt(flat @ flat)
+    e_bound = (1.0 + (n * n + 8) * eps) * e_norm + 2.0 * eps * b_sq + n * 2.0**-537
     err = (1.0 + (n * n + 8) * eps) * e_norm + 4.0 * (n + 2) * eps * b_sq + n * 2.0**-537
-    return lo <= -err and b_sq + err <= hi, resid
+    return lo <= -e_bound and b_sq + err <= hi, resid
 
 
 def lanczos_extremes_by_restart(a):
@@ -235,6 +238,51 @@ def lanczos_extremes_by_restart(a):
             return est, op.matvec_count
         prev = est
         k = min(2 * k, n)
+
+
+def budgeted_sketch_by_layers(apply_y, u, k, tol):
+    """``(factor, error_estimate, matvecs)`` of the budgeted rank-1 Krylov sketch, written out step by step.
+
+    The reference for ``rank1_projection_lanczos(op, u, k, tol)`` with ``op``
+    computing ``apply_y(v) = Y v``: the loop the library ran before its sketch
+    was made lean, with every product ``0.5 * apply_y(v)``, two Gram-Schmidt
+    sweeps per iteration, a ``stevd`` check of Saad's estimate after every
+    iteration, the product ``V c`` from the basis and the unit factor with
+    its canonical sign.
+    """
+    n = len(u)
+    k = min(int(k), n)
+    input_norm = math.sqrt(u @ u)
+    rows, alphas, betas = np.empty((k, n)), np.empty(k), np.empty(k)
+    rows[0] = u / input_norm
+    scale = 1.0
+    for i in range(k):
+        j = i + 1
+        w = 0.5 * apply_y(rows[i])
+        scale = max(scale, math.sqrt(w @ w))
+        h = rows[:j] @ w
+        w = w - h @ rows[:j]
+        h2 = rows[:j] @ w
+        w -= h2 @ rows[:j]
+        alphas[i] = h[i] + h2[i]
+        beta = math.sqrt(w @ w)
+        if j == 1:
+            theta, v = alphas[:1].copy(), np.ones((1, 1))
+        else:
+            theta, v, info = scipy.linalg.lapack.dstevd(alphas[:j], betas[:i], compute_v=1)
+            assert info == 0
+        s = np.exp(theta - theta[-1]) * v[0, :]
+        estimate = beta * abs(float(v[-1] @ s)) / math.sqrt(s @ s)
+        if estimate <= tol or beta <= 1e-12 * scale or j == k:
+            break
+        betas[i] = beta
+        rows[j] = w / beta
+    y = rows[:j].T @ (input_norm * (v @ s))
+    x = y / math.sqrt(y @ y)
+    x /= math.sqrt(x @ x)
+    if x[np.nonzero(x)[0][0]] < 0:
+        x = -x
+    return x, estimate, j
 
 
 @pytest.fixture

@@ -84,3 +84,24 @@ def test_sdp_instances_keep_a_dense_gain_sum(toy):
     _, instance = workloads.sparse_instance(7, wl.n, wl.m, wl.density)
     gain, _, _ = _gain_storage(instance, use_lanczos=True)
     assert isinstance(gain, np.ndarray) and gain.shape == (wl.n, wl.n)
+
+
+@pytest.mark.parametrize("name", ["online-krylov", "sdp-krylov"])
+def test_traced_toy_run_shows_every_product_and_decomposition(name):
+    tracing, workloads = _load_tracing(), _load_workloads()
+    wl = dataclasses.replace(workloads.WORKLOADS[name], **TOY_SIZES[name])
+    inputs = wl.setup(7)
+    tracer = tracing.Tracer()
+    tracer.run_id = 1
+    with tracer.installed():
+        out = wl.call(inputs, _StubClock(), oracle=True)
+    spans = tracing.RunSpans(tracer, 1)
+    assert spans.errors == []
+    # the per-layer metrics see a product only through its matvec span, and a sketch's Krylov
+    # work only through the lanczos_decompose span below it
+    matvecs = int(out.trace.matvecs.sum()) if wl.kind == "online" else out.matvecs
+    assert len(spans.named("linalg.matvec")) == matvecs > 0
+    sketches = spans.named("projections.rank1_projection_lanczos")
+    assert len(sketches) == wl.steps(out)
+    decomposed = {spans.spans[i][3] for i in spans.named("lanczos.lanczos_decompose")}
+    assert set(sketches) <= decomposed

@@ -316,6 +316,15 @@ class TestTopEigenvalue:
         with pytest.raises(ConvergenceError, match="info=3"):
             top_eigenvalue(np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_entry_raises(self, n, value):
+        # syevr reports success on a 1 x 1 matrix whatever its entry holds
+        a = np.eye(n)
+        a[0, 0] = value
+        with pytest.raises(ConvergenceError, match=f"failed for n={n}"):
+            top_eigenvalue(a)
+
 
 class TestTridiagonalize:
     """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors and the eigenpairs of T."""

@@ -219,6 +219,13 @@ class _NearlySymmetricAdversary(Adversary):
         return g + 1e-13 * noise
 
 
+def _unexpected(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a gain the rank-one proof accepts")
+
+    return fail
+
+
 class _OrderSpyAdversary(Adversary):
     """Asserts the engine never exposes the current step's action."""
 
@@ -414,20 +421,36 @@ class TestRunOnline:
             "spectrum_within": cholesky * horizon,
         }
 
-    def test_inexact_or_nan_gains_skip_the_rank_one_proof(self, monkeypatch, rng):
+    def test_gains_try_the_rank_one_proof_before_the_symmetry_scan(self, monkeypatch, rng):
         import mmwsketch.online as online
 
-        def unexpected(*args):
-            raise AssertionError("rank-one proof ran on a gain that is not exactly symmetric")
-
-        monkeypatch.setattr(online, "rank_one_within", unexpected)
+        proofs = []
+        rank_one = online.rank_one_within
+        monkeypatch.setattr(online, "rank_one_within", lambda *args: proofs.append(rank_one(*args)) or proofs[-1])
         a = sample_unit_sphere(6, rng)
-        nearly = np.outer(a, a) + 1e-13 * np.triu(rng.standard_normal((6, 6)), 1)
-        _validate_gain(nearly, "psd_unit", 1, 6)
-        poisoned = 0.5 * np.outer(a, a)
-        poisoned[2, 2] = np.nan
-        with pytest.raises(GainValidationError, match="^step 1: gain has non-finite entries$"):
-            _validate_gain(poisoned, "psd_unit", 1, 6)
+        exact = np.outer(a, a)
+        nearly = exact.copy()
+        nearly[0, 4] += 1e-13
+        with monkeypatch.context() as m:
+            # the proof alone accepts: neither the transposed scan nor a factorization runs
+            for name in ("array_equal", "abs"):
+                m.setattr(np, name, _unexpected(name))
+            m.setattr(online, "spectrum_within", _unexpected("spectrum_within"))
+            for gain in (exact, nearly):
+                _validate_gain(gain, "psd_unit", 1, 6)
+        assert proofs == [True, True]
+        # at 1e-10 a proof over the class interval alone would accept: the narrowed one must not
+        for skew in (1e-10, 1e-6):
+            skewed = exact.copy()
+            skewed[0, 4] += skew
+            with pytest.raises(GainValidationError, match="^step 1: gain matrix is not symmetric$"):
+                _validate_gain(skewed, "psd_unit", 1, 6)
+        for value in (np.nan, np.inf):
+            poisoned = 0.5 * exact
+            poisoned[2, 2] = value
+            with pytest.raises(GainValidationError, match="^step 1: gain has non-finite entries$"):
+                _validate_gain(poisoned, "psd_unit", 1, 6)
+        assert proofs == [True, True, False, False, False, False]
 
     def test_inf_gains_end_as_before(self, rng):
         a = sample_unit_sphere(6, rng)

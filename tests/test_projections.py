@@ -27,8 +27,9 @@ from mmwsketch import (
 from mmwsketch.linalg import dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
-from mmwsketch.sdp import _adjoint_csr, make_random_instance
-from conftest import expm_dense, haar_orthogonal, random_symmetric, trace_norm
+from mmwsketch.lanczos import required_iterations
+from mmwsketch.sdp import _adjoint_csr, _gain_storage, builtin_instance, make_random_instance
+from conftest import budgeted_sketch_by_layers, expm_dense, haar_orthogonal, random_symmetric, trace_norm
 
 
 class TestSoftmaxGrad:
@@ -384,6 +385,53 @@ class TestBudgetedKrylovSketch:
             eta_y_sum += eta * result.y_history[t - 1]
         assert worst <= 1.0 / horizon
         assert result.matvecs < 20 * horizon
+
+
+class TestLeanKrylovSketch:
+    """The budgeted sketch computes what the step-by-step loop of ``conftest`` computes, to the bit."""
+
+    @staticmethod
+    def _same_as_layers(apply_y, u, cap, tol):
+        op = SparseSymOperator(len(u), apply_y)
+        action = rank1_projection_lanczos(op, u, cap, tol=tol)
+        factor, estimate, matvecs = budgeted_sketch_by_layers(apply_y, u, cap, tol)
+        assert action.factor.tobytes() == factor.tobytes()
+        assert action.error_estimate == estimate
+        assert op.matvec_count == matvecs
+        return factor, matvecs
+
+    @pytest.mark.parametrize("kind,n,horizon", BUDGET_GAMES)
+    def test_gain_sums_of_builtin_adversaries(self, kind, n, horizon):
+        adv_rng, u_rng = SeededRng(8).spawn(2)
+        adversary = builtin_adversaries(kind, n, adv_rng)
+        eta = default_eta(n, horizon)
+        if adversary.gain_class == "psd_unit":
+            eta = min(eta, REFINED_ETA_MAX)
+        rule = kt_schedule(n, horizon, eta, 0.1)
+        sampled = set(np.linspace(1, horizon, 12).round().astype(int).tolist())
+        gain_sum = np.zeros((n, n))
+        for t in range(1, horizon + 1):
+            if t in sampled:
+                for _ in range(4):
+                    u = sample_unit_sphere(n, u_rng)
+                    self._same_as_layers(lambda v: eta * (gain_sum @ v), u, min(rule(t), n), 0.25 / horizon)
+            gain_sum += adversary.next_gain(())
+
+    def test_every_step_of_a_krylov_solve(self):
+        instance = builtin_instance("rand20x10")
+        result = solve_feasibility(instance, 0.5, rng=SeededRng(6), use_lanczos=True)
+        horizon, eta, n = result.T, result.eta, instance.n
+        gain, gain_data, gain_values = _gain_storage(instance, use_lanczos=True)
+        rng, eta_y_sum, matvecs = SeededRng(6), np.zeros(instance.m), 0
+        for t in range(1, horizon + 1):
+            u = sample_unit_sphere(n, rng)
+            gain_data[:] = gain_values @ eta_y_sum
+            cap = min(required_iterations(eta * t * result.omega, min(1.0 / horizon, 0.5), 0.1 / (2.0 * horizon), n), n)
+            factor, count = self._same_as_layers(lambda v: gain @ v, u, cap, 0.25 / horizon)
+            assert factor.tobytes() == result.x_factor_history[t - 1].tobytes(), t
+            matvecs += count
+            eta_y_sum += eta * result.y_history[t - 1]
+        assert matvecs == result.matvecs
 
 
 class TestTraceNormDistance:

@@ -20,6 +20,7 @@ from mmwsketch import (
     softmax_grad,
     solve_feasibility,
 )
+from mmwsketch.linalg import operator_norm
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch import sdp
 from mmwsketch.sdp import (
@@ -175,6 +176,16 @@ class TestSdpInstance:
         # above the dense limit each A_i is taken from the constraint stack; zero padding keeps the width
         stacked_width = _padded_above_the_limit(inst).compute_width()
         assert stacked_width == pytest.approx(inst.compute_width(), rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["rand20x10", "200x20"])
+    def test_width_from_each_constraint_has_the_bits_of_the_stack_route(self, name):
+        if name == "rand20x10":
+            built = builtin_instance(name)
+        else:
+            built = make_random_instance(200, 20, SeededRng(23), density=0.05)
+        inst = SdpInstance(built.n, built.m, built.triplets())  # no width yet
+        through_stack = max(operator_norm(_adjoint_csr(inst, np.eye(1, inst.m, i)[0])) for i in range(inst.m))
+        assert inst.compute_width() == through_stack
 
 
 class TestInstanceIo:

@@ -22,7 +22,17 @@ DENSE_LIMIT = 2048
 #: Relative stability of the extreme Ritz values at which Lanczos estimates stop above the dense limit.
 LANCZOS_RTOL = 1e-8
 
+#: Order from which :func:`tridiagonalize` leaves the eigenpairs of T uncomputed and applies ``exp(T/2)``
+#: by its Chebyshev series.  Medians of whole :func:`~mmwsketch.projections.rank1_projection` calls, the
+#: eigenpairs of T against the series, on random Y of spectral width 2, 20 and 80 (the ranges below), the
+#: two routes interleaved, one BLAS thread, 2-core VM: n=32 221-225 against 211-268 us, n=40 318-330
+#: against 261-372 us, n=48 273-279 against 171-223 us, n=64 514-517 against 305-390 us, n=200 4.9-5.0
+#: against 1.8-2.0 ms.  Below it the Python cost of each degree of the series outweighs the eigensolve.
+CHEBYSHEV_MIN_N = 48
+
 _EPS = float(np.finfo(float).eps)
+#: The Chebyshev series of ``exp`` stops where the coefficients it drops sum to less than this.
+_SERIES_TAIL = 2.0**-60
 #: 2x2 minors of a rank-one ``fl(c b b')`` vanish to this relative rounding.
 _MINOR_RTOL = 64.0 * _EPS
 #: Squares below the smallest subnormal flush to zero, hiding at most ``n 2^-537`` of a Frobenius norm.
@@ -172,33 +182,76 @@ def _sytrd_lwork(n):
     return max(1, int(work))
 
 
+def _bisect_eigenvalue(d, e, i, what):
+    """Eigenvalue ``i`` (1-based, ascending) of the tridiagonal ``(d, e)`` by one LAPACK ``stebz`` bisection."""
+    _, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, 3, 0.0, 0.0, i, i, 0.0, "E")
+    if info != 0:
+        raise ConvergenceError(f"{what} failed for n={len(d)}: bisection (info={info})")
+    return float(w[0])
+
+
+def _exp_series_coefficients(r):
+    """Chebyshev coefficients of ``exp(r (t - 1))`` on ``[-1, 1]``: ``e^-r I_0(r)``, then ``2 e^-r I_k(r)``.
+
+    ``I_k`` is the modified Bessel function of the first kind.  Miller's
+    backward recurrence ``I_{k-1} = (2k / r) I_k + I_{k+1}`` runs down from a
+    degree past where ``2 e^-r I_k(r)``, about ``2 exp(-k^2 / (2r)) / sqrt(2 pi r)``,
+    falls to ``2^-120``, and its values are normalized by
+    ``e^r = I_0 + 2 sum_k I_k``, so the coefficients sum to 1.  The series is
+    cut at the lowest degree whose dropped coefficients sum to less than
+    :data:`_SERIES_TAIL`; below ``r = _SERIES_TAIL`` that is degree 0, where
+    ``e^-r I_0(r)`` rounds to 1.
+    """
+    if not r >= _SERIES_TAIL:
+        return np.ones(1)
+    start = int(math.sqrt(170.0 * r)) + 10
+    vals = [0.0] * (start + 1)
+    upper, cur = 0.0, 1.0  # I_{k+1} and I_k, up to a common factor
+    vals[start] = cur
+    two_over_r = 2.0 / r
+    for k in range(start, 0, -1):
+        upper, cur = cur, k * two_over_r * cur + upper
+        vals[k - 1] = cur
+        if cur > 2.0**900:  # a step grows by at most 2^66 (k <= start, 2 / r <= 2^61): no overflow
+            vals[k - 1 :] = [x * 2.0**-900 for x in vals[k - 1 :]]
+            upper *= 2.0**-900
+            cur = vals[k - 1]
+    coef = np.array(vals)
+    coef[1:] *= 2.0
+    coef /= coef.sum()
+    dropped = np.cumsum(coef[::-1])[::-1]  # dropped[k]: the sum of coef[k:]
+    return coef[: int(np.argmax(dropped[1:] < _SERIES_TAIL)) + 1]
+
+
 @dataclass
 class TridiagonalForm:
-    """Householder reduction ``Y = Q T Q'`` with the eigenpairs ``T = V diag(theta) V'``.
+    """Householder reduction ``Y = Q T Q'``, with what applies ``exp((T - theta_max I)/2)`` to a vector.
 
     ``reflectors`` and ``tau`` are the Householder vectors and scalars that
     LAPACK ``sytrd`` (lower storage) leaves below the subdiagonal: with them
     ``Q = diag(1, Q_1)``, where ``Q_1`` is the ``ormqr`` product of the
-    reflector block.  ``eigenvalues`` (``theta``, ascending) and
-    ``eigenvectors`` (the columns of ``V``) are those of ``T``.  Neither
+    reflector block.  ``d`` and ``e`` are the diagonal and subdiagonal of T,
+    and ``top`` is its largest eigenvalue, which is that of Y.  Below
+    :data:`CHEBYSHEV_MIN_N`, ``eigenvalues`` (``theta``, ascending) and
+    ``eigenvectors`` (the columns of ``V``) are the eigenpairs of T, and
+    ``top`` is ``theta[-1]``; from it up both are ``None``, and ``top`` is
+    one ``stebz`` bisection, the bits :func:`_dense_extremes` gives.  Neither
     ``Q`` nor the eigenvectors of ``Y`` are formed: ``f(Y) x`` is
-    ``Q V f(theta) V' Q' x``, two ``O(n^2)`` applications of ``Q``.
+    ``Q f(T) Q' x``, two ``O(n^2)`` applications of ``Q``.
     """
 
     reflectors: np.ndarray
     tau: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def top(self):
-        """The largest eigenvalue of T, which is that of Y."""
-        return self.eigenvalues[-1]
+    d: np.ndarray
+    e: np.ndarray
+    top: float
+    eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
 
     def apply_q(self, x, trans=False):
         """``Q x``, or ``Q' x`` with ``trans``, by one LAPACK ``ormqr`` call."""
         x = np.asarray(x, dtype=float)
-        n = len(self.eigenvalues)
+        n = len(self.d)
         if x.shape != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
         out = x.copy()
@@ -211,14 +264,68 @@ class TridiagonalForm:
             out[1:] = tail[:, 0]
         return out
 
+    def exp_half(self, x):
+        """``exp((T - theta_max I)/2) x``, with ``theta_max`` the :attr:`top` eigenvalue of T.
+
+        Through the eigenpairs of T, ``V exp((theta - theta_max)/2) V' x``,
+        where the form holds them.  Otherwise by the Chebyshev series of
+        ``exp`` (Bergamaschi & Vianello, Numer. Linear Algebra Appl. 2000) on
+        ``[lo, theta_max]``, with ``lo`` the Gershgorin bound of T widened for
+        rounding.  With ``r`` a quarter of the width and ``t`` the image of
+        ``theta`` in ``[-1, 1]``, ``exp((theta - theta_max)/2) = exp(r (t - 1))``,
+        and :func:`_exp_series_coefficients` gives its series.  Clenshaw's
+        recurrence sums it with one banded product (BLAS ``sbmv``) and one
+        ``axpy`` per degree.  As ``|T_k(t)| <= 1`` on the interval, the cut
+        series is within ``2^-60 |x|`` of the exponential.  The upper end
+        must be exact: a loose one scales the result down to the size of
+        that error.  A width whose series would take more products than T
+        has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of T.
+        """
+        theta, v = self.eigenvalues, self.eigenvectors
+        if v is None:
+            d, e, n = self.d, self.e, len(self.d)
+            radius = np.zeros(n)
+            radius[1:] = np.abs(e)
+            radius[:-1] += radius[1:]
+            # each d_i - radius_i rounds twice, by at most eps (|d_i| + radius_i) together
+            lo = float((d - radius).min()) - 2.0 * _EPS * float((np.abs(d) + radius).max())
+            r = 0.25 * (self.top - lo)
+            if 83.0 * r <= n * n:
+                return _clenshaw_exp(d, e, 0.5 * (self.top + lo), r, x)
+            theta, v = tridiagonal_eigh(d, e)
+        return v @ (np.exp(0.5 * (theta - self.top)) * (v.T @ x))
+
+
+def _clenshaw_exp(d, e, mid, r, x):
+    """``exp(r (S - I)) x`` for ``S = (T - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``."""
+    coef = _exp_series_coefficients(r)
+    if len(coef) == 1:
+        return coef[0] * x
+    n = len(d)
+    band = np.zeros((n, 2))  # band.T is 2S = (T - mid I) / r in LAPACK's lower band storage, Fortran-ordered
+    band[:, 0] = (d - mid) * (1.0 / r)
+    band[:-1, 1] = e * (1.0 / r)
+    band = band.T
+    # positional, as keywords cost f2py about 1 us a call: sbmv(k, alpha, a, x, incx, offx, beta, y, incy,
+    # offy, lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
+    sbmv, axpy = scipy.linalg.blas.dsbmv, scipy.linalg.blas.daxpy
+    b1, b2 = coef[-1] * x, np.zeros(n)  # b_{k+1} and b_{k+2}
+    for c in coef[-2:0:-1].tolist():
+        b2 = axpy(x, sbmv(1, 1.0, band, b1, 1, 0, -1.0, b2, 1, 0, 1, 1), n, c)  # b_k = c_k x + 2S b_{k+1} - b_{k+2}
+        b1, b2 = b2, b1
+    return axpy(x, sbmv(1, 0.5, band, b1, 1, 0, -1.0, b2, 1, 0, 1, 1), n, coef[0])
+
 
 def tridiagonalize(a):
-    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then ``stevd`` on T.
+    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then what applies ``exp(T/2)``.
 
-    Costs the ``O(n^3)`` reduction and the tridiagonal eigensolve of a full
-    eigendecomposition, without its ``O(n^3)`` back-transform of the
-    eigenvectors.  Raises :class:`ConvergenceError` naming the matrix size if
-    LAPACK fails, and :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
+    Below :data:`CHEBYSHEV_MIN_N` that is ``stevd`` on T for all its
+    eigenpairs; from it up one ``stebz`` bisection for the top eigenvalue,
+    and the form applies the Chebyshev series of ``exp``.  Costs the
+    ``O(n^3)`` reduction of a full eigendecomposition, without its ``O(n^3)``
+    back-transform of the eigenvectors.  Raises :class:`ConvergenceError`
+    naming the matrix size if LAPACK fails or T is not finite (a NaN or inf
+    entry of ``a``), and :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
     """
     arr = sym_array(a)
     n = arr.shape[0]
@@ -227,8 +334,13 @@ def tridiagonalize(a):
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
     if info != 0:
         raise ConvergenceError(f"tridiagonal reduction failed for n={n} (info={info})")
-    theta, v = tridiagonal_eigh(d, e)
-    return TridiagonalForm(np.asfortranarray(c[1:, : n - 1]), tau, theta, v)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError(f"tridiagonal reduction failed for n={n}: T is not finite")
+    reflectors = np.asfortranarray(c[1:, : n - 1])
+    if n < CHEBYSHEV_MIN_N:
+        theta, v = tridiagonal_eigh(d, e)
+        return TridiagonalForm(reflectors, tau, d, e, theta[-1], theta, v)
+    return TridiagonalForm(reflectors, tau, d, e, _bisect_eigenvalue(d, e, n, "top eigenvalue of T"))
 
 
 def spectrum_within(a, lo, hi):
@@ -352,13 +464,15 @@ def operator_norm(a):
 
 
 def _dense_extremes(a):
-    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, with the bits LAPACK ``syevr`` gives each.
+    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, with the bits ``syevr`` gives each.
 
-    Takes the route of ``syevr`` for one eigenvalue by index, with one
-    reduction for both ends: its scaling of a largest entry outside
-    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction as in
-    :func:`tridiagonalize`, then one ``stebz`` bisection for eigenvalue 1
-    and one for eigenvalue n.  Raises :class:`ConvergenceError`
+    Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
+    one reduction for both ends: its scaling of a largest entry outside
+    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction with
+    ``UPLO='L'`` as in :func:`tridiagonalize`, then one ``stebz`` bisection
+    for eigenvalue 1 and one for eigenvalue n.  :func:`top_eigenvalue`
+    calls ``syevr`` with ``UPLO='U'``, which reduces in the other order,
+    so its result can differ in the last bits.  Raises :class:`ConvergenceError`
     if LAPACK reports a failure or the tridiagonal matrix is not finite (a
     NaN or inf entry), where an unchecked bisection returns a number.
     """
@@ -379,13 +493,8 @@ def _dense_extremes(a):
         raise ConvergenceError(f"extreme eigenvalues failed for n={n}: tridiagonal reduction (info={info})")
     if n == 1:
         return float(d[0]), float(d[0])
-    ends = []
-    for i in (1, n):
-        _, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, 3, 0.0, 0.0, i, i, 0.0, "E")
-        if info != 0:
-            raise ConvergenceError(f"extreme eigenvalues failed for n={n}: bisection (info={info})")
-        ends.append(float(w[0]) * (1.0 / sigma))
-    return ends[0], ends[1]
+    lam_min, lam_max = (_bisect_eigenvalue(d, e, i, "extreme eigenvalues") * (1.0 / sigma) for i in (1, n))
+    return lam_min, lam_max
 
 
 def _lanczos_extremes(a):

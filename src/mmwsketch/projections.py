@@ -168,19 +168,18 @@ def _direction_action(v, underflow_message):
 def rank1_projection(y, u):
     """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``; requires dense scale.
 
-    ``y`` is the symmetric Y or its :class:`TridiagonalForm` ``Y = Q T Q'``,
-    ``T = V diag(theta) V'``.  Computes
-    ``v = Q V exp((theta - theta_max)/2) V' Q' u``: the shift by the top
-    eigenvalue is loss-free, and Q is applied to two vectors, never formed.
-    A vanishing ``v`` is impossible for symmetric Y (the exponential is
-    nonsingular), so an underflow here signals a shifting bug and raises.
+    ``y`` is the symmetric Y or its :class:`TridiagonalForm` ``Y = Q T Q'``.
+    Computes ``v = Q exp((T - theta_max I)/2) Q' u``: the shift by the top
+    eigenvalue is loss-free, Q is applied to two vectors, never formed, and
+    the form applies the exponential of T through its eigenpairs or, from
+    ``CHEBYSHEV_MIN_N`` up, by one Chebyshev series.  A vanishing ``v`` is
+    impossible for symmetric Y (the exponential is nonsingular), so an
+    underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
     _unit_norm(u, "u")
     form = y if isinstance(y, TridiagonalForm) else tridiagonalize(y)
-    theta, w = form.eigenvalues, form.eigenvectors
-    a = w.T @ form.apply_q(u, trans=True)
-    v = form.apply_q(w @ (np.exp(0.5 * (theta - form.top)) * a))
+    v = form.apply_q(form.exp_half(form.apply_q(u, trans=True)))
     return _direction_action(v, "exp(Y/2) u underflowed after shifting")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 import scipy.stats
 from scipy.special import digamma
 
@@ -23,7 +24,10 @@ from hypothesis import strategies as st
 
 from mmwsketch.lanczos import lanczos_decompose
 from mmwsketch.linalg import (
+    CHEBYSHEV_MIN_N,
     LANCZOS_RTOL,
+    _dense_extremes,
+    _exp_series_coefficients,
     _lanczos_extremes,
     operator_norm,
     rank_one_within,
@@ -327,14 +331,14 @@ class TestTopEigenvalue:
 
 
 class TestTridiagonalize:
-    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors and the eigenpairs of T."""
+    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors, and the eigenpairs of T below the series' size."""
 
     @staticmethod
     def q_matrix(form):
-        n = len(form.eigenvalues)
+        n = len(form.d)
         return np.column_stack([form.apply_q(e) for e in np.eye(n)])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, CHEBYSHEV_MIN_N - 1, CHEBYSHEV_MIN_N, 200])
     def test_reconstruction(self, rng, n):
         a = random_symmetric(rng, n)
         form = tridiagonalize(a)
@@ -342,10 +346,16 @@ class TestTridiagonalize:
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
         for j, e in enumerate(np.eye(n)):
             assert np.abs(form.apply_q(e, trans=True) - q[j]).max() <= 1e-15, j  # Q' applied is the transpose
-        v = q @ form.eigenvectors  # the eigenvectors of a, formed here only to check
-        scale = 1.0 + np.abs(form.eigenvalues).max()
-        assert np.abs((v * form.eigenvalues) @ v.T - a).max() <= 1e-12 * n * scale
-        assert np.all(np.diff(form.eigenvalues) >= 0.0)
+        t = np.diag(form.d) + np.diag(form.e, -1) + np.diag(form.e, 1)
+        scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
+        assert np.abs(q @ t @ q.T - a).max() <= 1e-12 * n * scale
+        if n < CHEBYSHEV_MIN_N:
+            v = q @ form.eigenvectors  # the eigenvectors of a, formed here only to check
+            assert np.abs((v * form.eigenvalues) @ v.T - a).max() <= 1e-12 * n * scale
+            assert np.all(np.diff(form.eigenvalues) >= 0.0)
+            assert form.top == form.eigenvalues[-1]
+        else:
+            assert form.eigenvalues is None and form.eigenvectors is None
 
     @pytest.mark.parametrize("n", [1, 2, 17, 128])
     def test_top_matches_top_eigenvalue(self, rng, n):
@@ -355,6 +365,18 @@ class TestTridiagonalize:
         for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered, rank_deficient, -4.0 * np.eye(n)):
             expected = top_eigenvalue(a)[0]
             assert abs(tridiagonalize(a).top - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("n", [CHEBYSHEV_MIN_N, 200])
+    def test_series_top_is_the_bisected_top(self, rng, n):
+        # one stebz bisection on the UPLO='L' reduction, as in _dense_extremes; top_eigenvalue's syevr
+        # reduces with UPLO='U', in the other order, so its last bits can differ
+        top = 2.0 + 1e-12 * rng.standard_normal(n // 2)
+        clustered = _with_spectrum(rng, np.concatenate([top, np.linspace(-1.0, 1.0, n - n // 2)]))
+        for a in (random_symmetric(rng, n), 30.0 * random_symmetric(rng, n), clustered, -4.0 * np.eye(n)):
+            form = tridiagonalize(a)
+            assert form.top == _dense_extremes(a)[1]
+            expected = top_eigenvalue(a)[0]
+            assert abs(form.top - expected) <= 1e-12 * abs(expected)
 
     def test_one_by_one_has_no_reflectors(self):
         form = tridiagonalize(np.array([[-2.5]]))
@@ -371,6 +393,34 @@ class TestTridiagonalize:
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e, compute_v: (d, None, 2))
         with pytest.raises(ConvergenceError, match=r"n=3 \(info=2\)"):
             tridiagonalize(np.eye(3))
+
+    def test_bisection_failure_raises(self, monkeypatch):
+        import scipy.linalg
+
+        n = CHEBYSHEV_MIN_N
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 2))
+        with pytest.raises(ConvergenceError, match=rf"n={n}: bisection \(info=2\)"):
+            tridiagonalize(np.eye(n))
+
+
+class TestExpSeriesCoefficients:
+    """``_exp_series_coefficients(r)``: ``e^-r I_0(r)``, ``2 e^-r I_k(r)``, cut where the rest sums below ``2^-60``."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(0.0, 2000.0))
+    def test_matches_scaled_bessel(self, r):
+        coef = _exp_series_coefficients(r)
+        k = np.arange(len(coef) + 1000)
+        bessel = np.where(k == 0, 1.0, 2.0) * scipy.special.ive(k, r)
+        assert np.abs(coef - bessel[: len(coef)]).max() <= 1e-15
+        assert abs(coef.sum() - 1.0) <= 1e-15
+        dropped = math.fsum(bessel[len(coef) :])
+        assert dropped < 2.0**-60
+        if len(coef) > 1:  # the lowest such degree
+            assert dropped + bessel[len(coef) - 1] >= 2.0**-60
+
+    def test_zero_width(self):
+        assert np.array_equal(_exp_series_coefficients(0.0), [1.0])
 
 
 class TestSeededRng:

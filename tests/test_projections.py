@@ -24,7 +24,7 @@ from mmwsketch import (
     solve_feasibility,
     trace_norm_distance,
 )
-from mmwsketch.linalg import dense_eigh, tridiagonalize
+from mmwsketch.linalg import CHEBYSHEV_MIN_N, ConvergenceError, dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.lanczos import required_iterations
@@ -254,6 +254,17 @@ class TestEigenDecompositionInput:
         with pytest.raises(ArithmeticError, match="underflowed"):
             rank1_projection(underflowed, np.eye(4)[0])
 
+    def test_checks_still_run_on_the_series_route(self, rng):
+        n = CHEBYSHEV_MIN_N
+        form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
+        assert form.eigenvectors is None
+        with pytest.raises(ValueError, match="unit vector"):
+            rank1_projection(form, np.ones(n))
+        # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
+        underflowed = dataclasses.replace(form, top=form.top + 3000.0)
+        with pytest.raises(ArithmeticError, match="underflowed"):
+            rank1_projection(underflowed, np.eye(n)[0])
+
 
 def _eigenbasis_rank1(y, u):
     """The rank-1 sketch through all eigenpairs of ``y``: ``q exp((lam - lam_max)/2) q' u``."""
@@ -270,13 +281,16 @@ def _streaming_pca_sum(rng, n, t, eta):
 
 
 class TestTridiagonalRoute:
-    """``rank1_projection`` through the tridiagonal form against the eigenbasis formula."""
+    """``rank1_projection`` through the tridiagonal form (eigenpairs of T or series) against the eigenbasis formula."""
 
-    @pytest.mark.parametrize("n", [1, 2, 200])
+    @pytest.mark.parametrize("n", [1, 2, CHEBYSHEV_MIN_N - 1, CHEBYSHEV_MIN_N, 200])
     def test_matches_eigenbasis_formula(self, rng, n):
+        top_cluster = np.concatenate([3.0 + 1e-12 * rng.standard_normal(n - n // 2), np.linspace(-3.0, 2.0, n // 2)])
         cases = [
             random_symmetric(rng, n),
             random_symmetric(rng, n, op_norm=30.0),
+            random_symmetric(rng, n, op_norm=700.0),  # exp((lam - lam_max)/2) spans 1 to 1e-304
+            random_symmetric(rng, n, op_norm=1e5),  # too wide for the series: the eigenpairs of T at every n
             np.zeros((n, n)),
             -7.5 * np.eye(n),
             _streaming_pca_sum(rng, n, max(1, n // 4), 0.3),
@@ -285,10 +299,19 @@ class TestTridiagonalRoute:
         q = haar_orthogonal(rng, n)
         clusters = np.repeat([4.0, 1.0, -2.0], -(-n // 3))[:n] + 1e-10 * rng.standard_normal(n)
         cases.append((q * clusters) @ q.T)
+        cases.append((q * top_cluster) @ q.T)
         for i, y in enumerate(cases):
             y = 0.5 * (y + y.T)
             u = sample_unit_sphere(n, rng)
             assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12, i
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 4, CHEBYSHEV_MIN_N, 200])
+    def test_non_finite_entry_raises(self, rng, n, value):
+        y = random_symmetric(rng, n)
+        y[n // 2, 0] = y[0, n // 2] = value
+        with pytest.raises(ConvergenceError, match=f"tridiagonal reduction failed for n={n}: T is not finite"):
+            rank1_projection(y, sample_unit_sphere(n, rng))
 
 
 class TestRank1ProjectionLanczos:

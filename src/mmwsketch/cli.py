@@ -64,13 +64,15 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v7"
+TRACE_SCHEMA = "online-eig-trace-v8"
 BENCH_SCHEMA = "bench-lanczos-v3"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v5"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v7"
-#: Older CSVs stay readable: v6 traces have v7's columns, with ``rank1`` values from the
-#: eigenpairs of T at every n, where v7 takes the Chebyshev series from ``CHEBYSHEV_MIN_N``
-#: up; v5 traces and bench v2 have v6's and v3's columns, with
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v6"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v8"
+#: Older CSVs stay readable: v7 traces have v8's columns, with ``rank1`` values from the
+#: eigenpairs of T below n = 48 and rank1-lanczos checkpoints from ``syevr`` with upper
+#: storage, where v8 takes the Chebyshev series at every n and every top eigenvalue from one
+#: lower-storage reduction with ``syevr``'s block size; v6 traces take the eigenpairs of T at
+#: every n; v5 traces and bench v2 have v6's and v3's columns, with
 #: Krylov values from the earlier recurrence; v4 traces fill ``lam_max_running`` on
 #: every row, where v5 leaves it empty between rank1-lanczos checkpoints; trace v2-v3
 #: and bench v1 differ from v4 only in the config echo, and v1 traces lack
@@ -78,7 +80,7 @@ SDP_SUMMARY_SCHEMA = "sdp-feas-v7"
 KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
-        "online-eig-trace-v5", "online-eig-trace-v6", TRACE_SCHEMA,
+        "online-eig-trace-v5", "online-eig-trace-v6", "online-eig-trace-v7", TRACE_SCHEMA,
         "bench-lanczos-v1", "bench-lanczos-v2", BENCH_SCHEMA,
     }
 )

@@ -22,14 +22,6 @@ DENSE_LIMIT = 2048
 #: Relative stability of the extreme Ritz values at which Lanczos estimates stop above the dense limit.
 LANCZOS_RTOL = 1e-8
 
-#: Order from which :func:`tridiagonalize` leaves the eigenpairs of T uncomputed and applies ``exp(T/2)``
-#: by its Chebyshev series.  Medians of whole :func:`~mmwsketch.projections.rank1_projection` calls, the
-#: eigenpairs of T against the series, on random Y of spectral width 2, 20 and 80 (the ranges below), the
-#: two routes interleaved, one BLAS thread, 2-core VM: n=32 221-225 against 211-268 us, n=40 318-330
-#: against 261-372 us, n=48 273-279 against 171-223 us, n=64 514-517 against 305-390 us, n=200 4.9-5.0
-#: against 1.8-2.0 ms.  Below it the Python cost of each degree of the series outweighs the eigensolve.
-CHEBYSHEV_MIN_N = 48
-
 _EPS = float(np.finfo(float).eps)
 #: The Chebyshev series of ``exp`` stops where the coefficients it drops sum to less than this.
 _SERIES_TAIL = 2.0**-60
@@ -175,15 +167,42 @@ def tridiagonal_eigh(d, e):
 
 @functools.lru_cache(maxsize=16)
 def _sytrd_lwork(n):
-    """Optimal ``dsytrd`` workspace for order n; the wrapper's default ``lwork=n`` runs the unblocked reduction."""
-    work, info = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    """The ``dsytrd`` workspace that ``syevr`` hands on from its optimal one: that minus the ``5n`` it keeps.
+
+    The workspace sets the block size of the reduction, and so the last bits
+    of T: with it they are those of scipy's ``eigh(driver="evr")``.  The
+    wrapper's default ``lwork=n`` runs the unblocked reduction.
+    """
+    work, _, info = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
     if info != 0:
         raise ConvergenceError(f"tridiagonal reduction workspace query failed for n={n} (info={info})")
-    return max(1, int(work))
+    return max(1, int(work) - 5 * n)
+
+
+def _reduce(arr, what):
+    """``(c, d, e, tau)`` of LAPACK ``sytrd`` on the lower triangle of the Fortran-ordered ``arr``, in place.
+
+    ``d`` and ``e`` are the diagonal and subdiagonal of T; ``c`` holds the
+    Householder vectors below the subdiagonal and ``tau`` their scalars.
+    Raises :class:`ConvergenceError` naming ``what`` and the size if LAPACK
+    fails or T is not finite (a NaN or inf entry of ``arr``).
+    """
+    n = arr.shape[0]
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError(f"{what} failed for n={n} (info={info})")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError(f"{what} failed for n={n}: T is not finite")
+    return c, d, e, tau
 
 
 def _bisect_eigenvalue(d, e, i, what):
-    """Eigenvalue ``i`` (1-based, ascending) of the tridiagonal ``(d, e)`` by one LAPACK ``stebz`` bisection."""
+    """Eigenvalue ``i`` (1-based, ascending) of the tridiagonal ``(d, e)`` by one LAPACK ``stebz`` bisection.
+
+    Order 1 returns ``d[0]``, as ``syevr`` does; scipy's ``stebz`` wrapper rejects an empty ``e``.
+    """
+    if len(d) == 1:
+        return float(d[0])
     _, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, 3, 0.0, 0.0, i, i, 0.0, "E")
     if info != 0:
         raise ConvergenceError(f"{what} failed for n={len(d)}: bisection (info={info})")
@@ -231,13 +250,10 @@ class TridiagonalForm:
     LAPACK ``sytrd`` (lower storage) leaves below the subdiagonal: with them
     ``Q = diag(1, Q_1)``, where ``Q_1`` is the ``ormqr`` product of the
     reflector block.  ``d`` and ``e`` are the diagonal and subdiagonal of T,
-    and ``top`` is its largest eigenvalue, which is that of Y.  Below
-    :data:`CHEBYSHEV_MIN_N`, ``eigenvalues`` (``theta``, ascending) and
-    ``eigenvectors`` (the columns of ``V``) are the eigenpairs of T, and
-    ``top`` is ``theta[-1]``; from it up both are ``None``, and ``top`` is
-    one ``stebz`` bisection, the bits :func:`_dense_extremes` gives.  Neither
-    ``Q`` nor the eigenvectors of ``Y`` are formed: ``f(Y) x`` is
-    ``Q f(T) Q' x``, two ``O(n^2)`` applications of ``Q``.
+    and ``top`` is its largest eigenvalue, which is that of Y: one ``stebz``
+    bisection, the bits :func:`top_eigenvalue` gives.  Neither ``Q`` nor any
+    eigenvector is formed: ``f(Y) x`` is ``Q f(T) Q' x``, two ``O(n^2)``
+    applications of ``Q``.
     """
 
     reflectors: np.ndarray
@@ -245,8 +261,6 @@ class TridiagonalForm:
     d: np.ndarray
     e: np.ndarray
     top: float
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
 
     def apply_q(self, x, trans=False):
         """``Q x``, or ``Q' x`` with ``trans``, by one LAPACK ``ormqr`` call."""
@@ -267,32 +281,30 @@ class TridiagonalForm:
     def exp_half(self, x):
         """``exp((T - theta_max I)/2) x``, with ``theta_max`` the :attr:`top` eigenvalue of T.
 
-        Through the eigenpairs of T, ``V exp((theta - theta_max)/2) V' x``,
-        where the form holds them.  Otherwise by the Chebyshev series of
-        ``exp`` (Bergamaschi & Vianello, Numer. Linear Algebra Appl. 2000) on
-        ``[lo, theta_max]``, with ``lo`` the Gershgorin bound of T widened for
-        rounding.  With ``r`` a quarter of the width and ``t`` the image of
-        ``theta`` in ``[-1, 1]``, ``exp((theta - theta_max)/2) = exp(r (t - 1))``,
-        and :func:`_exp_series_coefficients` gives its series.  Clenshaw's
+        By the Chebyshev series of ``exp`` (Bergamaschi & Vianello, Numer.
+        Linear Algebra Appl. 2000) on ``[lo, theta_max]``, with ``lo`` the
+        Gershgorin bound of T widened for rounding.  With ``r`` a quarter of
+        the width and ``t`` the image of ``theta`` in ``[-1, 1]``,
+        ``exp((theta - theta_max)/2) = exp(r (t - 1))``, and
+        :func:`_exp_series_coefficients` gives its series.  Clenshaw's
         recurrence sums it with one banded product (BLAS ``sbmv``) and one
         ``axpy`` per degree.  As ``|T_k(t)| <= 1`` on the interval, the cut
         series is within ``2^-60 |x|`` of the exponential.  The upper end
         must be exact: a loose one scales the result down to the size of
         that error.  A width whose series would take more products than T
-        has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of T.
+        has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of T from
+        ``stevd`` instead, ``V exp((theta - theta_max)/2) V' x``.
         """
-        theta, v = self.eigenvalues, self.eigenvectors
-        if v is None:
-            d, e, n = self.d, self.e, len(self.d)
-            radius = np.zeros(n)
-            radius[1:] = np.abs(e)
-            radius[:-1] += radius[1:]
-            # each d_i - radius_i rounds twice, by at most eps (|d_i| + radius_i) together
-            lo = float((d - radius).min()) - 2.0 * _EPS * float((np.abs(d) + radius).max())
-            r = 0.25 * (self.top - lo)
-            if 83.0 * r <= n * n:
-                return _clenshaw_exp(d, e, 0.5 * (self.top + lo), r, x)
-            theta, v = tridiagonal_eigh(d, e)
+        d, e, n = self.d, self.e, len(self.d)
+        radius = np.zeros(n)
+        radius[1:] = np.abs(e)
+        radius[:-1] += radius[1:]
+        # each d_i - radius_i rounds twice, by at most eps (|d_i| + radius_i) together
+        lo = float((d - radius).min()) - 2.0 * _EPS * float((np.abs(d) + radius).max())
+        r = 0.25 * (self.top - lo)
+        if 83.0 * r <= n * n:
+            return _clenshaw_exp(d, e, 0.5 * (self.top + lo), r, x)
+        theta, v = tridiagonal_eigh(d, e)
         return v @ (np.exp(0.5 * (theta - self.top)) * (v.T @ x))
 
 
@@ -317,30 +329,23 @@ def _clenshaw_exp(d, e, mid, r, x):
 
 
 def tridiagonalize(a):
-    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then what applies ``exp(T/2)``.
+    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then one ``stebz`` bisection.
 
-    Below :data:`CHEBYSHEV_MIN_N` that is ``stevd`` on T for all its
-    eigenpairs; from it up one ``stebz`` bisection for the top eigenvalue,
-    and the form applies the Chebyshev series of ``exp``.  Costs the
-    ``O(n^3)`` reduction of a full eigendecomposition, without its ``O(n^3)``
-    back-transform of the eigenvectors.  Raises :class:`ConvergenceError`
-    naming the matrix size if LAPACK fails or T is not finite (a NaN or inf
-    entry of ``a``), and :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
+    The bisection gives the top eigenvalue of T, and the form applies
+    ``exp(T/2)`` by the Chebyshev series of ``exp``.  Costs the ``O(n^3)``
+    reduction of a full eigendecomposition, without its eigensolve of T or
+    ``O(n^3)`` back-transform of the eigenvectors.  Raises
+    :class:`ConvergenceError` naming the matrix size if LAPACK fails or T is
+    not finite (a NaN or inf entry of ``a``), and :class:`DenseLimitError`
+    above :data:`DENSE_LIMIT`.
     """
     arr = sym_array(a)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
     # arr is an exactly symmetric copy, so arr.T is it in Fortran order and sytrd reduces it in place
-    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(arr.T, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal reduction failed for n={n} (info={info})")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ConvergenceError(f"tridiagonal reduction failed for n={n}: T is not finite")
-    reflectors = np.asfortranarray(c[1:, : n - 1])
-    if n < CHEBYSHEV_MIN_N:
-        theta, v = tridiagonal_eigh(d, e)
-        return TridiagonalForm(reflectors, tau, d, e, theta[-1], theta, v)
-    return TridiagonalForm(reflectors, tau, d, e, _bisect_eigenvalue(d, e, n, "top eigenvalue of T"))
+    c, d, e, tau = _reduce(arr.T, "tridiagonal reduction")
+    top = _bisect_eigenvalue(d, e, n, "top eigenvalue of T")
+    return TridiagonalForm(np.asfortranarray(c[1:, : n - 1]), tau, d, e, top)
 
 
 def spectrum_within(a, lo, hi):
@@ -426,28 +431,19 @@ def _outer_self(v):
 def top_eigenvalue(a):
     """Largest eigenvalue of the symmetric dense or scipy-sparse ``a``, and its uncertainty.
 
-    Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``, LAPACK
-    ``syevr`` computes that one eigenvalue from the lower triangle of ``a``
-    (densified if sparse) and ``tol`` is 0; it raises
-    :class:`ConvergenceError` if ``syevr`` reports a failure or the
-    eigenvalue is not finite.  Above it,
-    ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes` and
-    ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
+    Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``,
+    ``lam_max`` is the top end of :func:`_dense_extremes`, from the same
+    reduction and one bisection (:func:`_dense_eigenvalues`), and ``tol`` is
+    0; a LAPACK failure or a NaN or inf entry raises :class:`ConvergenceError`.
+    Above it, ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes`
+    and ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
     estimate, not a bound.
     """
     n = a.shape[0]
     if n > DENSE_LIMIT:
         lam_max = _lanczos_extremes(a)[1]
         return lam_max, LANCZOS_RTOL * max(1.0, abs(lam_max))
-    if sp.issparse(a):
-        a = a.toarray()
-    w, _, _, _, info = scipy.linalg.lapack.dsyevr(a.T, compute_v=0, range="I", il=n, iu=n)
-    if info != 0:
-        raise ConvergenceError(f"top eigenvalue failed for n={n} (info={info})")
-    lam_max = float(w[0])
-    if not math.isfinite(lam_max):  # syevr copies a 1 x 1 matrix's entry, NaN or inf included
-        raise ConvergenceError(f"top eigenvalue failed for n={n}: {lam_max!r}")
-    return lam_max, 0.0
+    return _dense_eigenvalues(a, "top eigenvalue", n)[0], 0.0
 
 
 def operator_norm(a):
@@ -464,23 +460,27 @@ def operator_norm(a):
 
 
 def _dense_extremes(a):
-    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, with the bits ``syevr`` gives each.
+    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, one reduction for both ends."""
+    return _dense_eigenvalues(a, "extreme eigenvalues", 1, a.shape[0])
+
+
+def _dense_eigenvalues(a, what, *indices):
+    """Eigenvalues ``indices`` (1-based, ascending) of the dense or scipy-sparse ``a``, as ``syevr`` gives each.
 
     Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
-    one reduction for both ends: its scaling of a largest entry outside
-    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction with
-    ``UPLO='L'`` as in :func:`tridiagonalize`, then one ``stebz`` bisection
-    for eigenvalue 1 and one for eigenvalue n.  :func:`top_eigenvalue`
-    calls ``syevr`` with ``UPLO='U'``, which reduces in the other order,
-    so its result can differ in the last bits.  Raises :class:`ConvergenceError`
-    if LAPACK reports a failure or the tridiagonal matrix is not finite (a
-    NaN or inf entry), where an unchecked bisection returns a number.
+    ``UPLO='L'``: its scaling of a largest entry outside
+    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of the
+    lower triangle of ``a``, as in :func:`tridiagonalize`, then one
+    ``stebz`` bisection per index.  Inside that range eigenvalue n is
+    ``tridiagonalize(a).top`` bit for bit.  Raises :class:`ConvergenceError`
+    naming ``what`` if LAPACK reports a failure or the tridiagonal matrix is
+    not finite (a NaN or inf entry), where an unchecked bisection returns a
+    number.
     """
     n = a.shape[0]
-    # a symmetric copy's transpose is the copy in Fortran order, which sytrd reduces in place
-    arr = (a.toarray() if sp.issparse(a) else np.array(a, dtype=float)).T
+    arr = a.toarray(order="F") if sp.issparse(a) else np.array(a, dtype=float, order="F")
     sigma = 1.0
-    if n > 1:
+    if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
         top = float(max(arr.max(), -arr.min()))
         if 0.0 < top < _SYEVR_RMIN:
             sigma = _SYEVR_RMIN / top
@@ -488,13 +488,8 @@ def _dense_extremes(a):
             sigma = _SYEVR_RMAX / top
         if sigma != 1.0:
             arr *= sigma
-    _, d, e, _, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
-    if info != 0 or not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ConvergenceError(f"extreme eigenvalues failed for n={n}: tridiagonal reduction (info={info})")
-    if n == 1:
-        return float(d[0]), float(d[0])
-    lam_min, lam_max = (_bisect_eigenvalue(d, e, i, "extreme eigenvalues") * (1.0 / sigma) for i in (1, n))
-    return lam_min, lam_max
+    _, d, e, _ = _reduce(arr, what)
+    return tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
 
 
 def _lanczos_extremes(a):

@@ -171,10 +171,10 @@ def rank1_projection(y, u):
     ``y`` is the symmetric Y or its :class:`TridiagonalForm` ``Y = Q T Q'``.
     Computes ``v = Q exp((T - theta_max I)/2) Q' u``: the shift by the top
     eigenvalue is loss-free, Q is applied to two vectors, never formed, and
-    the form applies the exponential of T through its eigenpairs or, from
-    ``CHEBYSHEV_MIN_N`` up, by one Chebyshev series.  A vanishing ``v`` is
-    impossible for symmetric Y (the exponential is nonsingular), so an
-    underflow here signals a shifting bug and raises.
+    the form applies the exponential of T by one Chebyshev series at every
+    n (:meth:`TridiagonalForm.exp_half`).  A vanishing ``v`` is impossible
+    for symmetric Y (the exponential is nonsingular), so an underflow here
+    signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
     _unit_norm(u, "u")

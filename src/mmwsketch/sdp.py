@@ -367,7 +367,8 @@ def duality_gap(instance, action, y):
 
     ``lam_max`` and the interval's half-width come from :func:`top_eigenvalue`
     of the CSR matrix ``A* y``.  At dense scale, ``n <= DENSE_LIMIT``, it is
-    one LAPACK ``syevr`` eigenvalue and the interval has zero width.  Above
+    one ``sytrd`` reduction and one ``stebz`` bisection, the bits LAPACK
+    ``syevr`` gives, and the interval has zero width.  Above
     it, Lanczos runs until its Ritz values are stable to a relative
     ``LANCZOS_RTOL``, and the interval is padded by that amount; stable Ritz
     values are an estimate, not a bound.

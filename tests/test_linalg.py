@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from mmwsketch.lanczos import lanczos_decompose
 from mmwsketch.linalg import (
-    CHEBYSHEV_MIN_N,
     LANCZOS_RTOL,
     _dense_extremes,
     _exp_series_coefficients,
@@ -313,17 +312,19 @@ class TestTopEigenvalue:
     def test_lapack_failure_raises(self, monkeypatch):
         import scipy.linalg
 
-        def failing(a, **kwargs):
-            return np.zeros(1), None, 0, None, 3
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
-        with pytest.raises(ConvergenceError, match="info=3"):
-            top_eigenvalue(np.eye(3))
+        # the reduction, then the bisection
+        failures = [("dsytrd", lambda a, **kwargs: (a, np.zeros(3), np.zeros(2), np.zeros(2), 3))]
+        failures.append(("dstebz", lambda d, e, *args: (0, d, None, None, 3)))
+        for name, failing in failures:
+            with monkeypatch.context() as patched:
+                patched.setattr(scipy.linalg.lapack, name, failing)
+                with pytest.raises(ConvergenceError, match=r"n=3.*\(info=3\)"):
+                    top_eigenvalue(np.eye(3))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 2])
     def test_non_finite_entry_raises(self, n, value):
-        # syevr reports success on a 1 x 1 matrix whatever its entry holds
+        # the reduction's finiteness check also covers a 1 x 1 matrix, which no bisection reads
         a = np.eye(n)
         a[0, 0] = value
         with pytest.raises(ConvergenceError, match=f"failed for n={n}"):
@@ -331,14 +332,14 @@ class TestTopEigenvalue:
 
 
 class TestTridiagonalize:
-    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors, and the eigenpairs of T below the series' size."""
+    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors, and the top eigenvalue of T."""
 
     @staticmethod
     def q_matrix(form):
         n = len(form.d)
         return np.column_stack([form.apply_q(e) for e in np.eye(n)])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, CHEBYSHEV_MIN_N - 1, CHEBYSHEV_MIN_N, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 47, 48, 200])
     def test_reconstruction(self, rng, n):
         a = random_symmetric(rng, n)
         form = tridiagonalize(a)
@@ -349,34 +350,22 @@ class TestTridiagonalize:
         t = np.diag(form.d) + np.diag(form.e, -1) + np.diag(form.e, 1)
         scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
         assert np.abs(q @ t @ q.T - a).max() <= 1e-12 * n * scale
-        if n < CHEBYSHEV_MIN_N:
-            v = q @ form.eigenvectors  # the eigenvectors of a, formed here only to check
-            assert np.abs((v * form.eigenvalues) @ v.T - a).max() <= 1e-12 * n * scale
-            assert np.all(np.diff(form.eigenvalues) >= 0.0)
-            assert form.top == form.eigenvalues[-1]
-        else:
-            assert form.eigenvalues is None and form.eigenvectors is None
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    @pytest.mark.parametrize("n", [1, 2, 17, 48, 128, 200])
     def test_top_matches_top_eigenvalue(self, rng, n):
+        # every dense top eigenvalue is one lower-storage sytrd with syevr's workspace, then one stebz
+        # bisection: the bits of scipy's syevr driver, for each input with its largest entry in syevr's
+        # unscaled range
         clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
+        top = 2.0 + 1e-12 * rng.standard_normal(n // 2)
+        top_cluster = _with_spectrum(rng, np.concatenate([top, np.linspace(-1.0, 1.0, n - n // 2)]))
         factors = sample_unit_sphere(n, rng, size=max(1, n // 2))
         rank_deficient = 0.7 * (factors.T @ factors)  # a streaming-PCA gain sum: repeated zero eigenvalues
-        for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered, rank_deficient, -4.0 * np.eye(n)):
-            expected = top_eigenvalue(a)[0]
-            assert abs(tridiagonalize(a).top - expected) <= 1e-12 * abs(expected)
-
-    @pytest.mark.parametrize("n", [CHEBYSHEV_MIN_N, 200])
-    def test_series_top_is_the_bisected_top(self, rng, n):
-        # one stebz bisection on the UPLO='L' reduction, as in _dense_extremes; top_eigenvalue's syevr
-        # reduces with UPLO='U', in the other order, so its last bits can differ
-        top = 2.0 + 1e-12 * rng.standard_normal(n // 2)
-        clustered = _with_spectrum(rng, np.concatenate([top, np.linspace(-1.0, 1.0, n - n // 2)]))
-        for a in (random_symmetric(rng, n), 30.0 * random_symmetric(rng, n), clustered, -4.0 * np.eye(n)):
-            form = tridiagonalize(a)
-            assert form.top == _dense_extremes(a)[1]
-            expected = top_eigenvalue(a)[0]
-            assert abs(form.top - expected) <= 1e-12 * abs(expected)
+        cases = [random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), 30.0 * random_symmetric(rng, n)]
+        for a in cases + [clustered, top_cluster, rank_deficient, -4.0 * np.eye(n)]:
+            assert np.array_equal(a, a.T)  # tridiagonalize would symmetrize; the others read one triangle
+            expected = scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr")[0]
+            assert tridiagonalize(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1] == expected
 
     def test_one_by_one_has_no_reflectors(self):
         form = tridiagonalize(np.array([[-2.5]]))
@@ -390,14 +379,14 @@ class TestTridiagonalize:
     def test_lapack_failure_raises(self, monkeypatch):
         import scipy.linalg
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e, compute_v: (d, None, 2))
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", lambda a, **kwargs: (a, np.zeros(3), np.zeros(2), None, 2))
         with pytest.raises(ConvergenceError, match=r"n=3 \(info=2\)"):
             tridiagonalize(np.eye(3))
 
     def test_bisection_failure_raises(self, monkeypatch):
         import scipy.linalg
 
-        n = CHEBYSHEV_MIN_N
+        n = 48
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 2))
         with pytest.raises(ConvergenceError, match=rf"n={n}: bisection \(info=2\)"):
             tridiagonalize(np.eye(n))
@@ -671,6 +660,7 @@ class TestExtremeEigenvalues:
         # syevr's reduction and bisection for one index, through scipy's public driver
         ends = [scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[i, i], driver="evr")[0] for i in (0, n - 1)]
         assert norm == max(abs(ends[0]), abs(ends[1]))
+        assert lam == ends[1]
         if kind not in ("huge", "tiny"):  # there syevr and eigvalsh's syevd scale by different factors
             # a bisection does not reproduce the bits of eigvalsh's sterf, but stays within a few ulps of it
             assert abs(norm - np.abs(np.linalg.eigvalsh(dense)).max()) <= 4 * np.spacing(norm)
@@ -689,9 +679,8 @@ class TestExtremeEigenvalues:
         for form in (a, sp.csr_matrix(a)):
             with pytest.raises(ConvergenceError, match=f"n={len(a)}"):
                 operator_norm(form)
-            if len(a) > 1:  # as top_eigenvalue does, whose syevr returns a 1 x 1 matrix's entry unchecked
-                with pytest.raises(ConvergenceError, match="n=4"):
-                    top_eigenvalue(form)
+            with pytest.raises(ConvergenceError, match=f"n={len(a)}"):
+                top_eigenvalue(form)
 
     def test_zero_padded_above_the_limit_runs_lanczos(self, monkeypatch, rng):
         import mmwsketch.linalg as linalg

@@ -24,7 +24,8 @@ from mmwsketch import (
     solve_feasibility,
     trace_norm_distance,
 )
-from mmwsketch.linalg import CHEBYSHEV_MIN_N, ConvergenceError, dense_eigh, tridiagonalize
+from mmwsketch import linalg
+from mmwsketch.linalg import ConvergenceError, dense_eigh, tridiagonalize
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.lanczos import required_iterations
@@ -247,23 +248,14 @@ class TestEigenDecompositionInput:
         assert np.array_equal(project(decompose(y)), project(y))
 
     def test_checks_still_run(self, rng):
-        form = tridiagonalize(random_symmetric(rng, 4, op_norm=1.0))
-        with pytest.raises(ValueError, match="unit vector"):
-            rank1_projection(form, np.ones(4))
-        underflowed = dataclasses.replace(form, eigenvectors=form.eigenvectors * 0.0)
-        with pytest.raises(ArithmeticError, match="underflowed"):
-            rank1_projection(underflowed, np.eye(4)[0])
-
-    def test_checks_still_run_on_the_series_route(self, rng):
-        n = CHEBYSHEV_MIN_N
-        form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
-        assert form.eigenvectors is None
-        with pytest.raises(ValueError, match="unit vector"):
-            rank1_projection(form, np.ones(n))
-        # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
-        underflowed = dataclasses.replace(form, top=form.top + 3000.0)
-        with pytest.raises(ArithmeticError, match="underflowed"):
-            rank1_projection(underflowed, np.eye(n)[0])
+        for n in (4, 48):
+            form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
+            with pytest.raises(ValueError, match="unit vector"):
+                rank1_projection(form, np.ones(n))
+            # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
+            underflowed = dataclasses.replace(form, top=form.top + 3000.0)
+            with pytest.raises(ArithmeticError, match="underflowed"):
+                rank1_projection(underflowed, np.eye(n)[0])
 
 
 def _eigenbasis_rank1(y, u):
@@ -281,16 +273,16 @@ def _streaming_pca_sum(rng, n, t, eta):
 
 
 class TestTridiagonalRoute:
-    """``rank1_projection`` through the tridiagonal form (eigenpairs of T or series) against the eigenbasis formula."""
+    """``rank1_projection`` through the tridiagonal form (series, or eigenpairs of T) against the eigenbasis formula."""
 
-    @pytest.mark.parametrize("n", [1, 2, CHEBYSHEV_MIN_N - 1, CHEBYSHEV_MIN_N, 200])
+    @pytest.mark.parametrize("n", [1, 2, 4, 32, 200])
     def test_matches_eigenbasis_formula(self, rng, n):
         top_cluster = np.concatenate([3.0 + 1e-12 * rng.standard_normal(n - n // 2), np.linspace(-3.0, 2.0, n // 2)])
         cases = [
             random_symmetric(rng, n),
             random_symmetric(rng, n, op_norm=30.0),
             random_symmetric(rng, n, op_norm=700.0),  # exp((lam - lam_max)/2) spans 1 to 1e-304
-            random_symmetric(rng, n, op_norm=1e5),  # too wide for the series: the eigenpairs of T at every n
+            random_symmetric(rng, n, op_norm=1e5),  # too wide for the series at every n: the eigenpairs of T
             np.zeros((n, n)),
             -7.5 * np.eye(n),
             _streaming_pca_sum(rng, n, max(1, n // 4), 0.3),
@@ -305,8 +297,20 @@ class TestTridiagonalRoute:
             u = sample_unit_sphere(n, rng)
             assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12, i
 
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_width_rule_takes_both_routes(self, monkeypatch, rng, n):
+        # the series runs while 83 r <= n^2, with r a quarter of T's Gershgorin width; a wider T takes stevd
+        eigh, solves = linalg.tridiagonal_eigh, []
+        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
+        for op_norm, expected in ((0.05, []), (4.0 * n, [n])):
+            solves.clear()
+            y = random_symmetric(rng, n, op_norm=op_norm)
+            u = sample_unit_sphere(n, rng)
+            assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12
+            assert solves == expected, op_norm
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("n", [1, 4, CHEBYSHEV_MIN_N, 200])
+    @pytest.mark.parametrize("n", [1, 4, 48, 200])
     def test_non_finite_entry_raises(self, rng, n, value):
         y = random_symmetric(rng, n)
         y[n // 2, 0] = y[0, n // 2] = value

@@ -247,15 +247,27 @@ class TestEigenDecompositionInput:
         y = random_symmetric(rng, 6, op_norm=3.0)
         assert np.array_equal(project(decompose(y)), project(y))
 
+    @staticmethod
+    def _assert_checks_run(form, n):
+        with pytest.raises(ValueError, match="unit vector"):
+            rank1_projection(form, np.ones(n))
+        # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
+        underflowed = dataclasses.replace(form, top=form.top + 3000.0)
+        with pytest.raises(ArithmeticError, match="underflowed"):
+            rank1_projection(underflowed, np.eye(n)[0])
+
     def test_checks_still_run(self, rng):
-        for n in (4, 48):
-            form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
-            with pytest.raises(ValueError, match="unit vector"):
-                rank1_projection(form, np.ones(n))
-            # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
-            underflowed = dataclasses.replace(form, top=form.top + 3000.0)
-            with pytest.raises(ArithmeticError, match="underflowed"):
-                rank1_projection(underflowed, np.eye(n)[0])
+        self._assert_checks_run(tridiagonalize(random_symmetric(rng, 4, op_norm=1.0)), 4)
+
+    def test_checks_still_run_on_the_series_route(self, monkeypatch, rng):
+        n = 48
+        solves = []
+        eigh = linalg.tridiagonal_eigh
+        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
+        form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
+        rank1_projection(form, sample_unit_sphere(n, rng))
+        assert solves == []  # a narrow T at n = 48 takes the series, not the eigenpairs of T
+        self._assert_checks_run(form, n)
 
 
 def _eigenbasis_rank1(y, u):

@@ -434,7 +434,8 @@ def top_eigenvalue(a):
     Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``,
     ``lam_max`` is the top end of :func:`_dense_extremes`, from the same
     reduction and one bisection (:func:`_dense_eigenvalues`), and ``tol`` is
-    0; a LAPACK failure or a NaN or inf entry raises :class:`ConvergenceError`.
+    0; a LAPACK failure or a NaN or inf entry raises :class:`ConvergenceError`,
+    and an asymmetry above :func:`sym_array`'s ``1e-8`` raises ``ValueError``.
     Above it, ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes`
     and ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
     estimate, not a bound.
@@ -451,7 +452,8 @@ def operator_norm(a):
 
     Exact at dense scale, ``n <= DENSE_LIMIT``: the two extreme eigenvalues
     of :func:`_dense_extremes`, which raises :class:`ConvergenceError` on a
-    NaN or inf entry.  Above it, the Lanczos estimate of
+    NaN or inf entry and ``ValueError`` on an asymmetry above
+    :func:`sym_array`'s ``1e-8``.  Above it, the Lanczos estimate of
     :func:`_lanczos_extremes`.
     """
     extremes = _lanczos_extremes if a.shape[0] > DENSE_LIMIT else _dense_extremes
@@ -469,16 +471,16 @@ def _dense_eigenvalues(a, what, *indices):
 
     Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
     ``UPLO='L'``: its scaling of a largest entry outside
-    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of the
-    lower triangle of ``a``, as in :func:`tridiagonalize`, then one
-    ``stebz`` bisection per index.  Inside that range eigenvalue n is
+    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of
+    ``sym_array(a)``, as in :func:`tridiagonalize`, then one ``stebz``
+    bisection per index.  Inside that range eigenvalue n is
     ``tridiagonalize(a).top`` bit for bit.  Raises :class:`ConvergenceError`
     naming ``what`` if LAPACK reports a failure or the tridiagonal matrix is
     not finite (a NaN or inf entry), where an unchecked bisection returns a
     number.
     """
     n = a.shape[0]
-    arr = a.toarray(order="F") if sp.issparse(a) else np.array(a, dtype=float, order="F")
+    arr = sym_array(a.toarray() if sp.issparse(a) else a).T  # an exactly symmetric copy in Fortran order
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
         top = float(max(arr.max(), -arr.min()))

@@ -22,18 +22,15 @@ from .linalg import (
     ConvergenceError,
     SparseSymOperator,
     _outer_self,
-    dense_eigh,
     gaussian_symmetric,
     rank_one_within,
     require_dense,
     sample_unit_sphere,
     spectrum_within,
     top_eigenvalue,
-    tridiagonalize,
 )
-from .projections import mmw_projection, rank1_projection, rank1_projection_lanczos
+from .projections import ROUTES, MatrixPlayer
 
-STRATEGIES = ("exact_mmw", "rank1_exact", "rank1_lanczos")
 #: The gain classes, each with the interval its spectrum must lie in (1e-9 slack).
 GAIN_SPECTRUM = {
     "bounded_inf_norm_1": (-1.0 - 1e-9, 1.0 + 1e-9),
@@ -54,9 +51,9 @@ class Adversary:
 
     Subclasses set ``n`` and ``gain_class`` (one of ``bounded_inf_norm_1``,
     ``psd_unit``) and implement :meth:`next_gain`, which may depend only on
-    the played history and the adversary's own random stream.  The history is
-    the engine's live list of past actions (:class:`SpectrahedronAction`),
-    to be read, not modified; an adversary that needs its past gains keeps them.
+    the adversary's own random stream and what it kept of its past gains.
+    The engine keeps no play history and passes ``history`` as an empty
+    tuple; the parameter stays for adversaries that forward it.
     """
 
     n: int
@@ -176,6 +173,8 @@ def default_eta(n, T):
     """Step size ``sqrt(2 log(4n) / (3T))`` tuned for unit-norm gains."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return math.sqrt(2.0 * math.log(4.0 * n) / (3.0 * T))
 
 
@@ -186,8 +185,12 @@ def kt_schedule(n, T, eta, delta, k0=DEFAULT_K0):
     unit of cumulative gain relative to the exact sketch, with probability at
     least 1 - delta over the whole run.
     """
-    if min(n, T) < 1 or eta < 0 or k0 <= 0:
-        raise ValueError("n, T must be positive, eta >= 0, k0 > 0")
+    if min(n, T) < 1:
+        raise ValueError("n, T must be positive")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError("eta must be finite and >= 0")
+    if not 0.0 < k0 < math.inf:
+        raise ValueError("k0 must be finite and > 0")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     log_term = math.log(n * T / delta)
@@ -208,8 +211,8 @@ class Schedule:
     kt_rule: object = None
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.T < 1:
             raise ValueError("horizon must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -317,104 +320,65 @@ def _validate_gain(g, gain_class, t, n):
         raise GainValidationError(f"step {t}: gain spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] outside [0, 1]")
 
 
-def _dense_decompose(strategy):
-    """How a dense strategy decomposes the scaled n x n gain sum once per step; ``None`` for ``rank1_lanczos``."""
-    return {"exact_mmw": dense_eigh, "rank1_exact": tridiagonalize}.get(strategy)
-
-
 def require_strategy(strategy, n):
     """Refuse an unknown strategy (``ValueError``) and a dense one above the dense limit (``DenseLimitError``)."""
-    if strategy not in STRATEGIES:
+    if strategy not in ROUTES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if _dense_decompose(strategy) is not None:
+    if strategy != "rank1_lanczos":
         require_dense(n, f"strategy {strategy!r}")
 
 
 def run_online(adversary, strategy, schedule, rng):
     """Play the online game for ``schedule.T`` steps and return the trace.
 
-    At each step the engine (1) requests the gain from the adversary using
-    only the past history, (2) draws the sphere vector for sketch strategies,
-    (3) projects the scaled gain sum accumulated strictly before this step,
-    and (4) records the earned inner product.  Total regret compares the
-    cumulative gain against the top eigenvalue of the realized gain sum
-    (exact at dense scale, ``n <= DENSE_LIMIT``; above it, where only
-    ``rank1_lanczos`` runs, a Lanczos estimate whose Ritz values are stable
-    to a relative ``LANCZOS_RTOL``, with that tolerance recorded as
-    ``lam_max_tol``; see :func:`top_eigenvalue`).
-    The gain sum is one dense running matrix in both modes, behind one
-    operator for ``eta`` times it that serves the whole game, so a Krylov
-    matvec costs O(n^2) whatever the step.  Each gain is first tried by the
-    O(n^2) rank-one proof (:func:`rank_one_within`, Weyl's inequality
-    around ``g = b b' + E``), which needs no symmetry scan when it bounds
-    ``|E|_F`` by half the 1e-12 symmetry tolerance: then ``|g - g'|_F <=
-    2 |E|_F`` passes that tolerance, and its interval, narrowed at the top,
-    also holds the lower triangle the other checks read.  A ``streaming_pca``
-    gain passes so.  Any other gain is checked for symmetry to 1e-12
-    relative and proved in its class by two Cholesky factorizations, and an
-    eigensolve runs only when both proofs fail.
+    At each step the engine (1) requests the gain from the adversary, which
+    sees no play, (2) checks it (:func:`_validate_gain`: an O(n^2) rank-one
+    proof, else a 1e-12 relative symmetry check and two Cholesky proofs of
+    its class, and an eigensolve only when both proofs fail), (3) has its
+    :class:`MatrixPlayer` project ``Y = eta G``, with ``G`` the gain sum
+    strictly before this step and the sketches' sphere vector drawn only
+    now, and (4) records the earned inner product.  ``G`` is one dense
+    running matrix, behind one operator for ``Y`` for the whole game.
 
-    The dense strategies decompose the scaled gain sum once per step, after
-    adding the gain: ``exact_mmw`` into eigenpairs (:func:`dense_eigh`),
-    ``rank1_exact`` into its tridiagonal form (:func:`tridiagonalize`), which
-    skips the eigenvectors of the sum.  The decomposition projects the next
-    step, and its top eigenvalue over ``eta > 0`` is the step's running
-    ``lam_max``.  ``rank1_lanczos`` needs no decomposition to play, so its
-    step is matvecs only: it computes the running ``lam_max`` only at the
-    checkpoints t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue`
-    call, and records NaN between them.  ``lam_max_final`` and the regret
-    come from the t = T checkpoint.
-
-    ``rank1_lanczos`` stops each Krylov run once its error estimate is at
-    most ``1/(4T)``, with ``min(kt_rule(t), n)`` as the cap.  The rank-1
-    trace distance is at most twice the relative error of the exponential,
-    so this keeps a 2x margin on the ``1/T`` per-step budget of the rule.
+    The player is told of each move of ``G``, once the step's gain is in it:
+    the dense strategies decompose ``Y`` then, and its top eigenvalue over
+    ``eta`` is the step's running ``lam_max``.  ``rank1_lanczos`` plays by
+    matvecs alone, so the engine computes the running ``lam_max`` only at
+    the checkpoints t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue`
+    call, and records NaN between them.  The regret compares the cumulative
+    gain with the t = T value: exact at dense scale, ``n <= DENSE_LIMIT``;
+    above it, where only ``rank1_lanczos`` runs, a Lanczos estimate stable
+    to a relative ``LANCZOS_RTOL``, recorded as ``lam_max_tol``.  The Krylov
+    depth cap is ``min(kt_rule(t), n)``, by :func:`kt_schedule` when the
+    schedule sets no rule.
     """
     n = adversary.n
     require_strategy(strategy, n)
-    T = schedule.T
-    eta = schedule.eta
-    decompose = _dense_decompose(strategy)
-    kt_rule = schedule.kt_rule
-    if strategy == "rank1_lanczos" and kt_rule is None:
-        kt_rule = kt_schedule(n, T, eta, schedule.delta)
+    T, eta = schedule.T, schedule.eta
+    kt_rule = schedule.kt_rule or kt_schedule(n, T, eta, schedule.delta)
 
     step_gain = np.zeros(T)
     cum_gain = np.zeros(T)
     lam_running = np.full(T, np.nan)
-    k_used = np.zeros(T, dtype=np.int64)
     k_cap = np.zeros(T, dtype=np.int64)
     matvecs = np.zeros(T, dtype=np.int64)
     krylov_err_est = np.zeros(T)
     wall_ns = np.zeros(T, dtype=np.int64)
 
-    actions = []  # the play history handed to the adversary: past actions, no gains
-    gain_sum = np.zeros((n, n))  # updated in place: dual_op reads the live sum
+    gain_sum = np.zeros((n, n))  # updated in place: the player reads the live sum
     dual_op = SparseSymOperator(n, lambda v: eta * (gain_sum @ v))  # Y = eta * gain_sum, for the whole game
-    budget = 0.25 / T
-    if decompose is not None:
-        dual = decompose(eta * gain_sum)  # the dual point of the next play
+    player = MatrixPlayer(strategy, T, lambda: eta * gain_sum, dual_op, kt_rule)
+    player.moved()  # the empty sum projects step 1
     running_total = 0.0
     lam_tol_abs = 0.0
 
     for t in range(1, T + 1):
-        gain = np.asarray(adversary.next_gain(actions), dtype=float)
+        gain = np.asarray(adversary.next_gain(()), dtype=float)
         _validate_gain(gain, adversary.gain_class, t, n)
         t0 = time.perf_counter_ns()
-        if strategy == "exact_mmw":
-            action = mmw_projection(dual)
-        elif strategy == "rank1_exact":
-            u = sample_unit_sphere(n, rng)
-            action = rank1_projection(dual, u)
-        else:  # rank1_lanczos
-            u = sample_unit_sphere(n, rng)
-            cap = min(kt_rule(t), n)
-            dual_op.matvec_count = 0
-            action = rank1_projection_lanczos(dual_op, u, cap, tol=budget)
-            k_cap[t - 1] = cap
-            matvecs[t - 1] = k_used[t - 1] = dual_op.matvec_count
-            krylov_err_est[t - 1] = action.error_estimate
+        action = player.play(t, rng)
         wall_ns[t - 1] = time.perf_counter_ns() - t0
+        k_cap[t - 1], matvecs[t - 1], krylov_err_est[t - 1] = player.record
 
         earned = action.inner(gain)
         running_total += earned
@@ -422,12 +386,11 @@ def run_online(adversary, strategy, schedule, rng):
         cum_gain[t - 1] = running_total
 
         gain_sum += gain
-        if decompose is not None:
-            dual = decompose(eta * gain_sum)
-            lam_running[t - 1] = dual.top / eta
-        elif t & (t - 1) == 0 or t == T:  # rank1_lanczos: checkpoints at powers of two and T
+        top = player.moved()
+        if top is not None:
+            lam_running[t - 1] = top / eta
+        elif t & (t - 1) == 0 or t == T:  # no free top: checkpoints at powers of two and T
             lam_running[t - 1], lam_tol_abs = top_eigenvalue(gain_sum)
-        actions.append(action)
 
     lam_final = float(lam_running[-1])
     total_regret = lam_final - running_total
@@ -439,7 +402,7 @@ def run_online(adversary, strategy, schedule, rng):
         step_gain=step_gain,
         cum_gain=cum_gain,
         lam_max_running=lam_running,
-        k_used=k_used,
+        k_used=matvecs.copy(),
         k_cap=k_cap,
         matvecs=matvecs,
         krylov_err_est=krylov_err_est,

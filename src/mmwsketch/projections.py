@@ -4,10 +4,11 @@ Implements the exact matrix-multiplicative-weights projection
 ``Y -> exp(Y)/tr exp(Y)``, its rank-1 randomized sketch
 ``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via the Householder
 tridiagonal form of Y, or approximate via Krylov iterations), Monte-Carlo
-estimators for the sphere-averaged projection and its potential, and the
-Bregman-divergence estimator used by the curvature tests.  Every exponential
-is evaluated after subtracting the top eigenvalue; all projections here are
-invariant to that shift, so it is loss-free.
+estimators for the sphere-averaged projection and its potential, the
+Bregman-divergence estimator used by the curvature tests, and the
+:class:`MatrixPlayer` of both games.  Every exponential is evaluated after
+subtracting the top eigenvalue; all projections here are invariant to that
+shift, so it is loss-free.
 """
 
 from __future__ import annotations
@@ -198,6 +199,52 @@ def rank1_projection_lanczos(y, u, k, tol=None):
     action = _direction_action(dec.expm(normalized=True), "Krylov exponential returned a zero vector")
     action.error_estimate = dec.error_estimate
     return action
+
+
+#: The matrix player's routes: exact multiplicative weights, the exact rank-1 sketch, its Krylov approximation.
+ROUTES = ("exact_mmw", "rank1_exact", "rank1_lanczos")
+
+
+class MatrixPlayer:
+    """The matrix player of both games: a mirror projection of the live dual point ``Y`` at each step.
+
+    ``route`` is one of :data:`ROUTES`.  On the exact routes :meth:`moved`
+    decomposes the dense ``y()`` once per move of ``Y``, into eigenpairs for
+    ``exact_mmw`` and into its tridiagonal form for ``rank1_exact``.
+    ``rank1_lanczos`` reads the operator ``op`` of ``Y`` and stops each
+    Krylov run once its error estimate is at most ``1/(4T)``, a 2x margin on
+    a ``1/T`` trace-distance budget, or at depth ``min(cap(t), n)``.
+    :attr:`record` is the last play's ``(k_cap, matvecs, error_estimate)``,
+    zeros on the exact routes.  Functions are looked up by their
+    module-level names at each call, so a wrapper installed on a name sees
+    every call.
+    """
+
+    def __init__(self, route, T, y, op, cap):
+        self.route, self._y, self._op, self._cap = route, y, op, cap
+        self._budget = 0.25 / T
+        self._dual = None  # the exact routes' decomposition of Y, made by moved()
+        self.record = (0, 0, 0.0)
+
+    def moved(self):
+        """Note that ``Y`` moved: the exact routes decompose it and return its top eigenvalue, Krylov ``None``."""
+        if self.route == "rank1_lanczos":
+            return None
+        self._dual = (dense_eigh if self.route == "exact_mmw" else tridiagonalize)(self._y())
+        return self._dual.top
+
+    def play(self, t, rng):
+        """The action of step ``t``, from ``Y`` as last moved; the sketches draw their sphere vector from ``rng``."""
+        if self.route == "exact_mmw":
+            return mmw_projection(self._dual)
+        u = sample_unit_sphere(self._op.n, rng)
+        if self.route == "rank1_exact":
+            return rank1_projection(self._dual, u)
+        cap = min(self._cap(t), self._op.n)
+        self._op.matvec_count = 0
+        action = rank1_projection_lanczos(self._op, u, cap, tol=self._budget)
+        self.record = (cap, self._op.matvec_count, action.error_estimate)
+        return action
 
 
 def trace_norm_distance(x1, x2):

@@ -25,15 +25,9 @@ from .linalg import (
     gaussian_symmetric,
     operator_norm,
     require_dense,
-    sample_unit_sphere,
     top_eigenvalue,
 )
-from .projections import (
-    SpectrahedronAction,
-    rank1_projection,
-    rank1_projection_lanczos,
-    softmax_grad,
-)
+from .projections import MatrixPlayer, SpectrahedronAction, softmax_grad
 
 VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
 
@@ -417,8 +411,6 @@ class FeasibilityResult:
     matvecs: int
     wall_ns: int
     completed: bool
-    cost_history: np.ndarray = field(repr=False)
-    y_history: np.ndarray = field(repr=False)
     x_factor_history: np.ndarray = field(repr=False)
 
 
@@ -433,15 +425,18 @@ def _verdict(s_lower, s_upper):
 def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False):
     """Run the primal-dual saddle-point game and certify the sign of its value.
 
-    Per step: draw a sphere vector, play the rank-1 sketch of the running
-    scaled gain sum, play the multiplicative-weights vector against the
-    accumulated costs, then exchange gain ``sum_i y_i A_i`` and costs
-    ``<A_i, X>``.  Averages of both players feed the duality gap.  The sign
-    interval is ``[min_i <A_i, X_avg>, lam_max(A* y_avg)]``; 'feasible' means
-    the strict system ``<A_i, X> > 0`` for all i has the witness ``X_avg``,
-    'infeasible' means ``y_avg`` certifies that no such X exists.  Krylov
-    projections stop once their error estimate is at most ``1/(4 T)``, with
-    :func:`required_iterations` as the cap.
+    Per step: the :class:`MatrixPlayer` (the online ``rank1_exact`` route,
+    ``rank1_lanczos`` with ``use_lanczos``) plays the rank-1 sketch of the
+    running scaled gain sum, the vector player the multiplicative-weights
+    vector against the accumulated costs; they exchange gain
+    ``sum_i y_i A_i`` and costs ``<A_i, X>``.  Averages of both players feed
+    the duality gap.  The sign interval is ``[min_i <A_i, X_avg>,
+    lam_max(A* y_avg)]``; 'feasible' means the strict system ``<A_i, X> > 0``
+    for all i has the witness ``X_avg``, 'infeasible' means ``y_avg``
+    certifies that no such X exists.  Krylov projections stop once their
+    error estimate is at most ``1/(4 T)``, with :func:`required_iterations`
+    as the cap.  Only the played unit factors are kept: the costs and
+    simplex plays follow from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -457,30 +452,25 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     y_avg = np.zeros(m)
     cost_sum = np.zeros(m)
     eta_y_sum = np.zeros(m)  # accumulated eta * y_i: the scaled gain sum is A* eta_y_sum
-    cost_history = np.zeros((horizon, m))
-    y_history = np.zeros((horizon, m))
     x_factor_history = np.zeros((horizon, n))
     matvecs = 0
     # the scaled gain sum A* eta_y_sum, whose storage each step rewrites in place
     gain, gain_data, gain_values = _gain_storage(instance, use_lanczos)
     gain_op = SparseSymOperator(n, lambda v: gain @ v, nnz_hint=gain.nnz if sp.issparse(gain) else n * n)
+    player = MatrixPlayer(
+        "rank1_lanczos" if use_lanczos else "rank1_exact", horizon, lambda: gain, gain_op,
+        lambda t: required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n),
+    )
 
     for t in range(1, horizon + 1):
-        u = sample_unit_sphere(n, rng)
         gain_data[:] = gain_values @ eta_y_sum
-        if use_lanczos:
-            gain_op.matvec_count = 0
-            k = min(required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n), n)
-            action = rank1_projection_lanczos(gain_op, u, k, tol=0.25 / horizon)
-            matvecs += gain_op.matvec_count
-        else:
-            action = rank1_projection(gain, u)
+        player.moved()
+        action = player.play(t, rng)
+        matvecs += player.record[1]
         yw = softmax_grad(-eta * cost_sum)
 
         cost = costs(instance, action)
         y_avg += yw
-        cost_history[t - 1] = cost
-        y_history[t - 1] = yw
         x_factor_history[t - 1] = action.factor
         cost_sum += cost
         eta_y_sum += eta * yw
@@ -496,7 +486,7 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     s_lower = float(costs(instance, x_action).min())
     # lam_max(A* y_avg) padded by the eigenvalue-estimate uncertainty (0 at dense scale)
     s_upper = gap.hi + s_lower
-    result = FeasibilityResult(
+    return FeasibilityResult(
         x_avg=x_action,
         y_avg=y_avg,
         T=horizon,
@@ -509,11 +499,8 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
         matvecs=matvecs,
         wall_ns=time.perf_counter_ns() - start_ns,
         completed=True,
-        cost_history=cost_history,
-        y_history=y_history,
         x_factor_history=x_factor_history,
     )
-    return result
 
 
 def make_random_instance(n, m, rng, density=0.5):

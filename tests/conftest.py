@@ -14,6 +14,8 @@ import scipy.sparse as sp
 
 from mmwsketch import SeededRng, SparseSymOperator, lanczos_decompose, sample_unit_sphere
 from mmwsketch.linalg import LANCZOS_RTOL
+from mmwsketch.projections import SpectrahedronAction, softmax_grad
+from mmwsketch.sdp import costs
 
 
 def expm_dense(a):
@@ -168,17 +170,34 @@ def upper_triplets_of_dense_by_loop(mats):
     return triplets
 
 
-def simplex_regret_certificate(result):
+def replay_simplex(instance, result):
+    """``(costs, ys)``, each ``T x m``: every step's cost vector and simplex play in a feasibility solve.
+
+    Replayed from the played unit factors alone, as the solver computes
+    them, so to the bit: ``c_t = costs(instance, x_t x_t')`` and
+    ``y_t = softmax_grad(-eta sum_{s<t} c_s)``.
+    """
+    horizon, m = result.T, instance.m
+    cost_rows, ys, cost_sum = np.zeros((horizon, m)), np.zeros((horizon, m)), np.zeros(m)
+    for t, factor in enumerate(result.x_factor_history):
+        ys[t] = softmax_grad(-result.eta * cost_sum)
+        cost_rows[t] = costs(instance, SpectrahedronAction(factor=factor))
+        cost_sum += cost_rows[t]
+    return cost_rows, ys
+
+
+def simplex_regret_certificate(instance, result):
     """Deterministic multiplicative-weights regret check on a feasibility solve.
 
     Returns ``(lhs, rhs)`` with ``lhs = sum_t c_t . y_t - min_i sum_t c_t[i]``
     and ``rhs = log(m)/eta + (eta/2) sum_t |c_t|_inf^2``; every run satisfies
     ``lhs <= rhs``.
     """
-    costs, eta = result.cost_history, result.eta
-    played = float(np.einsum("ti,ti->", result.y_history, costs))
-    lhs = played - float(costs.sum(axis=0).min())
-    rhs = math.log(costs.shape[1]) / eta + 0.5 * eta * float((np.abs(costs).max(axis=1) ** 2).sum())
+    cost_rows, ys = replay_simplex(instance, result)
+    eta = result.eta
+    played = float(np.einsum("ti,ti->", ys, cost_rows))
+    lhs = played - float(cost_rows.sum(axis=0).min())
+    rhs = math.log(cost_rows.shape[1]) / eta + 0.5 * eta * float((np.abs(cost_rows).max(axis=1) ** 2).sum())
     return lhs, rhs
 
 

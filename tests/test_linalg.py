@@ -363,9 +363,25 @@ class TestTridiagonalize:
         rank_deficient = 0.7 * (factors.T @ factors)  # a streaming-PCA gain sum: repeated zero eigenvalues
         cases = [random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), 30.0 * random_symmetric(rng, n)]
         for a in cases + [clustered, top_cluster, rank_deficient, -4.0 * np.eye(n)]:
-            assert np.array_equal(a, a.T)  # tridiagonalize would symmetrize; the others read one triangle
+            assert np.array_equal(a, a.T)  # scipy's driver reads one triangle
             expected = scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr")[0]
             assert tridiagonalize(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 32, 48, 128, 200])
+    def test_top_matches_top_eigenvalue_on_nearly_symmetric_input(self, rng, n):
+        # a general product, not a syrk: its triangles differ in the last bits, and every route
+        # reduces the one matrix sym_array makes of it
+        for _ in range(10):
+            f = sample_unit_sphere(n, rng, size=max(1, n // 2))
+            a = (0.7 * f.T) @ f
+            assert tridiagonalize(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1]
+
+    def test_asymmetric_input_raises(self):
+        a = np.eye(3)
+        a[0, 1] = 1e-6
+        for fn in (top_eigenvalue, operator_norm, tridiagonalize):
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                fn(a)
 
     def test_one_by_one_has_no_reflectors(self):
         form = tridiagonalize(np.array([[-2.5]]))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -44,6 +45,10 @@ class TestDefaultEta:
         with pytest.raises(ValueError):
             default_eta(4, 0)
 
+    def test_dimension_validated(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            default_eta(0, 10)
+
 
 class TestKtSchedule:
     def test_first_step_formula(self):
@@ -73,6 +78,22 @@ class TestKtSchedule:
             kt_schedule(8, 100, -0.1, 0.1)
         with pytest.raises(ValueError):
             kt_schedule(8, 100, 0.1, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["eta", "k0"])
+    def test_non_finite_input_named_before_any_step(self, name, value):
+        # unchecked, these passed here and failed at the rule's first call
+        args = {"eta": 0.1, "k0": 4.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            kt_schedule(8, 100, args["eta"], 0.1, args["k0"])
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+    def test_eta_validated(self, eta):
+        # unchecked, a NaN or inf step size reached the first decomposition of the gain sum
+        with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+            Schedule(eta=eta, T=10)
 
 
 class TestBuiltinAdversaries:
@@ -227,7 +248,7 @@ def _unexpected(name):
 
 
 class _OrderSpyAdversary(Adversary):
-    """Asserts the engine never exposes the current step's action."""
+    """Asserts the engine exposes no action: it keeps no play history."""
 
     gain_class = "bounded_inf_norm_1"
 
@@ -238,7 +259,7 @@ class _OrderSpyAdversary(Adversary):
 
     def next_gain(self, history):
         self.calls += 1
-        assert len(history) == self.calls - 1, "engine leaked the current action"
+        assert history == (), "engine handed over a play history"
         self.log.append(("gain", self.calls))
         return np.zeros((self.n, self.n))
 
@@ -300,6 +321,20 @@ class TestRunOnline:
         # strict alternation: every draw is preceded by that step's gain
         assert kinds == ["gain", "draw"] * 5
 
+    def test_no_play_history_is_kept(self):
+        # an exact_mmw play is a dense n x n matrix: a kept history would add one per step to the peak
+        peaks = {}
+        for strategy in ("exact_mmw", "rank1_exact"):
+            adv_rng, play_rng = SeededRng(5).spawn(2)
+            adversary = builtin_adversaries("random_rotation", 64, adv_rng)
+            tracemalloc.start()
+            try:
+                run_online(adversary, strategy, Schedule(eta=0.1, T=100), play_rng)
+                peaks[strategy] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["exact_mmw"] <= 2 * peaks["rank1_exact"], peaks
+
     def test_asymmetric_gain_rejected_naming_step(self, rng):
         with pytest.raises(GainValidationError, match="step 1"):
             run_online(_AsymmetricAdversary(4), "rank1_exact", Schedule(eta=0.1, T=3), rng)
@@ -326,6 +361,7 @@ class TestRunOnline:
     @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact", "rank1_lanczos"])
     def test_no_eigvalsh_per_step_at_dense_scale(self, monkeypatch, strategy):
         import mmwsketch.online as online
+        import mmwsketch.projections as projections
 
         horizon = 30
         adv_rng, play_rng = SeededRng(5).spawn(2)
@@ -344,7 +380,7 @@ class TestRunOnline:
         counted(np.linalg, "eigvalsh")
         counted(np.linalg, "eigh")
         counted(online, "top_eigenvalue")
-        counted(online, "tridiagonalize")
+        counted(projections, "tridiagonalize")
         for adv in adversaries:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
@@ -365,20 +401,20 @@ class TestRunOnline:
     @pytest.mark.parametrize("kind", ["random_rotation", "streaming_pca"])
     @pytest.mark.parametrize("strategy", ["exact_mmw", "rank1_exact"])
     def test_dense_plays_replay_through_the_matrix_route(self, monkeypatch, strategy, kind):
-        import mmwsketch.online as online
+        import mmwsketch.projections as projections
 
         n, horizon, eta = 8, 40, 0.3
         adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(21)))
         play_rng, draws = SeededRng(22), []
-        sample = online.sample_unit_sphere
+        sample = projections.sample_unit_sphere
 
         def recorded(n, rng, size=None):
             u = sample(n, rng, size)
-            if rng is play_rng:  # streaming_pca draws its gains through the same name
-                draws.append(u)
+            assert rng is play_rng  # the player's draws; streaming_pca draws its gains in online
+            draws.append(u)
             return u
 
-        monkeypatch.setattr(online, "sample_unit_sphere", recorded)
+        monkeypatch.setattr(projections, "sample_unit_sphere", recorded)
         trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
         gain_sum = np.zeros((n, n))
         for t, gain in enumerate(adv.gains):
@@ -471,16 +507,16 @@ class TestRunOnline:
             _validate_gain(g, gain_class, 4, 3)
 
     def test_nearly_symmetric_gains_keep_operator_symmetric(self, monkeypatch):
-        import mmwsketch.online as online
+        import mmwsketch.projections as projections
 
         operators = []
-        projection = online.rank1_projection_lanczos
+        projection = projections.rank1_projection_lanczos
 
         def spy(op, *args, **kwargs):
             operators.append(op)
             return projection(op, *args, **kwargs)
 
-        monkeypatch.setattr(online, "rank1_projection_lanczos", spy)
+        monkeypatch.setattr(projections, "rank1_projection_lanczos", spy)
         n, horizon = 10, 40
         adv_rng, play_rng = SeededRng(9).spawn(2)
         adv = _NearlySymmetricAdversary(n, adv_rng)

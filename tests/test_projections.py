@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwsketch import (
+    Schedule,
     SeededRng,
     SparseSymOperator,
     builtin_adversaries,
@@ -19,6 +20,7 @@ from mmwsketch import (
     mmw_projection,
     rank1_projection,
     rank1_projection_lanczos,
+    run_online,
     sample_unit_sphere,
     softmax_grad,
     solve_feasibility,
@@ -30,7 +32,14 @@ from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.lanczos import required_iterations
 from mmwsketch.sdp import _adjoint_csr, _gain_storage, builtin_instance, make_random_instance
-from conftest import budgeted_sketch_by_layers, expm_dense, haar_orthogonal, random_symmetric, trace_norm
+from conftest import (
+    budgeted_sketch_by_layers,
+    expm_dense,
+    haar_orthogonal,
+    random_symmetric,
+    replay_simplex,
+    trace_norm,
+)
 
 
 class TestSoftmaxGrad:
@@ -414,6 +423,7 @@ class TestBudgetedKrylovSketch:
         # replay the solver's sphere draws and dual points, and sketch each step exactly
         rng = SeededRng(4)
         eta_y_sum = np.zeros(instance.m)
+        ys = replay_simplex(instance, result)[1]
         worst = 0.0
         for t in range(1, horizon + 1):
             u = sample_unit_sphere(instance.n, rng)
@@ -421,7 +431,7 @@ class TestBudgetedKrylovSketch:
                 exact = rank1_projection(_adjoint_csr(instance, eta_y_sum).toarray(), u)
                 played = SpectrahedronAction.rank1(result.x_factor_history[t - 1])
                 worst = max(worst, trace_norm_distance(played, exact))
-            eta_y_sum += eta * result.y_history[t - 1]
+            eta_y_sum += eta * ys[t - 1]
         assert worst <= 1.0 / horizon
         assert result.matvecs < 20 * horizon
 
@@ -462,6 +472,7 @@ class TestLeanKrylovSketch:
         horizon, eta, n = result.T, result.eta, instance.n
         gain, gain_data, gain_values = _gain_storage(instance, use_lanczos=True)
         rng, eta_y_sum, matvecs = SeededRng(6), np.zeros(instance.m), 0
+        ys = replay_simplex(instance, result)[1]
         for t in range(1, horizon + 1):
             u = sample_unit_sphere(n, rng)
             gain_data[:] = gain_values @ eta_y_sum
@@ -469,8 +480,41 @@ class TestLeanKrylovSketch:
             factor, count = self._same_as_layers(lambda v: gain @ v, u, cap, 0.25 / horizon)
             assert factor.tobytes() == result.x_factor_history[t - 1].tobytes(), t
             matvecs += count
-            eta_y_sum += eta * result.y_history[t - 1]
+            eta_y_sum += eta * ys[t - 1]
         assert matvecs == result.matvecs
+
+
+class TestMatrixPlayer:
+    def test_one_krylov_call_per_step_in_both_games(self, monkeypatch):
+        # one call per step, with the cap third and positional (perfbench's tracer notes args[2] as the depth)
+        import mmwsketch.projections as projections
+
+        calls, projection = [], projections.rank1_projection_lanczos
+
+        def spy(*args, **kwargs):
+            before = args[0].matvec_count
+            action = projection(*args, **kwargs)
+            calls.append((len(args), args[2], kwargs, args[0].matvec_count - before))
+            return action
+
+        monkeypatch.setattr(projections, "rank1_projection_lanczos", spy)
+        n, horizon = 12, 30
+        adv_rng, play_rng = SeededRng(4).spawn(2)
+        adversary = builtin_adversaries("random_rotation", n, adv_rng)
+        trace = run_online(adversary, "rank1_lanczos", Schedule(eta=0.2, T=horizon), play_rng)
+        assert [c[:3] for c in calls] == [(3, cap, {"tol": 0.25 / horizon}) for cap in trace.k_cap.tolist()]
+        assert trace.k_used.tolist() == trace.matvecs.tolist() == [c[3] for c in calls]
+
+        calls.clear()
+        instance = builtin_instance("rand20x10")
+        result = solve_feasibility(instance, 0.5, rng=SeededRng(6), use_lanczos=True)
+        horizon, n = result.T, instance.n
+        caps = [
+            min(required_iterations(result.eta * t * result.omega, min(1.0 / horizon, 0.5), 0.1 / (2.0 * horizon), n), n)
+            for t in range(1, horizon + 1)
+        ]
+        assert [c[:3] for c in calls] == [(3, cap, {"tol": 0.25 / horizon}) for cap in caps]
+        assert sum(c[3] for c in calls) == result.matvecs
 
 
 class TestTraceNormDistance:

@@ -34,6 +34,7 @@ from conftest import (
     dense_constraint,
     doubled_half_costs,
     random_symmetric,
+    replay_simplex,
     simplex_regret_certificate,
     symmetry_defect,
     union_stack_by_unique,
@@ -664,7 +665,7 @@ class TestGainStorage:
         dense, csr = results[0.0], results[math.inf]
         assert (dense.T, dense.verdict, dense.matvecs) == (csr.T, csr.verdict, csr.matvecs)
         assert np.abs(dense.x_factor_history - csr.x_factor_history).max() <= 1e-12
-        assert np.abs(dense.y_history - csr.y_history).max() <= 1e-12
+        assert np.abs(replay_simplex(inst, dense)[1] - replay_simplex(inst, csr)[1]).max() <= 1e-12
 
 
 class TestSolveFeasibility:
@@ -706,7 +707,7 @@ class TestSolveFeasibility:
         replay = np.einsum("ti,tj->ij", result.x_factor_history, result.x_factor_history)
         replay /= result.T
         assert np.abs(replay - result.x_avg.matrix).max() <= 1e-10
-        assert np.allclose(result.y_history.mean(axis=0), result.y_avg, atol=1e-12)
+        assert np.allclose(replay_simplex(inst, result)[1].mean(axis=0), result.y_avg, atol=1e-12)
         # T = 856 = 13 * 64 + 24: the average covers every step, including a partly filled block
         result = solve_feasibility(builtin_instance("rand20x10"), 0.25, rng=SeededRng(3))
         assert result.completed and result.T == 856 and result.T % X_AVG_BLOCK
@@ -720,9 +721,10 @@ class TestSolveFeasibility:
         assert abs(result.y_avg.sum() - 1.0) <= 1e-12
 
     def test_simplex_player_regret_certificate(self):
+        inst = builtin_instance("rand20x10")
         for seed in range(3):
-            result = solve_feasibility(builtin_instance("rand20x10"), 0.5, rng=SeededRng(seed))
-            lhs, rhs = simplex_regret_certificate(result)
+            result = solve_feasibility(inst, 0.5, rng=SeededRng(seed))
+            lhs, rhs = simplex_regret_certificate(inst, result)
             assert lhs <= rhs + 1e-9
 
     def test_monotone_epsilon(self):

@@ -16,17 +16,17 @@ __version__ = "0.1.0"
 
 from .linalg import (  # noqa: F401
     DENSE_LIMIT,
+    AnchoredForm,
     ConvergenceError,
     DenseLimitError,
     EigenDecomposition,
     LinalgError,
     SeededRng,
     SparseSymOperator,
-    TridiagonalForm,
+    anchor,
     dense_eigh,
     sample_dirichlet_half,
     sample_unit_sphere,
-    tridiagonalize,
 )
 from .lanczos import (  # noqa: F401
     LanczosDecomposition,

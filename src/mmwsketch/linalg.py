@@ -53,16 +53,17 @@ def require_dense(n, what):
         raise DenseLimitError(f"{what} requires n <= dense limit {DENSE_LIMIT}, got n = {n}")
 
 
-def sym_array(a):
+def sym_array(a, copy=True):
     """Coerce ``a`` to an exactly symmetric float ndarray.
 
     Accepts any square array-like whose asymmetry is below ``1e-8``
     relative to its magnitude.  The result satisfies ``out[i, j] == out[j, i]``
-    bitwise.  Input that is already bitwise symmetric comes back as a copy;
-    otherwise the result is ``0.5 * (a + a')``, the same bits wherever the
-    doubled entries do not overflow.
+    bitwise.  Input that is already bitwise symmetric comes back as a copy,
+    or, with ``copy=False``, as itself if it is a float ndarray; otherwise
+    the result is ``0.5 * (a + a')``, the same bits wherever the doubled
+    entries do not overflow.
     """
-    arr = np.array(a, dtype=float)
+    arr = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     bits = arr.view(np.int64)
@@ -243,109 +244,88 @@ def _exp_series_coefficients(r):
 
 
 @dataclass
-class TridiagonalForm:
-    """Householder reduction ``Y = Q T Q'``, with what applies ``exp((T - theta_max I)/2)`` to a vector.
+class AnchoredForm:
+    """The dense symmetric ``Y = scale * matrix``, ``scale > 0``, with an interval ``[lo, hi]`` that holds its spectrum.
 
-    ``reflectors`` and ``tau`` are the Householder vectors and scalars that
-    LAPACK ``sytrd`` (lower storage) leaves below the subdiagonal: with them
-    ``Q = diag(1, Q_1)``, where ``Q_1`` is the ``ormqr`` product of the
-    reflector block.  ``d`` and ``e`` are the diagonal and subdiagonal of T,
-    and ``top`` is its largest eigenvalue, which is that of Y: one ``stebz``
-    bisection, the bits :func:`top_eigenvalue` gives.  Neither ``Q`` nor any
-    eigenvector is formed: ``f(Y) x`` is ``Q f(T) Q' x``, two ``O(n^2)``
-    applications of ``Q``.
+    ``matrix`` is bitwise symmetric.  :func:`anchor` makes a form by reducing
+    ``matrix``, and its ``top`` is the largest eigenvalue of ``matrix``, the
+    bits :func:`top_eigenvalue` gives; a form widened since keeps them.
     """
 
-    reflectors: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
+    matrix: np.ndarray
+    scale: float
+    lo: float
+    hi: float
     top: float
 
-    def apply_q(self, x, trans=False):
-        """``Q x``, or ``Q' x`` with ``trans``, by one LAPACK ``ormqr`` call."""
+    def exp_half(self, x):
+        """``exp((Y - hi I)/2) x``, by the Chebyshev series of ``exp`` on ``[lo, hi]`` (Bergamaschi & Vianello 2000).
+
+        With ``r`` a quarter of the width and ``t`` the image of ``lam`` in
+        ``[-1, 1]``, ``exp((lam - hi)/2) = exp(r (t - 1))``, whose series
+        :func:`_exp_series_coefficients` gives.  Clenshaw's recurrence sums it
+        with one product by ``matrix`` (BLAS ``symv``) and two ``axpy`` per
+        degree.  As ``|T_k(t)| <= 1`` on the interval, the cut series is within
+        ``2^-60 |x|`` of the exponential; the result shrinks by
+        ``exp((lam_max - hi)/2)`` and that error does not, so a top end
+        ``delta`` above ``lam_max`` multiplies the relative error by up to
+        ``exp(delta/2)``.  A width whose series would take more products than
+        Y has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of Y
+        from :func:`dense_eigh` instead, ``V exp((lam - hi)/2) V' x``.
+        """
         x = np.asarray(x, dtype=float)
-        n = len(self.d)
+        n = self.matrix.shape[0]
         if x.shape != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
-        out = x.copy()
-        if n > 1:
-            tail, _, info = scipy.linalg.lapack.dormqr(
-                "L", "T" if trans else "N", self.reflectors, self.tau, out[1:, None], 1, overwrite_c=1
-            )
-            if info != 0:
-                raise ConvergenceError(f"applying the Householder reflectors failed for n={n} (info={info})")
-            out[1:] = tail[:, 0]
-        return out
-
-    def exp_half(self, x):
-        """``exp((T - theta_max I)/2) x``, with ``theta_max`` the :attr:`top` eigenvalue of T.
-
-        By the Chebyshev series of ``exp`` (Bergamaschi & Vianello, Numer.
-        Linear Algebra Appl. 2000) on ``[lo, theta_max]``, with ``lo`` the
-        Gershgorin bound of T widened for rounding.  With ``r`` a quarter of
-        the width and ``t`` the image of ``theta`` in ``[-1, 1]``,
-        ``exp((theta - theta_max)/2) = exp(r (t - 1))``, and
-        :func:`_exp_series_coefficients` gives its series.  Clenshaw's
-        recurrence sums it with one banded product (BLAS ``sbmv``) and one
-        ``axpy`` per degree.  As ``|T_k(t)| <= 1`` on the interval, the cut
-        series is within ``2^-60 |x|`` of the exponential.  The upper end
-        must be exact: a loose one scales the result down to the size of
-        that error.  A width whose series would take more products than T
-        has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of T from
-        ``stevd`` instead, ``V exp((theta - theta_max)/2) V' x``.
-        """
-        d, e, n = self.d, self.e, len(self.d)
-        radius = np.zeros(n)
-        radius[1:] = np.abs(e)
-        radius[:-1] += radius[1:]
-        # each d_i - radius_i rounds twice, by at most eps (|d_i| + radius_i) together
-        lo = float((d - radius).min()) - 2.0 * _EPS * float((np.abs(d) + radius).max())
-        r = 0.25 * (self.top - lo)
+        r = 0.25 * (self.hi - self.lo)
         if 83.0 * r <= n * n:
-            return _clenshaw_exp(d, e, 0.5 * (self.top + lo), r, x)
-        theta, v = tridiagonal_eigh(d, e)
-        return v @ (np.exp(0.5 * (theta - self.top)) * (v.T @ x))
+            return _clenshaw_exp(self.matrix, self.scale, 0.5 * (self.hi + self.lo), r, x)
+        dec = dense_eigh(self.scale * self.matrix)
+        v = dec.eigenvectors
+        return v @ (np.exp(0.5 * (dec.eigenvalues - self.hi)) * (v.T @ x))
 
 
-def _clenshaw_exp(d, e, mid, r, x):
-    """``exp(r (S - I)) x`` for ``S = (T - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``."""
+def _clenshaw_exp(m, scale, mid, r, x):
+    """``exp(r (S - I)) x`` for ``S = (scale m - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``."""
     coef = _exp_series_coefficients(r)
     if len(coef) == 1:
         return coef[0] * x
-    n = len(d)
-    band = np.zeros((n, 2))  # band.T is 2S = (T - mid I) / r in LAPACK's lower band storage, Fortran-ordered
-    band[:, 0] = (d - mid) * (1.0 / r)
-    band[:-1, 1] = e * (1.0 / r)
-    band = band.T
-    # positional, as keywords cost f2py about 1 us a call: sbmv(k, alpha, a, x, incx, offx, beta, y, incy,
-    # offy, lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
-    sbmv, axpy = scipy.linalg.blas.dsbmv, scipy.linalg.blas.daxpy
+    n = len(x)
+    a = m.T if m.flags.c_contiguous else np.asfortranarray(m)  # m is symmetric: BLAS reads it in Fortran order, uncopied
+    alpha, shift = scale / r, -mid / r  # 2S b = alpha m b + shift b
+    # positional, as keywords cost f2py about 1 us a call: symv(alpha, a, x, beta, y, offx, incx, offy, incy,
+    # lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
+    symv, axpy = scipy.linalg.blas.dsymv, scipy.linalg.blas.daxpy
     b1, b2 = coef[-1] * x, np.zeros(n)  # b_{k+1} and b_{k+2}
     for c in coef[-2:0:-1].tolist():
-        b2 = axpy(x, sbmv(1, 1.0, band, b1, 1, 0, -1.0, b2, 1, 0, 1, 1), n, c)  # b_k = c_k x + 2S b_{k+1} - b_{k+2}
+        # b_k = c_k x + 2S b_{k+1} - b_{k+2}
+        b2 = axpy(x, axpy(b1, symv(alpha, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, shift), n, c)
         b1, b2 = b2, b1
-    return axpy(x, sbmv(1, 0.5, band, b1, 1, 0, -1.0, b2, 1, 0, 1, 1), n, coef[0])
+    return axpy(x, axpy(b1, symv(0.5 * alpha, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, 0.5 * shift), n, coef[0])
 
 
-def tridiagonalize(a):
-    """The :class:`TridiagonalForm` of the symmetric ``a``: LAPACK ``sytrd``, then one ``stebz`` bisection.
+def anchor(a, scale=1.0):
+    """The :class:`AnchoredForm` of ``Y = scale * a``, for the symmetric ``a`` and ``scale > 0``.
 
-    The bisection gives the top eigenvalue of T, and the form applies
-    ``exp(T/2)`` by the Chebyshev series of ``exp``.  Costs the ``O(n^3)``
-    reduction of a full eigendecomposition, without its eigensolve of T or
-    ``O(n^3)`` back-transform of the eigenvectors.  Raises
-    :class:`ConvergenceError` naming the matrix size if LAPACK fails or T is
-    not finite (a NaN or inf entry of ``a``), and :class:`DenseLimitError`
-    above :data:`DENSE_LIMIT`.
+    One ``sytrd`` reduction of ``sym_array(a)`` and two ``stebz`` bisections
+    give the extreme eigenvalues of ``a``, as :func:`_dense_eigenvalues` does,
+    so ``top`` has the bits of :func:`top_eigenvalue`.  The interval is
+    ``scale`` times them, each end moved out by ``4 n eps |Y|_2``: LAPACK
+    bounds their error by ``p(n) eps |a|_2`` for a modestly growing ``p(n)``
+    (LAPACK Users' Guide, 3rd ed., section 4.7), and the pad takes
+    ``p(n) = 4n``, which also covers the product by ``scale``.  The form
+    holds ``a`` itself when it is a bitwise symmetric float array.  Raises
+    :class:`ConvergenceError` naming the size if LAPACK fails or T is not
+    finite (a NaN or inf entry), and :class:`DenseLimitError` above
+    :data:`DENSE_LIMIT`.
     """
-    arr = sym_array(a)
+    arr = sym_array(a, copy=False)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
-    # arr is an exactly symmetric copy, so arr.T is it in Fortran order and sytrd reduces it in place
-    c, d, e, tau = _reduce(arr.T, "tridiagonal reduction")
-    top = _bisect_eigenvalue(d, e, n, "top eigenvalue of T")
-    return TridiagonalForm(np.asfortranarray(c[1:, : n - 1]), tau, d, e, top)
+    # a copy in Fortran order for sytrd to reduce in place: arr is exactly symmetric, so arr.T is it
+    lam_min, lam_max = _reduced_eigenvalues(np.array(arr).T, "tridiagonal reduction", 1, n)
+    pad = 4.0 * n * _EPS * scale * max(abs(lam_min), abs(lam_max))
+    return AnchoredForm(arr, scale, scale * lam_min - pad, scale * lam_max + pad, lam_max)
 
 
 def spectrum_within(a, lo, hi):
@@ -472,15 +452,19 @@ def _dense_eigenvalues(a, what, *indices):
     Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
     ``UPLO='L'``: its scaling of a largest entry outside
     ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of
-    ``sym_array(a)``, as in :func:`tridiagonalize`, then one ``stebz``
-    bisection per index.  Inside that range eigenvalue n is
-    ``tridiagonalize(a).top`` bit for bit.  Raises :class:`ConvergenceError`
-    naming ``what`` if LAPACK reports a failure or the tridiagonal matrix is
-    not finite (a NaN or inf entry), where an unchecked bisection returns a
-    number.
+    ``sym_array(a)``, as in :func:`anchor`, then one ``stebz`` bisection per
+    index.  A sparse ``a`` is copied once, by ``toarray``.  Raises
+    :class:`ConvergenceError` naming ``what`` if LAPACK reports a failure or
+    the tridiagonal matrix is not finite (a NaN or inf entry), where an
+    unchecked bisection returns a number.
     """
-    n = a.shape[0]
-    arr = sym_array(a.toarray() if sp.issparse(a) else a).T  # an exactly symmetric copy in Fortran order
+    arr = sym_array(a.toarray(), copy=False) if sp.issparse(a) else sym_array(a)
+    return _reduced_eigenvalues(arr.T, what, *indices)  # an exactly symmetric copy, in Fortran order
+
+
+def _reduced_eigenvalues(arr, what, *indices):
+    """:func:`_dense_eigenvalues` of the exactly symmetric, Fortran-ordered ``arr``, which it scales and reduces in place."""
+    n = arr.shape[0]
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
         top = float(max(arr.max(), -arr.min()))
@@ -539,9 +523,7 @@ class SeededRng:
 
     def __init__(self, seed, _sequence=None):
         self.seed = int(seed)
-        self._sequence = (
-            np.random.SeedSequence(self.seed) if _sequence is None else _sequence
-        )
+        self._sequence = np.random.SeedSequence(self.seed) if _sequence is None else _sequence
         self.gen = np.random.Generator(np.random.Philox(self._sequence))
 
     def standard_normal(self, size=None):

@@ -2,17 +2,18 @@
 
 Implements the exact matrix-multiplicative-weights projection
 ``Y -> exp(Y)/tr exp(Y)``, its rank-1 randomized sketch
-``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via the Householder
-tridiagonal form of Y, or approximate via Krylov iterations), Monte-Carlo
-estimators for the sphere-averaged projection and its potential, the
-Bregman-divergence estimator used by the curvature tests, and the
-:class:`MatrixPlayer` of both games.  Every exponential is evaluated after
-subtracting the top eigenvalue; all projections here are invariant to that
-shift, so it is loss-free.
+``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via a Chebyshev series
+in Y, or approximate via Krylov iterations), Monte-Carlo estimators for the
+sphere-averaged projection and its potential, the Bregman-divergence
+estimator used by the curvature tests, and the :class:`MatrixPlayer` of both
+games.  Every exponential is evaluated after subtracting the top eigenvalue
+or an upper end of the spectrum near it; all projections here are invariant
+to that shift, so it is loss-free.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,13 +21,13 @@ import numpy as np
 
 from .lanczos import lanczos_decompose
 from .linalg import (
+    AnchoredForm,
     EigenDecomposition,
-    TridiagonalForm,
+    anchor,
     as_operator,
     dense_eigh,
     sample_unit_sphere,
     sym_array,
-    tridiagonalize,
 )
 
 _CHUNK = 20_000
@@ -169,19 +170,18 @@ def _direction_action(v, underflow_message):
 def rank1_projection(y, u):
     """Exact rank-1 sketch ``v v'/(v'v)`` with ``v = exp(Y/2) u``; requires dense scale.
 
-    ``y`` is the symmetric Y or its :class:`TridiagonalForm` ``Y = Q T Q'``.
-    Computes ``v = Q exp((T - theta_max I)/2) Q' u``: the shift by the top
-    eigenvalue is loss-free, Q is applied to two vectors, never formed, and
-    the form applies the exponential of T by one Chebyshev series at every
-    n (:meth:`TridiagonalForm.exp_half`).  A vanishing ``v`` is impossible
-    for symmetric Y (the exponential is nonsingular), so an underflow here
-    signals a shifting bug and raises.
+    ``y`` is the symmetric Y, which is anchored here (one ``sytrd`` reduction
+    and two bisections), or an :class:`AnchoredForm` of Y with an interval
+    ``[lo, hi]`` that holds its spectrum, as the :class:`MatrixPlayer` keeps.
+    Computes ``v = exp((Y - hi I)/2) u`` by one Chebyshev series in Y, one
+    matrix-vector product per degree (:meth:`AnchoredForm.exp_half`).  A
+    vanishing ``v`` is impossible for symmetric Y (the exponential is
+    nonsingular), so an underflow here signals a shifting bug and raises.
     """
     u = np.asarray(u, dtype=float)
     _unit_norm(u, "u")
-    form = y if isinstance(y, TridiagonalForm) else tridiagonalize(y)
-    v = form.apply_q(form.exp_half(form.apply_q(u, trans=True)))
-    return _direction_action(v, "exp(Y/2) u underflowed after shifting")
+    form = y if isinstance(y, AnchoredForm) else anchor(y)
+    return _direction_action(form.exp_half(u), "exp(Y/2) u underflowed after shifting")
 
 
 def rank1_projection_lanczos(y, u, k, tol=None):
@@ -205,33 +205,56 @@ def rank1_projection_lanczos(y, u, k, tol=None):
 ROUTES = ("exact_mmw", "rank1_exact", "rank1_lanczos")
 
 
-class MatrixPlayer:
-    """The matrix player of both games: a mirror projection of the live dual point ``Y`` at each step.
+#: tau: ``rank1_exact`` reduces ``Y`` again once the engine's bound on its move since the last reduction exceeds
+#: ``tau / 2``, so the widened top end stays within ``tau`` of ``lam_max(Y)``, and the series' truncation and
+#: rounding grow by at most ``e^(tau/2)``, about 55 or 6 bits, relative to ``v`` (``AnchoredForm.exp_half``).
+ANCHOR_TAU = 8.0
 
-    ``route`` is one of :data:`ROUTES`.  On the exact routes :meth:`moved`
-    decomposes the dense ``y()`` once per move of ``Y``, into eigenpairs for
-    ``exact_mmw`` and into its tridiagonal form for ``rank1_exact``.
-    ``rank1_lanczos`` reads the operator ``op`` of ``Y`` and stops each
-    Krylov run once its error estimate is at most ``1/(4T)``, a 2x margin on
-    a ``1/T`` trace-distance budget, or at depth ``min(cap(t), n)``.
-    :attr:`record` is the last play's ``(k_cap, matvecs, error_estimate)``,
-    zeros on the exact routes.  Functions are looked up by their
-    module-level names at each call, so a wrapper installed on a name sees
-    every call.
+
+class MatrixPlayer:
+    """The matrix player of both games: a mirror projection of the live dual point ``Y = scale * g()`` at each step.
+
+    ``route`` is one of :data:`ROUTES`.  ``exact_mmw`` decomposes ``Y`` into
+    eigenpairs at each move.  ``rank1_exact`` sums the sketch's series in
+    ``Y`` over an interval that holds its spectrum: an anchor reduces ``g()``
+    (:func:`~mmwsketch.linalg.anchor`), and in between the last anchor's
+    interval is widened by the engine's bound on ``|Y - Y_anchor|_2``, past
+    which no eigenvalue moves (Weyl).  ``rank1_lanczos`` reads the operator
+    ``op`` of ``Y`` and stops each Krylov run once its error estimate is at
+    most ``1/(4T)``, a 2x margin on a ``1/T`` trace-distance budget, or at
+    depth ``min(cap(t), n)``.  :attr:`record` is the last play's
+    ``(k_cap, matvecs, error_estimate)``, zeros on the exact routes.
+    Functions are looked up by their module-level names at each call, so a
+    wrapper installed on a name sees every call.
     """
 
-    def __init__(self, route, T, y, op, cap):
-        self.route, self._y, self._op, self._cap = route, y, op, cap
+    def __init__(self, route, T, g, scale, op, cap):
+        self.route, self._g, self._scale, self._op, self._cap = route, g, scale, op, cap
         self._budget = 0.25 / T
-        self._dual = None  # the exact routes' decomposition of Y, made by moved()
+        self._dual = None  # the exact routes' decomposition or interval of Y, made by moved()
+        self._anchor = None  # rank1_exact's last anchored form
         self.record = (0, 0, 0.0)
 
-    def moved(self):
-        """Note that ``Y`` moved: the exact routes decompose it and return its top eigenvalue, Krylov ``None``."""
+    def moved(self, drift=None):
+        """Note that ``Y`` moved; return the top eigenvalue of ``g()`` if this reduced it, else ``None``.
+
+        ``drift()`` bounds ``|Y - Y_anchor|_2``, with ``Y_anchor`` the ``Y`` of
+        the last move that returned a value.  ``rank1_exact`` anchors again
+        once it exceeds ``ANCHOR_TAU / 2``, and at every move without it.
+        """
         if self.route == "rank1_lanczos":
             return None
-        self._dual = (dense_eigh if self.route == "exact_mmw" else tridiagonalize)(self._y())
-        return self._dual.top
+        g = self._g()
+        if self.route == "exact_mmw":
+            self._dual = dense_eigh(self._scale * g)
+            return self._dual.top / self._scale
+        if drift is not None and self._anchor is not None:
+            bound, last = drift(), self._anchor
+            if 2.0 * bound <= ANCHOR_TAU:
+                self._dual = dataclasses.replace(last, matrix=g, lo=last.lo - bound, hi=last.hi + bound)
+                return None
+        self._dual = self._anchor = anchor(g, self._scale)
+        return self._anchor.top
 
     def play(self, t, rng):
         """The action of step ``t``, from ``Y`` as last moved; the sketches draw their sphere vector from ``rng``."""
@@ -357,9 +380,7 @@ def estimate_potential(y, samples, rng):
     vals = np.concatenate(
         [lam[0] + np.log(((u * u) * boost).sum(axis=1)) for u in _sphere_batches(len(lam), samples, rng)]
     )
-    return ScalarEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
-    )
+    return ScalarEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples)
 
 
 def estimate_bregman(y, yp, samples, rng):
@@ -394,6 +415,4 @@ def estimate_bregman(y, yp, samples, rng):
         quad_delta = np.einsum("si,ij,sj->s", v, delta, v) / (v * v).sum(axis=1)
         vals.append(log_quad_p - log_quad - quad_delta)
     vals = np.concatenate(vals)
-    return ScalarEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
-    )
+    return ScalarEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples)

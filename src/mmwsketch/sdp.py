@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .lanczos import required_iterations
 from .linalg import (
+    _EPS,
     SeededRng,
     SparseSymOperator,
     gaussian_symmetric,
@@ -236,9 +237,7 @@ def load_instance(path):
             parts = line.split()
             if header is None:
                 if len(parts) != 2:
-                    raise InstanceFormatError(
-                        f"line {lineno}: header must be 'n m', got {raw.strip()!r}"
-                    )
+                    raise InstanceFormatError(f"line {lineno}: header must be 'n m', got {raw.strip()!r}")
                 try:
                     header = (int(parts[0]), int(parts[1]))
                 except ValueError as err:
@@ -249,9 +248,7 @@ def load_instance(path):
                     raise InstanceFormatError(f"line {lineno}: n must be >= 1")
                 continue
             if len(parts) != 4:
-                raise InstanceFormatError(
-                    f"line {lineno}: expected 'i row col value', got {raw.strip()!r}"
-                )
+                raise InstanceFormatError(f"line {lineno}: expected 'i row col value', got {raw.strip()!r}")
             try:
                 i, r, c = int(parts[0]), int(parts[1]), int(parts[2])
                 v = float(parts[3])
@@ -261,13 +258,9 @@ def load_instance(path):
                 raise InstanceFormatError(f"line {lineno}: value {parts[3]!r} is not finite")
             n, m = header
             if not 1 <= i <= m:
-                raise InstanceFormatError(
-                    f"line {lineno}: constraint index {i} outside [1, {m}]"
-                )
+                raise InstanceFormatError(f"line {lineno}: constraint index {i} outside [1, {m}]")
             if not (1 <= r <= n and 1 <= c <= n):
-                raise InstanceFormatError(
-                    f"line {lineno}: entry index ({r}, {c}) outside [1, {n}]^2"
-                )
+                raise InstanceFormatError(f"line {lineno}: entry index ({r}, {c}) outside [1, {n}]^2")
             if r > c:
                 raise InstanceFormatError(f"line {lineno}: entries must have row <= col")
             if (i, r, c) in seen:
@@ -284,9 +277,7 @@ def load_instance(path):
 def _adjoint_csr(instance, weights):
     """``sum_i w_i A_i`` as one CSR matrix over the instance's union pattern."""
     stack = instance.stack()
-    return sp.csr_matrix(
-        (stack.values @ weights, stack.indices, stack.indptr), shape=(instance.n, instance.n)
-    )
+    return sp.csr_matrix((stack.values @ weights, stack.indices, stack.indptr), shape=(instance.n, instance.n))
 
 
 def _gain_storage(instance, use_lanczos):
@@ -341,9 +332,7 @@ def costs(instance, action):
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:
-            raise ValueError(
-                f"cost magnitude {np.abs(out).max():.6g} exceeds the instance width"
-            )
+            raise ValueError(f"cost magnitude {np.abs(out).max():.6g} exceeds the instance width")
     return out
 
 
@@ -414,6 +403,28 @@ class FeasibilityResult:
     x_factor_history: np.ndarray = field(repr=False)
 
 
+def _drift_bound(omega, w, w_a, n):
+    """A bound on ``|Y - Y_a|_2`` for the dense gain sums ``Y = fl(A* w)`` and ``Y_a = fl(A* w_a)`` of the solver.
+
+    ``w`` and ``w_a`` are ``eta_y_sum`` now and earlier, so ``w >= w_a >= 0``:
+    each step adds ``eta y >= 0``, and rounding is monotone.  An entry of
+    ``fl(A* w)`` is a dot product of at most ``m`` terms, so
+    ``fl(A* w) = A* w + E`` with ``|E_kl| <= gamma_m sum_i w_i |A_i|_kl``
+    (``gamma_m = m u / (1 - m u)``, ``u = eps / 2``), and ``|E|_2 <= |E|_F <=
+    gamma_m sum_i w_i |A_i|_F <= gamma_m sqrt(n) omega |w|_1``.  With
+    ``|A*(w - w_a)|_2 <= omega |w - w_a|_1`` and ``|w_a|_1 <= |w|_1``,
+    ``|Y - Y_a|_2 <= omega (|w - w_a|_1 + 2 gamma_m sqrt(n) |w|_1)``, and
+    ``m eps >= 2 gamma_m``.  The factor ``1 + (4n + 2m + 8) eps`` covers the
+    rest: each difference rounds once, the sums of ``m`` nonnegative terms
+    come out low by at most ``(m + 1) u`` relative, ``omega`` is low by at
+    most ``anchor``'s ``4 n eps`` relative, and three more operations round.
+    """
+    m = len(w)
+    moved = float(np.abs(w - w_a).sum())
+    rounding = m * _EPS * math.sqrt(n) * float(w.sum())
+    return (1.0 + (4 * n + 2 * m + 8) * _EPS) * omega * (moved + rounding)
+
+
 def _verdict(s_lower, s_upper):
     if s_lower > 0.0:
         return "feasible"
@@ -433,10 +444,12 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     the duality gap.  The sign interval is ``[min_i <A_i, X_avg>,
     lam_max(A* y_avg)]``; 'feasible' means the strict system ``<A_i, X> > 0``
     for all i has the witness ``X_avg``, 'infeasible' means ``y_avg``
-    certifies that no such X exists.  Krylov projections stop once their
-    error estimate is at most ``1/(4 T)``, with :func:`required_iterations`
-    as the cap.  Only the played unit factors are kept: the costs and
-    simplex plays follow from them.
+    certifies that no such X exists.  The exact sketch reduces the gain sum
+    only at anchors, and in between widens the last anchor's interval by
+    :func:`_drift_bound`, about ``eta omega`` per step.  Krylov projections
+    stop once their error estimate is at most ``1/(4 T)``, with
+    :func:`required_iterations` as the cap.  Only the played unit factors are
+    kept: the costs and simplex plays follow from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -458,13 +471,15 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     gain, gain_data, gain_values = _gain_storage(instance, use_lanczos)
     gain_op = SparseSymOperator(n, lambda v: gain @ v, nnz_hint=gain.nnz if sp.issparse(gain) else n * n)
     player = MatrixPlayer(
-        "rank1_lanczos" if use_lanczos else "rank1_exact", horizon, lambda: gain, gain_op,
+        "rank1_lanczos" if use_lanczos else "rank1_exact", horizon, lambda: gain, 1.0, gain_op,
         lambda t: required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n),
     )
+    anchored = np.zeros(m)  # eta_y_sum when the player last reduced the gain sum
 
     for t in range(1, horizon + 1):
         gain_data[:] = gain_values @ eta_y_sum
-        player.moved()
+        if player.moved(lambda: _drift_bound(omega, eta_y_sum, anchored, n)) is not None:
+            anchored[:] = eta_y_sum
         action = player.play(t, rng)
         matvecs += player.record[1]
         yw = softmax_grad(-eta * cost_sum)

@@ -16,8 +16,8 @@ from mmwsketch import (
     SparseSymOperator,
     dense_eigh,
     sample_dirichlet_half,
+    anchor,
     sample_unit_sphere,
-    tridiagonalize,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +28,7 @@ from mmwsketch.linalg import (
     _dense_extremes,
     _exp_series_coefficients,
     _lanczos_extremes,
+    _reduce,
     operator_norm,
     rank_one_within,
     spectrum_within,
@@ -134,7 +135,7 @@ class TestDenseEigh:
             assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
     def test_dense_limit_guard(self):
-        for decompose in (dense_eigh, tridiagonalize):
+        for decompose in (dense_eigh, anchor):
             with pytest.raises(DenseLimitError, match=f"requires n <= dense limit {DENSE_LIMIT}, got n = {DENSE_LIMIT + 1}"):
                 decompose(np.zeros((DENSE_LIMIT + 1, DENSE_LIMIT + 1)))
 
@@ -332,24 +333,33 @@ class TestTopEigenvalue:
 
 
 class TestTridiagonalize:
-    """``tridiagonalize``: ``Y = Q T Q'`` with Q kept as reflectors, and the top eigenvalue of T."""
+    """``anchor``: one ``sytrd`` reduction, and two bisections of T for an interval that holds the spectrum."""
 
     @staticmethod
-    def q_matrix(form):
-        n = len(form.d)
-        return np.column_stack([form.apply_q(e) for e in np.eye(n)])
+    def q_matrix(c, tau):
+        """Q of a lower-storage ``sytrd``: ``diag(1, Q_1)``, with ``Q_1`` the ``ormqr`` product of its reflectors."""
+        n = c.shape[0]
+        q = np.eye(n)
+        if n > 1:
+            reflectors = np.asfortranarray(c[1:, : n - 1])
+            q[1:, 1:], _, info = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, np.eye(n - 1), 64 * n)
+            assert info == 0
+        return q
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 47, 48, 200])
     def test_reconstruction(self, rng, n):
+        # the reduction that an anchor runs is Y = Q T Q', and the anchor's interval holds Y's spectrum
         a = random_symmetric(rng, n)
-        form = tridiagonalize(a)
-        q = self.q_matrix(form)
+        c, d, e, tau = _reduce(np.array(a).T, "reduction")
+        q = self.q_matrix(c, tau)
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
-        for j, e in enumerate(np.eye(n)):
-            assert np.abs(form.apply_q(e, trans=True) - q[j]).max() <= 1e-15, j  # Q' applied is the transpose
-        t = np.diag(form.d) + np.diag(form.e, -1) + np.diag(form.e, 1)
+        t = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
         scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
         assert np.abs(q @ t @ q.T - a).max() <= 1e-12 * n * scale
+        lam = np.linalg.eigvalsh(a)
+        form = anchor(a)
+        assert form.lo <= lam[0] and lam[-1] <= form.hi
+        assert form.hi - form.lo <= lam[-1] - lam[0] + 16.0 * n * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("n", [1, 2, 17, 48, 128, 200])
     def test_top_matches_top_eigenvalue(self, rng, n):
@@ -365,7 +375,7 @@ class TestTridiagonalize:
         for a in cases + [clustered, top_cluster, rank_deficient, -4.0 * np.eye(n)]:
             assert np.array_equal(a, a.T)  # scipy's driver reads one triangle
             expected = scipy.linalg.eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1], driver="evr")[0]
-            assert tridiagonalize(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1] == expected
+            assert anchor(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 32, 48, 128, 200])
     def test_top_matches_top_eigenvalue_on_nearly_symmetric_input(self, rng, n):
@@ -374,30 +384,47 @@ class TestTridiagonalize:
         for _ in range(10):
             f = sample_unit_sphere(n, rng, size=max(1, n // 2))
             a = (0.7 * f.T) @ f
-            assert tridiagonalize(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1]
+            assert anchor(a).top == top_eigenvalue(a)[0] == _dense_extremes(a)[1]
+
+    @pytest.mark.parametrize("n", [2, 5, 32, 200])
+    def test_interval_holds_the_spectrum(self, rng, n):
+        # the pad covers the error of the reduced ends: eigvalsh, another LAPACK route, lands inside
+        q = haar_orthogonal(rng, n)
+        for trial in range(60 if n < 200 else 12):
+            a = random_symmetric(rng, n, op_norm=10.0 ** rng.uniform(-3.0, 3.0))
+            if trial % 3 == 1:
+                a = _with_spectrum(rng, np.repeat([2.0, -1.0], -(-n // 2))[:n] + 1e-13 * rng.standard_normal(n))
+            if trial % 3 == 2:
+                a = 0.5 * ((q * rng.standard_normal(n)) @ q.T)
+                a = a + a.T
+            scale = 10.0 ** rng.uniform(-2.0, 1.0)
+            lam = np.linalg.eigvalsh(scale * a)
+            form = anchor(a, scale)
+            assert form.lo <= lam[0] and lam[-1] <= form.hi, trial
 
     def test_asymmetric_input_raises(self):
         a = np.eye(3)
         a[0, 1] = 1e-6
-        for fn in (top_eigenvalue, operator_norm, tridiagonalize):
+        for fn in (top_eigenvalue, operator_norm, anchor):
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):
                 fn(a)
 
     def test_one_by_one_has_no_reflectors(self):
-        form = tridiagonalize(np.array([[-2.5]]))
-        assert form.top == -2.5 and form.tau.size == 0
-        assert np.array_equal(form.apply_q(np.array([0.75]), trans=True), [0.75])
+        _, d, e, tau = _reduce(np.array([[-2.5]]), "reduction")
+        assert d.tolist() == [-2.5] and e.size == 0 and tau.size == 0
+        form = anchor(np.array([[-2.5]]))
+        assert form.top == -2.5 and form.lo <= -2.5 <= form.hi
 
     def test_checks_vector_length(self, rng):
         with pytest.raises(ValueError, match="length 4"):
-            tridiagonalize(random_symmetric(rng, 4)).apply_q(np.ones(3))
+            anchor(random_symmetric(rng, 4)).exp_half(np.ones(3))
 
     def test_lapack_failure_raises(self, monkeypatch):
         import scipy.linalg
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", lambda a, **kwargs: (a, np.zeros(3), np.zeros(2), None, 2))
         with pytest.raises(ConvergenceError, match=r"n=3 \(info=2\)"):
-            tridiagonalize(np.eye(3))
+            anchor(np.eye(3))
 
     def test_bisection_failure_raises(self, monkeypatch):
         import scipy.linalg
@@ -405,7 +432,17 @@ class TestTridiagonalize:
         n = 48
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 2))
         with pytest.raises(ConvergenceError, match=rf"n={n}: bisection \(info=2\)"):
-            tridiagonalize(np.eye(n))
+            anchor(np.eye(n))
+
+    def test_bitwise_symmetric_input_is_held_not_copied(self, rng):
+        a = random_symmetric(rng, 6)
+        before = a.copy()
+        assert anchor(a).matrix is a
+        assert np.array_equal(a, before)  # the reduction ran on a copy
+        nearly = a.copy()
+        nearly[0, 1] += 1e-14
+        held = anchor(nearly).matrix
+        assert held is not nearly and np.array_equal(held, held.T)
 
 
 class TestExpSeriesCoefficients:

@@ -18,7 +18,7 @@ from mmwsketch import (
     run_online,
     sample_unit_sphere,
 )
-from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, top_eigenvalue
+from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, anchor, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -94,6 +94,15 @@ class TestSchedule:
         # unchecked, a NaN or inf step size reached the first decomposition of the gain sum
         with pytest.raises(ValueError, match="^eta must be positive and finite$"):
             Schedule(eta=eta, T=10)
+
+    @pytest.mark.parametrize("horizon", [math.nan, 2.5, 3.0, True, 0, -2])
+    def test_horizon_validated(self, horizon):
+        # unchecked, a NaN or fractional horizon failed in run_online's np.zeros(T) with a TypeError naming no parameter
+        with pytest.raises(ValueError, match=r"^horizon T must be an integer >= 1, got "):
+            Schedule(eta=0.1, T=horizon)
+
+    def test_numpy_integer_horizon_accepted(self):
+        assert Schedule(eta=0.1, T=np.int64(7)).T == 7
 
 
 class TestBuiltinAdversaries:
@@ -366,7 +375,7 @@ class TestRunOnline:
         horizon = 30
         adv_rng, play_rng = SeededRng(5).spawn(2)
         adversaries = [builtin_adversaries(kind, 10, adv_rng) for kind in ("random_rotation", "streaming_pca")]
-        calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "tridiagonalize": 0}
+        calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "anchor": 0}
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -380,18 +389,18 @@ class TestRunOnline:
         counted(np.linalg, "eigvalsh")
         counted(np.linalg, "eigh")
         counted(online, "top_eigenvalue")
-        counted(projections, "tridiagonalize")
+        counted(projections, "anchor")
         for adv in adversaries:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
         # the dense strategies decompose once per step, plus once for the empty sum per game;
         # rank1_lanczos computes lam_max only at its checkpoints t = 1, 2, 4, 8, 16 and 30
-        expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "tridiagonalize": 0}
+        expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "anchor": 0}
         if strategy == "rank1_lanczos":
             expected["top_eigenvalue"] = games * 6
         elif strategy == "rank1_exact":
-            expected["tridiagonalize"] = games * (horizon + 1)
+            expected["anchor"] = games * (horizon + 1)
         else:
             expected["eigh"] = games * (horizon + 1)
         assert calls == expected
@@ -418,16 +427,30 @@ class TestRunOnline:
         trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
         gain_sum = np.zeros((n, n))
         for t, gain in enumerate(adv.gains):
-            y = eta * gain_sum
             if strategy == "exact_mmw":
-                action = mmw_projection(y)
+                action = mmw_projection(eta * gain_sum)
             else:
-                action = rank1_projection(y, draws[t])
-            # the engine decomposes the same scaled sum, so the play is the same to the bit
+                action = rank1_projection(anchor(gain_sum, eta), draws[t])
+            # the engine decomposes the same scaled sum, or anchors the same sum at the same scale, so
+            # the play is the same to the bit
             assert action.inner(gain) == trace.step_gain[t], t
             gain_sum += gain
             lam = top_eigenvalue(gain_sum)[0]
-            assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
+            if strategy == "exact_mmw":
+                assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
+            else:
+                assert trace.lam_max_running[t] == lam, t  # rank1_exact reduces the sum itself
+
+    @pytest.mark.parametrize("kind", ["random_rotation", "fixed_matrix", "psd_random", "streaming_pca"])
+    def test_rank1_lam_max_is_the_top_eigenvalue_of_the_sum_bitwise(self, kind):
+        # rank1_exact anchors the gain sum itself at every step, by the reduction top_eigenvalue runs
+        n, horizon = 17, 40
+        adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(41)))
+        trace = run_online(adv, "rank1_exact", Schedule(eta=0.3, T=horizon), SeededRng(42))
+        gain_sum = np.zeros((n, n))
+        for t, gain in enumerate(adv.gains):
+            gain_sum += gain
+            assert trace.lam_max_running[t] == top_eigenvalue(gain_sum)[0], t
 
     @pytest.mark.parametrize("kind,proofs,cholesky", [("streaming_pca", 1, 0), ("random_rotation", 0, 1)])
     def test_rank_one_gains_skip_the_cholesky_pair(self, monkeypatch, kind, proofs, cholesky):

@@ -27,7 +27,7 @@ from mmwsketch import (
     trace_norm_distance,
 )
 from mmwsketch import linalg
-from mmwsketch.linalg import ConvergenceError, dense_eigh, tridiagonalize
+from mmwsketch.linalg import ConvergenceError, anchor, dense_eigh
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.lanczos import required_iterations
@@ -220,7 +220,7 @@ class TestRank1Projection:
         rng = SeededRng(seed)
         y = random_symmetric(rng, n)
         u = sample_unit_sphere(n, rng)
-        form = tridiagonalize(y + c * np.eye(n))
+        form = anchor(y + c * np.eye(n))
         assert np.abs(rank1_projection(form, u).factor - rank1_projection(y, u).factor).max() <= 1e-10
 
     @settings(deadline=None)
@@ -230,7 +230,7 @@ class TestRank1Projection:
         y = random_symmetric(rng, n)
         u = sample_unit_sphere(n, rng)
         r = haar_orthogonal(rng, n)
-        lhs = rank1_projection(tridiagonalize(r @ y @ r.T), r @ u).densify()
+        lhs = rank1_projection(anchor(r @ y @ r.T), r @ u).densify()
         rhs = r @ rank1_projection(y, u).densify() @ r.T
         assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -243,7 +243,7 @@ class TestEigenDecompositionInput:
         [
             pytest.param(dense_eigh, lambda y: mmw_projection(y).matrix, id="mmw"),
             pytest.param(
-                tridiagonalize, lambda y: rank1_projection(y, np.full(6, 1.0 / math.sqrt(6.0))).factor, id="rank1"
+                anchor, lambda y: rank1_projection(y, np.full(6, 1.0 / math.sqrt(6.0))).factor, id="rank1"
             ),
             pytest.param(
                 dense_eigh,
@@ -260,22 +260,23 @@ class TestEigenDecompositionInput:
     def _assert_checks_run(form, n):
         with pytest.raises(ValueError, match="unit vector"):
             rank1_projection(form, np.ones(n))
-        # a top far above T's spectrum leaves exp((T - top I)/2) below the smallest double
-        underflowed = dataclasses.replace(form, top=form.top + 3000.0)
+        # a top end far above the spectrum leaves exp((Y - hi I)/2) below the smallest double; so wide an
+        # interval takes the eigenpairs of Y, where the exponentials underflow to zero
+        underflowed = dataclasses.replace(form, hi=form.hi + 3000.0)
         with pytest.raises(ArithmeticError, match="underflowed"):
             rank1_projection(underflowed, np.eye(n)[0])
 
     def test_checks_still_run(self, rng):
-        self._assert_checks_run(tridiagonalize(random_symmetric(rng, 4, op_norm=1.0)), 4)
+        self._assert_checks_run(anchor(random_symmetric(rng, 4, op_norm=1.0)), 4)
 
     def test_checks_still_run_on_the_series_route(self, monkeypatch, rng):
         n = 48
         solves = []
-        eigh = linalg.tridiagonal_eigh
-        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
-        form = tridiagonalize(random_symmetric(rng, n, op_norm=1.0))
+        eigh = linalg.dense_eigh
+        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        form = anchor(random_symmetric(rng, n, op_norm=1.0))
         rank1_projection(form, sample_unit_sphere(n, rng))
-        assert solves == []  # a narrow T at n = 48 takes the series, not the eigenpairs of T
+        assert solves == []  # a narrow Y at n = 48 takes the series, not the eigenpairs of Y
         self._assert_checks_run(form, n)
 
 
@@ -294,7 +295,7 @@ def _streaming_pca_sum(rng, n, t, eta):
 
 
 class TestTridiagonalRoute:
-    """``rank1_projection`` through the tridiagonal form (series, or eigenpairs of T) against the eigenbasis formula."""
+    """``rank1_projection`` through the anchored form (series in Y, or eigenpairs of Y) against the eigenbasis formula."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 32, 200])
     def test_matches_eigenbasis_formula(self, rng, n):
@@ -320,9 +321,9 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n", [4, 32])
     def test_width_rule_takes_both_routes(self, monkeypatch, rng, n):
-        # the series runs while 83 r <= n^2, with r a quarter of T's Gershgorin width; a wider T takes stevd
-        eigh, solves = linalg.tridiagonal_eigh, []
-        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
+        # the series runs while 83 r <= n^2, with r a quarter of the anchored interval; a wider Y takes dense_eigh
+        eigh, solves = linalg.dense_eigh, []
+        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
         for op_norm, expected in ((0.05, []), (4.0 * n, [n])):
             solves.clear()
             y = random_symmetric(rng, n, op_norm=op_norm)

@@ -21,7 +21,7 @@ from mmwsketch import (
     solve_feasibility,
 )
 from mmwsketch.linalg import operator_norm
-from mmwsketch.projections import SpectrahedronAction
+from mmwsketch.projections import ANCHOR_TAU, SpectrahedronAction
 from mmwsketch import sdp
 from mmwsketch.sdp import (
     X_AVG_BLOCK,
@@ -753,3 +753,82 @@ class TestSolveFeasibility:
         r2 = solve_feasibility(builtin_instance("sym2x2"), 0.5, rng=SeededRng(6))
         assert r1.gap.value == r2.gap.value
         assert np.array_equal(r1.x_avg.matrix, r2.x_avg.matrix)
+
+
+def _exact_rank1(y, u):
+    """The rank-1 sketch factor through all eigenpairs of ``y``, by numpy's ``eigh``."""
+    lam, q = np.linalg.eigh(y)
+    v = q @ (np.exp(0.5 * (lam - lam[-1])) * (q.T @ u))
+    return SpectrahedronAction.rank1(v / np.linalg.norm(v)).factor
+
+
+class TestAnchoredExactRoute:
+    """The exact route reduces the gain sum only at anchors, and widens the anchor's interval in between."""
+
+    @pytest.mark.parametrize(
+        "name, epsilon",
+        [("sym2x2", 0.25), ("rand20x10", 0.25), ("rand20x10", 1.0), ("sparse60x8", 0.5)],
+    )
+    def test_every_projected_y_lies_in_the_players_interval(self, monkeypatch, name, epsilon):
+        import mmwsketch.projections as projections
+
+        inst = {
+            "sym2x2": lambda: builtin_instance("sym2x2"),
+            "rand20x10": lambda: builtin_instance("rand20x10"),
+            "sparse60x8": lambda: make_random_instance(60, 8, SeededRng(31), density=0.1),
+        }[name]()
+        seen, projection = [], projections.rank1_projection
+
+        def spy(form, u):
+            action = projection(form, u)
+            y = form.scale * form.matrix
+            lam = np.linalg.eigvalsh(y)
+            seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - _exact_rank1(y, u)).max()))
+            return action
+
+        monkeypatch.setattr(projections, "rank1_projection", spy)
+        result = solve_feasibility(inst, epsilon, rng=SeededRng(12))
+        assert len(seen) == result.T
+        lo, hi, lam_min, lam_max, factor_err = np.array(seen).T
+        assert (lo <= lam_min).all() and (lam_max <= hi).all()
+        # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
+        assert (hi - lam_max).max() <= ANCHOR_TAU
+        assert factor_err.max() <= 1e-12
+
+    def test_one_reduction_per_constraint_gap_and_anchor(self, monkeypatch):
+        import mmwsketch.linalg as linalg
+        import mmwsketch.projections as projections
+
+        built = builtin_instance("rand20x10")
+        inst = SdpInstance(built.n, built.m, built.triplets())  # no cached width: the solve computes it
+        counts = {"_reduce": 0, "anchor": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(linalg, "_reduce")
+        counted(projections, "anchor")
+        result = solve_feasibility(inst, 0.25, rng=SeededRng(3))
+        # the width reduces each constraint once, the gap A* y_avg once, and the player only at its anchors
+        assert counts["_reduce"] == inst.m + 1 + counts["anchor"]
+        assert 1 <= counts["anchor"] < result.T / 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drift_bound_covers_the_rounding_of_the_gain_sum(self, seed):
+        inst = make_random_instance(60, 2, SeededRng(seed), density=0.6)
+        omega = inst.compute_width()
+        gain, data, values = _gain_storage(inst, False)
+        w_a, w = np.array([1e8, 1.0]), np.array([1e8, 1.0 + 2.0**-32])
+        data[:] = values @ w_a
+        y_a = gain.copy()
+        data[:] = values @ w
+        moved = np.abs(np.linalg.eigvalsh(gain - y_a)).max()
+        # the sums round at the scale of the large weight: Y moves more than omega |w - w_a|_1 says
+        assert moved > omega * np.abs(w - w_a).sum()
+        assert moved <= sdp._drift_bound(omega, w, w_a, inst.n)

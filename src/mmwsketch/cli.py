@@ -51,7 +51,12 @@ from .projections import (
     mmw_projection,
     rank1_projection,
 )
-from .sdp import InstanceFormatError, builtin_instance, load_instance, solve_feasibility
+from .sdp import (
+    InstanceFormatError,
+    builtin_instance,
+    load_instance,
+    solve_feasibility,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,17 +68,17 @@ TRACE_SCHEMA = "online-eig-trace-v9"
 BENCH_SCHEMA = "bench-lanczos-v3"
 ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v7"
 SDP_SUMMARY_SCHEMA = "sdp-feas-v9"
-#: Older CSVs stay readable: v8 traces have v9's columns, with ``rank1`` values from the series in
-#: the tridiagonal form of ``eta G`` and ``lam_max_running`` its top over ``eta``, where v9 sums
-#: the series in ``eta G`` itself and reduces ``G`` for ``lam_max_running``; v7 traces take
-#: ``rank1`` values from the eigenpairs of T below n = 48 and rank1-lanczos checkpoints from
-#: ``syevr`` with upper storage, where v8 takes the Chebyshev series at every n and every top
-#: eigenvalue from one lower-storage reduction with ``syevr``'s block size; v6 traces take the
-#: eigenpairs of T at every n; v5 traces and bench v2 have v6's and v3's columns, with Krylov
-#: values from the earlier recurrence; v4 traces fill ``lam_max_running`` on every row, where v5
-#: leaves it empty between rank1-lanczos checkpoints; trace v2-v3 and bench v1 differ from v4
-#: only in the config echo, and v1 traces lack ``k_cap``/``krylov_err_est`` (``k_used`` the
-#: scheduled depth).
+#: Older CSVs stay readable: v8 traces have v9's columns, with ``rank1`` values from the series
+#: in the tridiagonal form of ``eta G``, where v9 sums it in ``eta G`` itself; v7 traces have
+#: v8's columns, with ``rank1`` values from the
+#: eigenpairs of T below n = 48 and rank1-lanczos checkpoints from ``syevr`` with upper
+#: storage, where v8 takes the Chebyshev series at every n and every top eigenvalue from one
+#: lower-storage reduction with ``syevr``'s block size; v6 traces take the eigenpairs of T at
+#: every n; v5 traces and bench v2 have v6's and v3's columns, with
+#: Krylov values from the earlier recurrence; v4 traces fill ``lam_max_running`` on
+#: every row, where v5 leaves it empty between rank1-lanczos checkpoints; trace v2-v3
+#: and bench v1 differ from v4 only in the config echo, and v1 traces lack
+#: ``k_cap``/``krylov_err_est`` (``k_used`` the scheduled depth).
 KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
@@ -82,7 +87,11 @@ KNOWN_CSV_SCHEMAS = frozenset(
     }
 )
 
-STRATEGY_TOKENS = {"exact-mmw": "exact_mmw", "rank1": "rank1_exact", "rank1-lanczos": "rank1_lanczos"}
+STRATEGY_TOKENS = {
+    "exact-mmw": "exact_mmw",
+    "rank1": "rank1_exact",
+    "rank1-lanczos": "rank1_lanczos",
+}
 BENCH_SPECTRA = ("diag", "gauss", "sparse")
 
 
@@ -211,7 +220,13 @@ def cmd_online_eig(cfg):
     per_seed = []
     for seed, trace in results:
         csv_path = os.path.join(out_dir, f"online-eig-trace-seed{seed}.csv")
-        write_csv(csv_path, TRACE_SCHEMA, echo | {"seed": seed}, trace.columns(), trace.rows())
+        write_csv(
+            csv_path,
+            TRACE_SCHEMA,
+            echo | {"seed": seed},
+            trace.columns(),
+            trace.rows(),
+        )
         if refined:
             bound = refined_regret_bound(n, eta, trace.lam_max_final)
             hp_bound = bound + math.sqrt(2.0 * horizon * math.log(1.0 / cfg["hp_delta"]))
@@ -321,7 +336,10 @@ def cmd_sdp_feas(cfg):
         },
     }
     write_json(os.path.join(out_dir, "sdp-feas-summary.json"), summary)
-    print(f"sdp-feas: {len(seeds)} run(s), mean gap {mean_gap:.4f} (target {cfg['epsilon']}) -> {out_dir}")
+    print(
+        f"sdp-feas: {len(seeds)} run(s), mean gap {mean_gap:.4f} "
+        f"(target {cfg['epsilon']}) -> {out_dir}"
+    )
     return EXIT_OK
 
 

@@ -245,18 +245,20 @@ def _exp_series_coefficients(r):
 
 @dataclass
 class AnchoredForm:
-    """The dense symmetric ``Y = scale * matrix``, ``scale > 0``, with an interval ``[lo, hi]`` that holds its spectrum.
+    """The dense symmetric ``Y``, bitwise symmetric, with an interval ``[lo, hi]`` that holds its spectrum.
 
-    ``matrix`` is bitwise symmetric.  :func:`anchor` makes a form by reducing
-    ``matrix``, and its ``top`` is the largest eigenvalue of ``matrix``, the
-    bits :func:`top_eigenvalue` gives; a form widened since keeps them.
+    :func:`anchor` makes a form by reducing ``matrix``: ``top`` is its
+    largest eigenvalue, the bits :func:`top_eigenvalue` gives, and
+    ``reduction`` is the ``(c, d, e, tau, sigma)`` of that reduction of
+    ``sigma Y``, ``Y = Q T Q' / sigma``.  A form widened since holds another
+    ``Y`` and keeps ``top`` but no reduction.
     """
 
     matrix: np.ndarray
-    scale: float
     lo: float
     hi: float
     top: float
+    reduction: tuple = None
 
     def exp_half(self, x):
         """``exp((Y - hi I)/2) x``, by the Chebyshev series of ``exp`` on ``[lo, hi]`` (Bergamaschi & Vianello 2000).
@@ -270,8 +272,11 @@ class AnchoredForm:
         ``exp((lam_max - hi)/2)`` and that error does not, so a top end
         ``delta`` above ``lam_max`` multiplies the relative error by up to
         ``exp(delta/2)``.  A width whose series would take more products than
-        Y has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of Y
-        from :func:`dense_eigh` instead, ``V exp((lam - hi)/2) V' x``.
+        Y has rows (degree about ``sqrt(83 r)``) takes eigenpairs instead,
+        ``V exp((lam - top)/2) V' x``, shifted by the top eigenvalue, which
+        loses nothing where ``hi`` sits far above it: those of T from
+        ``stevd``, with Q applied by two ``ormqr`` calls, when the form holds
+        its reduction, else those of Y from :func:`dense_eigh`.
         """
         x = np.asarray(x, dtype=float)
         n = self.matrix.shape[0]
@@ -279,53 +284,82 @@ class AnchoredForm:
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
         r = 0.25 * (self.hi - self.lo)
         if 83.0 * r <= n * n:
-            return _clenshaw_exp(self.matrix, self.scale, 0.5 * (self.hi + self.lo), r, x)
-        dec = dense_eigh(self.scale * self.matrix)
-        v = dec.eigenvectors
-        return v @ (np.exp(0.5 * (dec.eigenvalues - self.hi)) * (v.T @ x))
+            return _clenshaw_exp(self.matrix, 0.5 * (self.hi + self.lo), r, x)
+        if self.reduction is None:  # widened since its anchor, so top is an earlier Y's
+            dec = dense_eigh(self.matrix)
+            v = dec.eigenvectors
+            return v @ (np.exp(0.5 * (dec.eigenvalues - dec.top)) * (v.T @ x))
+        c, d, e, tau, sigma = self.reduction
+        reflectors = np.asfortranarray(c[1:, : n - 1])
+        theta, v = tridiagonal_eigh(d, e)
+        w = v @ (np.exp(0.5 * (theta * (1.0 / sigma) - self.top)) * (v.T @ _apply_q(reflectors, tau, x, "T")))
+        return _apply_q(reflectors, tau, w, "N")
 
 
-def _clenshaw_exp(m, scale, mid, r, x):
-    """``exp(r (S - I)) x`` for ``S = (scale m - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``."""
+def _apply_q(reflectors, tau, x, trans):
+    """``Q x`` (``trans="N"``) or ``Q' x`` (``"T"``) for the reflectors of a lower-storage ``sytrd``.
+
+    ``Q = diag(1, Q_1)``, with ``Q_1`` the product of ``reflectors``, the
+    Householder vectors below the subdiagonal, applied by one LAPACK
+    ``ormqr`` call; Q is never formed.
+    """
+    n = len(x)
+    out = x.copy()
+    if n > 1:
+        tail, _, info = scipy.linalg.lapack.dormqr("L", trans, reflectors, tau, out[1:, None], 1, overwrite_c=1)
+        if info != 0:
+            raise ConvergenceError(f"applying the Householder reflectors failed for n={n} (info={info})")
+        out[1:] = tail[:, 0]
+    return out
+
+
+def _clenshaw_exp(m, mid, r, x):
+    """``exp(r (S - I)) x`` for ``S = (m - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``.
+
+    The shift goes into the diagonal of a copy of ``m`` once: subtracted from
+    each product instead, it would cancel to an error of ``eps |m| / r``,
+    large where ``m`` has an identity part far above its spread.
+    """
     coef = _exp_series_coefficients(r)
     if len(coef) == 1:
         return coef[0] * x
     n = len(x)
-    a = m.T if m.flags.c_contiguous else np.asfortranarray(m)  # m is symmetric: BLAS reads it in Fortran order, uncopied
-    alpha, shift = scale / r, -mid / r  # 2S b = alpha m b + shift b
+    shifted = np.array(m, order="C")
+    shifted.flat[:: n + 1] -= mid
+    a = shifted.T  # symmetric, so this Fortran-ordered view is m - mid I for BLAS
     # positional, as keywords cost f2py about 1 us a call: symv(alpha, a, x, beta, y, offx, incx, offy, incy,
     # lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
     symv, axpy = scipy.linalg.blas.dsymv, scipy.linalg.blas.daxpy
     b1, b2 = coef[-1] * x, np.zeros(n)  # b_{k+1} and b_{k+2}
     for c in coef[-2:0:-1].tolist():
         # b_k = c_k x + 2S b_{k+1} - b_{k+2}
-        b2 = axpy(x, axpy(b1, symv(alpha, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, shift), n, c)
+        b2 = axpy(x, symv(1.0 / r, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, c)
         b1, b2 = b2, b1
-    return axpy(x, axpy(b1, symv(0.5 * alpha, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, 0.5 * shift), n, coef[0])
+    return axpy(x, symv(0.5 / r, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, coef[0])
 
 
-def anchor(a, scale=1.0):
-    """The :class:`AnchoredForm` of ``Y = scale * a``, for the symmetric ``a`` and ``scale > 0``.
+def anchor(a):
+    """The :class:`AnchoredForm` of the symmetric ``a``, with its reduction.
 
     One ``sytrd`` reduction of ``sym_array(a)`` and two ``stebz`` bisections
-    give the extreme eigenvalues of ``a``, as :func:`_dense_eigenvalues` does,
-    so ``top`` has the bits of :func:`top_eigenvalue`.  The interval is
-    ``scale`` times them, each end moved out by ``4 n eps |Y|_2``: LAPACK
-    bounds their error by ``p(n) eps |a|_2`` for a modestly growing ``p(n)``
-    (LAPACK Users' Guide, 3rd ed., section 4.7), and the pad takes
-    ``p(n) = 4n``, which also covers the product by ``scale``.  The form
-    holds ``a`` itself when it is a bitwise symmetric float array.  Raises
-    :class:`ConvergenceError` naming the size if LAPACK fails or T is not
-    finite (a NaN or inf entry), and :class:`DenseLimitError` above
-    :data:`DENSE_LIMIT`.
+    give the extreme eigenvalues, as :func:`_dense_eigenvalues` does, so
+    ``top`` has the bits of :func:`top_eigenvalue`.  Each end of the interval
+    is moved out by ``4 n eps |a|_2``.  LAPACK bounds the error of the ends
+    by ``p(n) eps |a|_2`` for an unspecified, modestly growing ``p(n)``
+    (LAPACK Users' Guide, 3rd ed., section 4.7); ``p(n) = 4n`` is a choice,
+    not a proof, which ``test_interval_holds_the_spectrum`` checks against
+    ``eigvalsh``.  The form holds ``a`` itself when it is a bitwise
+    symmetric float array.  Raises :class:`ConvergenceError` naming the size
+    if LAPACK fails or T is not finite (a NaN or inf entry), and
+    :class:`DenseLimitError` above :data:`DENSE_LIMIT`.
     """
     arr = sym_array(a, copy=False)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
     # a copy in Fortran order for sytrd to reduce in place: arr is exactly symmetric, so arr.T is it
-    lam_min, lam_max = _reduced_eigenvalues(np.array(arr).T, "tridiagonal reduction", 1, n)
-    pad = 4.0 * n * _EPS * scale * max(abs(lam_min), abs(lam_max))
-    return AnchoredForm(arr, scale, scale * lam_min - pad, scale * lam_max + pad, lam_max)
+    reduction, (lam_min, lam_max) = _reduced_eigenvalues(np.array(arr).T, "tridiagonal reduction", 1, n)
+    pad = 4.0 * n * _EPS * max(abs(lam_min), abs(lam_max))
+    return AnchoredForm(arr, lam_min - pad, lam_max + pad, lam_max, reduction)
 
 
 def spectrum_within(a, lo, hi):
@@ -459,11 +493,16 @@ def _dense_eigenvalues(a, what, *indices):
     unchecked bisection returns a number.
     """
     arr = sym_array(a.toarray(), copy=False) if sp.issparse(a) else sym_array(a)
-    return _reduced_eigenvalues(arr.T, what, *indices)  # an exactly symmetric copy, in Fortran order
+    return _reduced_eigenvalues(arr.T, what, *indices)[1]  # an exactly symmetric copy, in Fortran order
 
 
 def _reduced_eigenvalues(arr, what, *indices):
-    """:func:`_dense_eigenvalues` of the exactly symmetric, Fortran-ordered ``arr``, which it scales and reduces in place."""
+    """``(reduction, eigenvalues)`` of the exactly symmetric, Fortran-ordered ``arr``, scaled and reduced in place.
+
+    The eigenvalues are those of :func:`_dense_eigenvalues`; the reduction is
+    :func:`_reduce`'s ``(c, d, e, tau)`` of ``sigma arr``, then ``syevr``'s
+    scale ``sigma``.
+    """
     n = arr.shape[0]
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
@@ -474,8 +513,8 @@ def _reduced_eigenvalues(arr, what, *indices):
             sigma = _SYEVR_RMAX / top
         if sigma != 1.0:
             arr *= sigma
-    _, d, e, _ = _reduce(arr, what)
-    return tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
+    c, d, e, tau = _reduce(arr, what)
+    return (c, d, e, tau, sigma), tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
 
 
 def _lanczos_extremes(a):
@@ -523,7 +562,9 @@ class SeededRng:
 
     def __init__(self, seed, _sequence=None):
         self.seed = int(seed)
-        self._sequence = np.random.SeedSequence(self.seed) if _sequence is None else _sequence
+        self._sequence = (
+            np.random.SeedSequence(self.seed) if _sequence is None else _sequence
+        )
         self.gen = np.random.Generator(np.random.Philox(self._sequence))
 
     def standard_normal(self, size=None):

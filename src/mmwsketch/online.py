@@ -33,7 +33,10 @@ from .linalg import (
 from .projections import ROUTES, MatrixPlayer
 
 #: The gain classes, each with the interval its spectrum must lie in (1e-9 slack).
-GAIN_SPECTRUM = {"bounded_inf_norm_1": (-1.0 - 1e-9, 1.0 + 1e-9), "psd_unit": (-1e-9, 1.0 + 1e-9)}
+GAIN_SPECTRUM = {
+    "bounded_inf_norm_1": (-1.0 - 1e-9, 1.0 + 1e-9),
+    "psd_unit": (-1e-9, 1.0 + 1e-9),
+}
 
 #: Step size at or below which the refined (PSD-gain) regret bound applies.
 REFINED_ETA_MAX = 1.0 / 6.0
@@ -339,13 +342,11 @@ def run_online(adversary, strategy, schedule, rng):
     running matrix, behind one operator for ``Y`` for the whole game.
 
     The player is told of each move of ``G``, once the step's gain is in it:
-    the dense strategies decompose then, and the top eigenvalue they find is
-    the step's running ``lam_max``: ``rank1_exact`` reduces ``G`` itself, so
-    it has the bits of ``top_eigenvalue(G)``, and ``exact_mmw`` divides that
-    of ``Y`` by ``eta``.  ``rank1_lanczos`` plays by matvecs alone, so the
-    engine computes the running ``lam_max`` only at the checkpoints
-    t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue` call, and
-    records NaN between them.  The regret compares the cumulative
+    the dense strategies decompose ``Y`` then, and its top eigenvalue over
+    ``eta`` is the step's running ``lam_max``.  ``rank1_lanczos`` plays by
+    matvecs alone, so the engine computes the running ``lam_max`` only at
+    the checkpoints t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue`
+    call, and records NaN between them.  The regret compares the cumulative
     gain with the t = T value: exact at dense scale, ``n <= DENSE_LIMIT``;
     above it, where only ``rank1_lanczos`` runs, a Lanczos estimate stable
     to a relative ``LANCZOS_RTOL``, recorded as ``lam_max_tol``.  The Krylov
@@ -367,7 +368,7 @@ def run_online(adversary, strategy, schedule, rng):
 
     gain_sum = np.zeros((n, n))  # updated in place: the player reads the live sum
     dual_op = SparseSymOperator(n, lambda v: eta * (gain_sum @ v))  # Y = eta * gain_sum, for the whole game
-    player = MatrixPlayer(strategy, T, lambda: gain_sum, eta, dual_op, kt_rule)
+    player = MatrixPlayer(strategy, T, lambda: eta * gain_sum, dual_op, kt_rule)
     player.moved()  # the empty sum projects step 1
     running_total = 0.0
     lam_tol_abs = 0.0
@@ -388,7 +389,7 @@ def run_online(adversary, strategy, schedule, rng):
         gain_sum += gain
         top = player.moved()
         if top is not None:
-            lam_running[t - 1] = top
+            lam_running[t - 1] = top / eta
         elif t & (t - 1) == 0 or t == T:  # no free top: checkpoints at powers of two and T
             lam_running[t - 1], lam_tol_abs = top_eigenvalue(gain_sum)
 

@@ -13,7 +13,6 @@ to that shift, so it is loss-free.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -212,11 +211,11 @@ ANCHOR_TAU = 8.0
 
 
 class MatrixPlayer:
-    """The matrix player of both games: a mirror projection of the live dual point ``Y = scale * g()`` at each step.
+    """The matrix player of both games: a mirror projection of the live dual point ``Y = y()`` at each step.
 
     ``route`` is one of :data:`ROUTES`.  ``exact_mmw`` decomposes ``Y`` into
     eigenpairs at each move.  ``rank1_exact`` sums the sketch's series in
-    ``Y`` over an interval that holds its spectrum: an anchor reduces ``g()``
+    ``Y`` over an interval that holds its spectrum: an anchor reduces ``Y``
     (:func:`~mmwsketch.linalg.anchor`), and in between the last anchor's
     interval is widened by the engine's bound on ``|Y - Y_anchor|_2``, past
     which no eigenvalue moves (Weyl).  ``rank1_lanczos`` reads the operator
@@ -228,15 +227,15 @@ class MatrixPlayer:
     wrapper installed on a name sees every call.
     """
 
-    def __init__(self, route, T, g, scale, op, cap):
-        self.route, self._g, self._scale, self._op, self._cap = route, g, scale, op, cap
+    def __init__(self, route, T, y, op, cap):
+        self.route, self._y, self._op, self._cap = route, y, op, cap
         self._budget = 0.25 / T
         self._dual = None  # the exact routes' decomposition or interval of Y, made by moved()
         self._anchor = None  # rank1_exact's last anchored form
         self.record = (0, 0, 0.0)
 
     def moved(self, drift=None):
-        """Note that ``Y`` moved; return the top eigenvalue of ``g()`` if this reduced it, else ``None``.
+        """Note that ``Y`` moved; return its top eigenvalue if this decomposed it, else ``None``.
 
         ``drift()`` bounds ``|Y - Y_anchor|_2``, with ``Y_anchor`` the ``Y`` of
         the last move that returned a value.  ``rank1_exact`` anchors again
@@ -244,16 +243,16 @@ class MatrixPlayer:
         """
         if self.route == "rank1_lanczos":
             return None
-        g = self._g()
+        y = self._y()
         if self.route == "exact_mmw":
-            self._dual = dense_eigh(self._scale * g)
-            return self._dual.top / self._scale
+            self._dual = dense_eigh(y)
+            return self._dual.top
         if drift is not None and self._anchor is not None:
             bound, last = drift(), self._anchor
             if 2.0 * bound <= ANCHOR_TAU:
-                self._dual = dataclasses.replace(last, matrix=g, lo=last.lo - bound, hi=last.hi + bound)
+                self._dual = AnchoredForm(y, last.lo - bound, last.hi + bound, last.top)
                 return None
-        self._dual = self._anchor = anchor(g, self._scale)
+        self._dual = self._anchor = anchor(y)
         return self._anchor.top
 
     def play(self, t, rng):
@@ -380,7 +379,9 @@ def estimate_potential(y, samples, rng):
     vals = np.concatenate(
         [lam[0] + np.log(((u * u) * boost).sum(axis=1)) for u in _sphere_batches(len(lam), samples, rng)]
     )
-    return ScalarEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples)
+    return ScalarEstimate(
+        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
+    )
 
 
 def estimate_bregman(y, yp, samples, rng):
@@ -415,4 +416,6 @@ def estimate_bregman(y, yp, samples, rng):
         quad_delta = np.einsum("si,ij,sj->s", v, delta, v) / (v * v).sum(axis=1)
         vals.append(log_quad_p - log_quad - quad_delta)
     vals = np.concatenate(vals)
-    return ScalarEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples)
+    return ScalarEstimate(
+        float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)), samples
+    )

@@ -237,7 +237,9 @@ def load_instance(path):
             parts = line.split()
             if header is None:
                 if len(parts) != 2:
-                    raise InstanceFormatError(f"line {lineno}: header must be 'n m', got {raw.strip()!r}")
+                    raise InstanceFormatError(
+                        f"line {lineno}: header must be 'n m', got {raw.strip()!r}"
+                    )
                 try:
                     header = (int(parts[0]), int(parts[1]))
                 except ValueError as err:
@@ -248,7 +250,9 @@ def load_instance(path):
                     raise InstanceFormatError(f"line {lineno}: n must be >= 1")
                 continue
             if len(parts) != 4:
-                raise InstanceFormatError(f"line {lineno}: expected 'i row col value', got {raw.strip()!r}")
+                raise InstanceFormatError(
+                    f"line {lineno}: expected 'i row col value', got {raw.strip()!r}"
+                )
             try:
                 i, r, c = int(parts[0]), int(parts[1]), int(parts[2])
                 v = float(parts[3])
@@ -258,9 +262,13 @@ def load_instance(path):
                 raise InstanceFormatError(f"line {lineno}: value {parts[3]!r} is not finite")
             n, m = header
             if not 1 <= i <= m:
-                raise InstanceFormatError(f"line {lineno}: constraint index {i} outside [1, {m}]")
+                raise InstanceFormatError(
+                    f"line {lineno}: constraint index {i} outside [1, {m}]"
+                )
             if not (1 <= r <= n and 1 <= c <= n):
-                raise InstanceFormatError(f"line {lineno}: entry index ({r}, {c}) outside [1, {n}]^2")
+                raise InstanceFormatError(
+                    f"line {lineno}: entry index ({r}, {c}) outside [1, {n}]^2"
+                )
             if r > c:
                 raise InstanceFormatError(f"line {lineno}: entries must have row <= col")
             if (i, r, c) in seen:
@@ -277,7 +285,9 @@ def load_instance(path):
 def _adjoint_csr(instance, weights):
     """``sum_i w_i A_i`` as one CSR matrix over the instance's union pattern."""
     stack = instance.stack()
-    return sp.csr_matrix((stack.values @ weights, stack.indices, stack.indptr), shape=(instance.n, instance.n))
+    return sp.csr_matrix(
+        (stack.values @ weights, stack.indices, stack.indptr), shape=(instance.n, instance.n)
+    )
 
 
 def _gain_storage(instance, use_lanczos):
@@ -332,7 +342,9 @@ def costs(instance, action):
     if instance.width is not None:
         limit = instance.width + 1e-9 * max(1.0, instance.width)
         if np.abs(out).max() > limit:
-            raise ValueError(f"cost magnitude {np.abs(out).max():.6g} exceeds the instance width")
+            raise ValueError(
+                f"cost magnitude {np.abs(out).max():.6g} exceeds the instance width"
+            )
     return out
 
 
@@ -414,14 +426,17 @@ def _drift_bound(omega, w, w_a, n):
     gamma_m sum_i w_i |A_i|_F <= gamma_m sqrt(n) omega |w|_1``.  With
     ``|A*(w - w_a)|_2 <= omega |w - w_a|_1`` and ``|w_a|_1 <= |w|_1``,
     ``|Y - Y_a|_2 <= omega (|w - w_a|_1 + 2 gamma_m sqrt(n) |w|_1)``, and
-    ``m eps >= 2 gamma_m``.  The factor ``1 + (4n + 2m + 8) eps`` covers the
-    rest: each difference rounds once, the sums of ``m`` nonnegative terms
-    come out low by at most ``(m + 1) u`` relative, ``omega`` is low by at
-    most ``anchor``'s ``4 n eps`` relative, and three more operations round.
+    ``2 gamma_m <= (m + 1) eps`` while ``m (m + 1) eps <= 2``.  The factor
+    ``1 + (4n + 2m + 8) eps`` covers the rounding of this bound: each
+    difference rounds once, the sums of ``m`` nonnegative terms come out low
+    by at most ``(m + 1) u`` relative, and three more operations round.  It
+    also takes ``omega``, from :func:`operator_norm`, to be low by at most
+    ``4 n eps`` relative: the ``p(n)`` that :func:`~mmwsketch.linalg.anchor`
+    chooses for LAPACK's error bound, a choice rather than a proof.
     """
     m = len(w)
     moved = float(np.abs(w - w_a).sum())
-    rounding = m * _EPS * math.sqrt(n) * float(w.sum())
+    rounding = (m + 1) * _EPS * math.sqrt(n) * float(w.sum())
     return (1.0 + (4 * n + 2 * m + 8) * _EPS) * omega * (moved + rounding)
 
 
@@ -471,7 +486,7 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     gain, gain_data, gain_values = _gain_storage(instance, use_lanczos)
     gain_op = SparseSymOperator(n, lambda v: gain @ v, nnz_hint=gain.nnz if sp.issparse(gain) else n * n)
     player = MatrixPlayer(
-        "rank1_lanczos" if use_lanczos else "rank1_exact", horizon, lambda: gain, 1.0, gain_op,
+        "rank1_lanczos" if use_lanczos else "rank1_exact", horizon, lambda: gain, gain_op,
         lambda t: required_iterations(eta * t * omega, min(1.0 / horizon, 0.5), delta / (2.0 * horizon), n),
     )
     anchored = np.zeros(m)  # eta_y_sum when the player last reduced the gain sum

@@ -28,7 +28,6 @@ from mmwsketch.linalg import (
     _dense_extremes,
     _exp_series_coefficients,
     _lanczos_extremes,
-    _reduce,
     operator_norm,
     rank_one_within,
     spectrum_within,
@@ -348,16 +347,17 @@ class TestTridiagonalize:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 47, 48, 200])
     def test_reconstruction(self, rng, n):
-        # the reduction that an anchor runs is Y = Q T Q', and the anchor's interval holds Y's spectrum
+        # the reduction that an anchor keeps is Y = Q T Q', and the anchor's interval holds Y's spectrum
         a = random_symmetric(rng, n)
-        c, d, e, tau = _reduce(np.array(a).T, "reduction")
+        form = anchor(a)
+        c, d, e, tau, sigma = form.reduction
+        assert sigma == 1.0  # syevr scales only a largest entry far from 1
         q = self.q_matrix(c, tau)
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
         t = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
         scale = 1.0 + np.abs(np.linalg.eigvalsh(a)).max()
         assert np.abs(q @ t @ q.T - a).max() <= 1e-12 * n * scale
         lam = np.linalg.eigvalsh(a)
-        form = anchor(a)
         assert form.lo <= lam[0] and lam[-1] <= form.hi
         assert form.hi - form.lo <= lam[-1] - lam[0] + 16.0 * n * np.finfo(float).eps * scale
 
@@ -397,9 +397,9 @@ class TestTridiagonalize:
             if trial % 3 == 2:
                 a = 0.5 * ((q * rng.standard_normal(n)) @ q.T)
                 a = a + a.T
-            scale = 10.0 ** rng.uniform(-2.0, 1.0)
-            lam = np.linalg.eigvalsh(scale * a)
-            form = anchor(a, scale)
+            a = 10.0 ** rng.uniform(-2.0, 1.0) * a
+            lam = np.linalg.eigvalsh(a)
+            form = anchor(a)
             assert form.lo <= lam[0] and lam[-1] <= form.hi, trial
 
     def test_asymmetric_input_raises(self):
@@ -410,9 +410,9 @@ class TestTridiagonalize:
                 fn(a)
 
     def test_one_by_one_has_no_reflectors(self):
-        _, d, e, tau = _reduce(np.array([[-2.5]]), "reduction")
-        assert d.tolist() == [-2.5] and e.size == 0 and tau.size == 0
         form = anchor(np.array([[-2.5]]))
+        _, d, e, tau, _ = form.reduction
+        assert d.tolist() == [-2.5] and e.size == 0 and tau.size == 0
         assert form.top == -2.5 and form.lo <= -2.5 <= form.hi
 
     def test_checks_vector_length(self, rng):

@@ -18,7 +18,7 @@ from mmwsketch import (
     run_online,
     sample_unit_sphere,
 )
-from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, anchor, top_eigenvalue
+from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -427,30 +427,28 @@ class TestRunOnline:
         trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
         gain_sum = np.zeros((n, n))
         for t, gain in enumerate(adv.gains):
+            y = eta * gain_sum
             if strategy == "exact_mmw":
-                action = mmw_projection(eta * gain_sum)
+                action = mmw_projection(y)
             else:
-                action = rank1_projection(anchor(gain_sum, eta), draws[t])
-            # the engine decomposes the same scaled sum, or anchors the same sum at the same scale, so
-            # the play is the same to the bit
+                action = rank1_projection(y, draws[t])
+            # the engine decomposes the same scaled sum, so the play is the same to the bit
             assert action.inner(gain) == trace.step_gain[t], t
             gain_sum += gain
             lam = top_eigenvalue(gain_sum)[0]
-            if strategy == "exact_mmw":
-                assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
-            else:
-                assert trace.lam_max_running[t] == lam, t  # rank1_exact reduces the sum itself
+            assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
 
     @pytest.mark.parametrize("kind", ["random_rotation", "fixed_matrix", "psd_random", "streaming_pca"])
-    def test_rank1_lam_max_is_the_top_eigenvalue_of_the_sum_bitwise(self, kind):
-        # rank1_exact anchors the gain sum itself at every step, by the reduction top_eigenvalue runs
-        n, horizon = 17, 40
+    def test_rank1_lam_max_is_the_top_eigenvalue_of_y_over_eta_bitwise(self, kind):
+        # rank1_exact anchors Y = eta G at every step, by the reduction top_eigenvalue runs, and reports
+        # its top over eta, the bits of the tridiagonal form that the previous schema reduced
+        n, horizon, eta = 17, 40, 0.3
         adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(41)))
-        trace = run_online(adv, "rank1_exact", Schedule(eta=0.3, T=horizon), SeededRng(42))
+        trace = run_online(adv, "rank1_exact", Schedule(eta=eta, T=horizon), SeededRng(42))
         gain_sum = np.zeros((n, n))
         for t, gain in enumerate(adv.gains):
             gain_sum += gain
-            assert trace.lam_max_running[t] == top_eigenvalue(gain_sum)[0], t
+            assert trace.lam_max_running[t] == top_eigenvalue(eta * gain_sum)[0] / eta, t
 
     @pytest.mark.parametrize("kind,proofs,cholesky", [("streaming_pca", 1, 0), ("random_rotation", 0, 1)])
     def test_rank_one_gains_skip_the_cholesky_pair(self, monkeypatch, kind, proofs, cholesky):

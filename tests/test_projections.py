@@ -27,7 +27,7 @@ from mmwsketch import (
     trace_norm_distance,
 )
 from mmwsketch import linalg
-from mmwsketch.linalg import ConvergenceError, anchor, dense_eigh
+from mmwsketch.linalg import AnchoredForm, ConvergenceError, anchor, dense_eigh
 from mmwsketch.online import REFINED_ETA_MAX
 from mmwsketch.projections import SpectrahedronAction
 from mmwsketch.lanczos import required_iterations
@@ -260,9 +260,9 @@ class TestEigenDecompositionInput:
     def _assert_checks_run(form, n):
         with pytest.raises(ValueError, match="unit vector"):
             rank1_projection(form, np.ones(n))
-        # a top end far above the spectrum leaves exp((Y - hi I)/2) below the smallest double; so wide an
-        # interval takes the eigenpairs of Y, where the exponentials underflow to zero
-        underflowed = dataclasses.replace(form, hi=form.hi + 3000.0)
+        # a top far above the spectrum leaves exp((Y - top I)/2) below the smallest double: so wide an
+        # interval takes the eigenpairs of T, shifted by that top, and the exponentials underflow to zero
+        underflowed = dataclasses.replace(form, hi=form.hi + 3000.0, top=form.top + 3000.0)
         with pytest.raises(ArithmeticError, match="underflowed"):
             rank1_projection(underflowed, np.eye(n)[0])
 
@@ -272,11 +272,11 @@ class TestEigenDecompositionInput:
     def test_checks_still_run_on_the_series_route(self, monkeypatch, rng):
         n = 48
         solves = []
-        eigh = linalg.dense_eigh
-        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        eigh = linalg.tridiagonal_eigh
+        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
         form = anchor(random_symmetric(rng, n, op_norm=1.0))
         rank1_projection(form, sample_unit_sphere(n, rng))
-        assert solves == []  # a narrow Y at n = 48 takes the series, not the eigenpairs of Y
+        assert solves == []  # a narrow Y at n = 48 takes the series, not the eigenpairs of T
         self._assert_checks_run(form, n)
 
 
@@ -295,7 +295,7 @@ def _streaming_pca_sum(rng, n, t, eta):
 
 
 class TestTridiagonalRoute:
-    """``rank1_projection`` through the anchored form (series in Y, or eigenpairs of Y) against the eigenbasis formula."""
+    """``rank1_projection`` through the anchored form (series in Y, or eigenpairs) against the eigenbasis formula."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 32, 200])
     def test_matches_eigenbasis_formula(self, rng, n):
@@ -321,15 +321,36 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n", [4, 32])
     def test_width_rule_takes_both_routes(self, monkeypatch, rng, n):
-        # the series runs while 83 r <= n^2, with r a quarter of the anchored interval; a wider Y takes dense_eigh
-        eigh, solves = linalg.dense_eigh, []
-        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        # the series runs while 83 r <= n^2, with r a quarter of the anchored interval; a wider Y takes stevd
+        eigh, solves = linalg.tridiagonal_eigh, []
+        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
         for op_norm, expected in ((0.05, []), (4.0 * n, [n])):
             solves.clear()
             y = random_symmetric(rng, n, op_norm=op_norm)
             u = sample_unit_sphere(n, rng)
             assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12
             assert solves == expected, op_norm
+
+    @pytest.mark.parametrize("n", [1, 4, 32])
+    def test_a_widened_form_takes_the_eigenpairs_of_y(self, monkeypatch, rng, n):
+        # between SDP anchors the form holds no reduction of its Y, so a wide interval takes dense_eigh
+        eigh, solves = linalg.dense_eigh, []
+        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        y = random_symmetric(rng, n, op_norm=4.0 * n)
+        fresh = anchor(y)
+        widened = AnchoredForm(y, fresh.lo - 1.0, fresh.hi + 1.0, fresh.top)  # 83 r > n^2 at each n here
+        u = sample_unit_sphere(n, rng)
+        assert np.abs(rank1_projection(widened, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12
+        assert solves == [n]
+
+    @pytest.mark.parametrize("offset", [1e8, -1e8])
+    @pytest.mark.parametrize("n", [32, 200])
+    def test_an_identity_part_far_beyond_the_spread_keeps_the_precision(self, rng, n, offset):
+        # the series shifts the diagonal once; shifting each product instead lost about eps |Y| / r per degree
+        y = offset * np.eye(n) + random_symmetric(rng, n, op_norm=0.5)
+        u = sample_unit_sphere(n, rng)
+        # y - offset I recovers the stored y's own spread exactly, so the formula reads the same matrix
+        assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y - offset * np.eye(n), u)).max() <= 1e-12
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 4, 48, 200])

@@ -781,7 +781,7 @@ class TestAnchoredExactRoute:
 
         def spy(form, u):
             action = projection(form, u)
-            y = form.scale * form.matrix
+            y = form.matrix
             lam = np.linalg.eigvalsh(y)
             seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - _exact_rank1(y, u)).max()))
             return action

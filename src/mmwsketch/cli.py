@@ -64,11 +64,13 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v9"
+TRACE_SCHEMA = "online-eig-trace-v10"
 BENCH_SCHEMA = "bench-lanczos-v3"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v7"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v9"
-#: Older CSVs stay readable: v8 traces have v9's columns, with ``rank1`` values from the series
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v8"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v10"
+#: Older CSVs stay readable: v9 traces have v10's columns, with ``rank1`` values of a spectrum
+#: too wide for the series from the eigenpairs of the anchor's T, where v10 takes those of
+#: ``eta G`` itself; v8 traces have v9's columns, with ``rank1`` values from the series
 #: in the tridiagonal form of ``eta G``, where v9 sums it in ``eta G`` itself; v7 traces have
 #: v8's columns, with ``rank1`` values from the
 #: eigenpairs of T below n = 48 and rank1-lanczos checkpoints from ``syevr`` with upper
@@ -82,7 +84,8 @@ SDP_SUMMARY_SCHEMA = "sdp-feas-v9"
 KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
-        "online-eig-trace-v5", "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8", TRACE_SCHEMA,
+        "online-eig-trace-v5", "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8",
+        "online-eig-trace-v9", TRACE_SCHEMA,
         "bench-lanczos-v1", "bench-lanczos-v2", BENCH_SCHEMA,
     }
 )

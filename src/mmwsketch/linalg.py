@@ -181,20 +181,19 @@ def _sytrd_lwork(n):
 
 
 def _reduce(arr, what):
-    """``(c, d, e, tau)`` of LAPACK ``sytrd`` on the lower triangle of the Fortran-ordered ``arr``, in place.
+    """The diagonal and subdiagonal ``(d, e)`` of T from LAPACK ``sytrd`` on the lower triangle of ``arr``.
 
-    ``d`` and ``e`` are the diagonal and subdiagonal of T; ``c`` holds the
-    Householder vectors below the subdiagonal and ``tau`` their scalars.
-    Raises :class:`ConvergenceError` naming ``what`` and the size if LAPACK
-    fails or T is not finite (a NaN or inf entry of ``arr``).
+    ``arr`` is Fortran-ordered and reduced in place.  Raises
+    :class:`ConvergenceError` naming ``what`` and the size if LAPACK fails or
+    T is not finite (a NaN or inf entry of ``arr``).
     """
     n = arr.shape[0]
-    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
+    _, d, e, _, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
     if info != 0:
         raise ConvergenceError(f"{what} failed for n={n} (info={info})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ConvergenceError(f"{what} failed for n={n}: T is not finite")
-    return c, d, e, tau
+    return d, e
 
 
 def _bisect_eigenvalue(d, e, i, what):
@@ -247,18 +246,15 @@ def _exp_series_coefficients(r):
 class AnchoredForm:
     """The dense symmetric ``Y``, bitwise symmetric, with an interval ``[lo, hi]`` that holds its spectrum.
 
-    :func:`anchor` makes a form by reducing ``matrix``: ``top`` is its
-    largest eigenvalue, the bits :func:`top_eigenvalue` gives, and
-    ``reduction`` is the ``(c, d, e, tau, sigma)`` of that reduction of
-    ``sigma Y``, ``Y = Q T Q' / sigma``.  A form widened since holds another
-    ``Y`` and keeps ``top`` but no reduction.
+    ``top`` is the largest eigenvalue of the ``Y`` last anchored: :func:`anchor`
+    gives it the bits of :func:`top_eigenvalue`, and a form widened since
+    holds another ``Y`` and keeps its anchor's ``top``.
     """
 
     matrix: np.ndarray
     lo: float
     hi: float
     top: float
-    reduction: tuple = None
 
     def exp_half(self, x):
         """``exp((Y - hi I)/2) x``, by the Chebyshev series of ``exp`` on ``[lo, hi]`` (Bergamaschi & Vianello 2000).
@@ -272,11 +268,10 @@ class AnchoredForm:
         ``exp((lam_max - hi)/2)`` and that error does not, so a top end
         ``delta`` above ``lam_max`` multiplies the relative error by up to
         ``exp(delta/2)``.  A width whose series would take more products than
-        Y has rows (degree about ``sqrt(83 r)``) takes eigenpairs instead,
-        ``V exp((lam - top)/2) V' x``, shifted by the top eigenvalue, which
-        loses nothing where ``hi`` sits far above it: those of T from
-        ``stevd``, with Q applied by two ``ormqr`` calls, when the form holds
-        its reduction, else those of Y from :func:`dense_eigh`.
+        Y has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of
+        ``matrix`` from :func:`dense_eigh` instead, ``V exp((lam - lam_max)/2) V' x``,
+        the same direction shifted by their own largest eigenvalue, so the
+        top's exponential is 1 however far ``hi`` or ``top`` lie from it.
         """
         x = np.asarray(x, dtype=float)
         n = self.matrix.shape[0]
@@ -285,32 +280,9 @@ class AnchoredForm:
         r = 0.25 * (self.hi - self.lo)
         if 83.0 * r <= n * n:
             return _clenshaw_exp(self.matrix, 0.5 * (self.hi + self.lo), r, x)
-        if self.reduction is None:  # widened since its anchor, so top is an earlier Y's
-            dec = dense_eigh(self.matrix)
-            v = dec.eigenvectors
-            return v @ (np.exp(0.5 * (dec.eigenvalues - dec.top)) * (v.T @ x))
-        c, d, e, tau, sigma = self.reduction
-        reflectors = np.asfortranarray(c[1:, : n - 1])
-        theta, v = tridiagonal_eigh(d, e)
-        w = v @ (np.exp(0.5 * (theta * (1.0 / sigma) - self.top)) * (v.T @ _apply_q(reflectors, tau, x, "T")))
-        return _apply_q(reflectors, tau, w, "N")
-
-
-def _apply_q(reflectors, tau, x, trans):
-    """``Q x`` (``trans="N"``) or ``Q' x`` (``"T"``) for the reflectors of a lower-storage ``sytrd``.
-
-    ``Q = diag(1, Q_1)``, with ``Q_1`` the product of ``reflectors``, the
-    Householder vectors below the subdiagonal, applied by one LAPACK
-    ``ormqr`` call; Q is never formed.
-    """
-    n = len(x)
-    out = x.copy()
-    if n > 1:
-        tail, _, info = scipy.linalg.lapack.dormqr("L", trans, reflectors, tau, out[1:, None], 1, overwrite_c=1)
-        if info != 0:
-            raise ConvergenceError(f"applying the Householder reflectors failed for n={n} (info={info})")
-        out[1:] = tail[:, 0]
-    return out
+        dec = dense_eigh(self.matrix)
+        v = dec.eigenvectors
+        return v @ (np.exp(0.5 * (dec.eigenvalues - dec.top)) * (v.T @ x))
 
 
 def _clenshaw_exp(m, mid, r, x):
@@ -339,11 +311,11 @@ def _clenshaw_exp(m, mid, r, x):
 
 
 def anchor(a):
-    """The :class:`AnchoredForm` of the symmetric ``a``, with its reduction.
+    """The :class:`AnchoredForm` of the symmetric ``a``.
 
     One ``sytrd`` reduction of ``sym_array(a)`` and two ``stebz`` bisections
-    give the extreme eigenvalues, as :func:`_dense_eigenvalues` does, so
-    ``top`` has the bits of :func:`top_eigenvalue`.  Each end of the interval
+    give the extreme eigenvalues (:func:`_dense_eigenvalues`), so ``top``
+    has the bits of :func:`top_eigenvalue`.  Each end of the interval
     is moved out by ``4 n eps |a|_2``.  LAPACK bounds the error of the ends
     by ``p(n) eps |a|_2`` for an unspecified, modestly growing ``p(n)``
     (LAPACK Users' Guide, 3rd ed., section 4.7); ``p(n) = 4n`` is a choice,
@@ -356,10 +328,9 @@ def anchor(a):
     arr = sym_array(a, copy=False)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
-    # a copy in Fortran order for sytrd to reduce in place: arr is exactly symmetric, so arr.T is it
-    reduction, (lam_min, lam_max) = _reduced_eigenvalues(np.array(arr).T, "tridiagonal reduction", 1, n)
+    lam_min, lam_max = _dense_eigenvalues(arr, "tridiagonal reduction", 1, n)
     pad = 4.0 * n * _EPS * max(abs(lam_min), abs(lam_max))
-    return AnchoredForm(arr, lam_min - pad, lam_max + pad, lam_max, reduction)
+    return AnchoredForm(arr, lam_min - pad, lam_max + pad, lam_max)
 
 
 def spectrum_within(a, lo, hi):
@@ -486,23 +457,14 @@ def _dense_eigenvalues(a, what, *indices):
     Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
     ``UPLO='L'``: its scaling of a largest entry outside
     ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of
-    ``sym_array(a)``, as in :func:`anchor`, then one ``stebz`` bisection per
-    index.  A sparse ``a`` is copied once, by ``toarray``.  Raises
-    :class:`ConvergenceError` naming ``what`` if LAPACK reports a failure or
-    the tridiagonal matrix is not finite (a NaN or inf entry), where an
-    unchecked bisection returns a number.
+    ``sym_array(a)``, then one ``stebz`` bisection per index.  A sparse ``a``
+    is copied once, by ``toarray``.  Raises :class:`ConvergenceError` naming
+    ``what`` if LAPACK reports a failure or the tridiagonal matrix is not
+    finite (a NaN or inf entry), where an unchecked bisection returns a
+    number.
     """
     arr = sym_array(a.toarray(), copy=False) if sp.issparse(a) else sym_array(a)
-    return _reduced_eigenvalues(arr.T, what, *indices)[1]  # an exactly symmetric copy, in Fortran order
-
-
-def _reduced_eigenvalues(arr, what, *indices):
-    """``(reduction, eigenvalues)`` of the exactly symmetric, Fortran-ordered ``arr``, scaled and reduced in place.
-
-    The eigenvalues are those of :func:`_dense_eigenvalues`; the reduction is
-    :func:`_reduce`'s ``(c, d, e, tau)`` of ``sigma arr``, then ``syevr``'s
-    scale ``sigma``.
-    """
+    arr = arr.T  # an exactly symmetric copy, in Fortran order for sytrd to reduce in place
     n = arr.shape[0]
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
@@ -513,8 +475,8 @@ def _reduced_eigenvalues(arr, what, *indices):
             sigma = _SYEVR_RMAX / top
         if sigma != 1.0:
             arr *= sigma
-    c, d, e, tau = _reduce(arr, what)
-    return (c, d, e, tau, sigma), tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
+    d, e = _reduce(arr, what)
+    return tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
 
 
 def _lanczos_extremes(a):

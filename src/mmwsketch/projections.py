@@ -173,7 +173,8 @@ def rank1_projection(y, u):
     and two bisections), or an :class:`AnchoredForm` of Y with an interval
     ``[lo, hi]`` that holds its spectrum, as the :class:`MatrixPlayer` keeps.
     Computes ``v = exp((Y - hi I)/2) u`` by one Chebyshev series in Y, one
-    matrix-vector product per degree (:meth:`AnchoredForm.exp_half`).  A
+    matrix-vector product per degree, or, for an interval too wide for the
+    series, by the eigenpairs of Y (:meth:`AnchoredForm.exp_half`).  A
     vanishing ``v`` is impossible for symmetric Y (the exponential is
     nonsingular), so an underflow here signals a shifting bug and raises.
     """
@@ -218,11 +219,13 @@ class MatrixPlayer:
     ``Y`` over an interval that holds its spectrum: an anchor reduces ``Y``
     (:func:`~mmwsketch.linalg.anchor`), and in between the last anchor's
     interval is widened by the engine's bound on ``|Y - Y_anchor|_2``, past
-    which no eigenvalue moves (Weyl).  ``rank1_lanczos`` reads the operator
-    ``op`` of ``Y`` and stops each Krylov run once its error estimate is at
-    most ``1/(4T)``, a 2x margin on a ``1/T`` trace-distance budget, or at
-    depth ``min(cap(t), n)``.  :attr:`record` is the last play's
-    ``(k_cap, matvecs, error_estimate)``, zeros on the exact routes.
+    which no eigenvalue moves (Weyl).  An interval too wide for the series,
+    fresh or widened, takes the eigenpairs of ``Y`` instead.
+    ``rank1_lanczos`` reads the operator ``op`` of ``Y`` and stops each
+    Krylov run once its error estimate is at most ``1/(4T)``, a 2x margin
+    on a ``1/T`` trace-distance budget, or at depth ``min(cap(t), n)``.
+    :attr:`record` is the last play's ``(k_cap, matvecs, error_estimate)``,
+    zeros on the exact routes.
     Functions are looked up by their module-level names at each call, so a
     wrapper installed on a name sees every call.
     """

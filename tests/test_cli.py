@@ -71,7 +71,7 @@ class TestOnlineEig:
         )
         assert code == 0
         meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v9"
+        assert meta["schema"] == "online-eig-trace-v10"
         assert header == [
             "t", "step_gain", "cum_gain", "lam_max_running",
             "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
@@ -111,15 +111,15 @@ class TestOnlineEig:
         "schema",
         [
             "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4", "online-eig-trace-v5",
-            "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8", "bench-lanczos-v1",
-            "bench-lanczos-v2",
+            "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8", "online-eig-trace-v9",
+            "bench-lanczos-v1", "bench-lanczos-v2",
         ],
     )
     def test_previous_schemas_still_readable(self, tmp_path, schema):
         # v2-v3 differ from v4 only in the config echo; v4 filled lam_max_running on every row;
         # trace v5 and bench v2 hold Krylov values of the earlier recurrence; trace v6 rank1 values from the
         # eigenpairs of T at every n, v7 below n = 48 and checkpoints from upper-storage syevr; v8 rank1
-        # values from the series in T
+        # values from the series in T; v9 rank1 values of a wide spectrum from the eigenpairs of T
         path = tmp_path / "old.csv"
         cli.write_csv(path, schema, {"n": 4, "m": 10}, ["n", "k"], [[4, 2]])
         assert cli.read_csv(path)[0]["schema"] == schema

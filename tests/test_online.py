@@ -450,6 +450,19 @@ class TestRunOnline:
             gain_sum += gain
             assert trace.lam_max_running[t] == top_eigenvalue(eta * gain_sum)[0] / eta, t
 
+    def test_headline_game_sums_the_series_at_every_step(self, monkeypatch):
+        # README's headline game (online-eig --n 32 --T 5000 --strategy rank1 on random_rotation) keeps
+        # 83 r <= n^2 at every step, so no step takes the eigenpairs of Y
+        import mmwsketch.linalg as linalg
+
+        n, horizon = 32, 5000
+        eigh, solves = linalg.dense_eigh, []
+        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        adv_rng, play_rng = SeededRng(5).spawn(2)
+        schedule = Schedule(eta=default_eta(n, horizon), T=horizon)
+        run_online(builtin_adversaries("random_rotation", n, adv_rng), "rank1_exact", schedule, play_rng)
+        assert solves == []
+
     @pytest.mark.parametrize("kind,proofs,cholesky", [("streaming_pca", 1, 0), ("random_rotation", 0, 1)])
     def test_rank_one_gains_skip_the_cholesky_pair(self, monkeypatch, kind, proofs, cholesky):
         import mmwsketch.online as online

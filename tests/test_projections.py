@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -257,27 +256,39 @@ class TestEigenDecompositionInput:
         assert np.array_equal(project(decompose(y)), project(y))
 
     @staticmethod
-    def _assert_checks_run(form, n):
+    def _assert_checks_run(monkeypatch, form, n):
         with pytest.raises(ValueError, match="unit vector"):
             rank1_projection(form, np.ones(n))
-        # a top far above the spectrum leaves exp((Y - top I)/2) below the smallest double: so wide an
-        # interval takes the eigenpairs of T, shifted by that top, and the exponentials underflow to zero
-        underflowed = dataclasses.replace(form, hi=form.hi + 3000.0, top=form.top + 3000.0)
-        with pytest.raises(ArithmeticError, match="underflowed"):
-            rank1_projection(underflowed, np.eye(n)[0])
+        # exp(Y/2) u cannot vanish for a symmetric Y, so a zero or NaN v signals a shifting bug: the
+        # form's own route runs, and its v is then zeroed or spoiled
+        exp_half = AnchoredForm.exp_half
+        for spoil in (0.0, math.nan):
+            with monkeypatch.context() as patched:
+                patched.setattr(AnchoredForm, "exp_half", lambda form, x: spoil * exp_half(form, x))
+                with pytest.raises(ArithmeticError, match="underflowed"):
+                    rank1_projection(form, np.eye(n)[0])
 
-    def test_checks_still_run(self, rng):
-        self._assert_checks_run(anchor(random_symmetric(rng, 4, op_norm=1.0)), 4)
+    def test_checks_still_run(self, monkeypatch, rng):
+        solves = _count_dense_eigh(monkeypatch)
+        form = anchor(random_symmetric(rng, 4, op_norm=1.0))
+        rank1_projection(form, sample_unit_sphere(4, rng))
+        assert solves == [4]  # 83 r > n^2 at n = 4: the eigenpairs of Y
+        self._assert_checks_run(monkeypatch, form, 4)
 
     def test_checks_still_run_on_the_series_route(self, monkeypatch, rng):
         n = 48
-        solves = []
-        eigh = linalg.tridiagonal_eigh
-        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
+        solves = _count_dense_eigh(monkeypatch)
         form = anchor(random_symmetric(rng, n, op_norm=1.0))
         rank1_projection(form, sample_unit_sphere(n, rng))
-        assert solves == []  # a narrow Y at n = 48 takes the series, not the eigenpairs of T
-        self._assert_checks_run(form, n)
+        assert solves == []  # a narrow Y at n = 48 takes the series, not the eigenpairs of Y
+        self._assert_checks_run(monkeypatch, form, n)
+
+
+def _count_dense_eigh(monkeypatch):
+    """The sizes of the ``linalg.dense_eigh`` calls made from here on, as a list that grows with each call."""
+    eigh, solves = linalg.dense_eigh, []
+    monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+    return solves
 
 
 def _eigenbasis_rank1(y, u):
@@ -304,7 +315,7 @@ class TestTridiagonalRoute:
             random_symmetric(rng, n),
             random_symmetric(rng, n, op_norm=30.0),
             random_symmetric(rng, n, op_norm=700.0),  # exp((lam - lam_max)/2) spans 1 to 1e-304
-            random_symmetric(rng, n, op_norm=1e5),  # too wide for the series at every n: the eigenpairs of T
+            random_symmetric(rng, n, op_norm=1e5),  # too wide for the series at every n: the eigenpairs of Y
             np.zeros((n, n)),
             -7.5 * np.eye(n),
             _streaming_pca_sum(rng, n, max(1, n // 4), 0.3),
@@ -321,9 +332,8 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n", [4, 32])
     def test_width_rule_takes_both_routes(self, monkeypatch, rng, n):
-        # the series runs while 83 r <= n^2, with r a quarter of the anchored interval; a wider Y takes stevd
-        eigh, solves = linalg.tridiagonal_eigh, []
-        monkeypatch.setattr(linalg, "tridiagonal_eigh", lambda d, e: solves.append(len(d)) or eigh(d, e))
+        # the series runs while 83 r <= n^2, with r a quarter of the anchored interval; a wider Y takes dense_eigh
+        solves = _count_dense_eigh(monkeypatch)
         for op_norm, expected in ((0.05, []), (4.0 * n, [n])):
             solves.clear()
             y = random_symmetric(rng, n, op_norm=op_norm)
@@ -333,15 +343,23 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n", [1, 4, 32])
     def test_a_widened_form_takes_the_eigenpairs_of_y(self, monkeypatch, rng, n):
-        # between SDP anchors the form holds no reduction of its Y, so a wide interval takes dense_eigh
-        eigh, solves = linalg.dense_eigh, []
-        monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
+        # between SDP anchors a widened form takes the eigenpairs of its own Y, as a fresh anchor does
+        solves = _count_dense_eigh(monkeypatch)
         y = random_symmetric(rng, n, op_norm=4.0 * n)
         fresh = anchor(y)
         widened = AnchoredForm(y, fresh.lo - 1.0, fresh.hi + 1.0, fresh.top)  # 83 r > n^2 at each n here
         u = sample_unit_sphere(n, rng)
         assert np.abs(rank1_projection(widened, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12
         assert solves == [n]
+
+    @pytest.mark.parametrize("n,scale", [(8, 1e18), (32, 1e18), (32, 1e80)])
+    def test_a_huge_scale_keeps_the_top_exponential(self, rng, n, scale):
+        # two eigensolvers' tops differ by ulps of |Y|, thousands here, so the eigenpairs must be shifted
+        # by their own largest eigenvalue: by another solver's top, every exponential can underflow
+        a = np.random.default_rng(n).standard_normal((n, n))
+        y = scale * (a + a.T)
+        u = sample_unit_sphere(n, rng)
+        assert np.abs(rank1_projection(y, u).factor - _eigenbasis_rank1(y, u)).max() <= 1e-12
 
     @pytest.mark.parametrize("offset", [1e8, -1e8])
     @pytest.mark.parametrize("n", [32, 200])

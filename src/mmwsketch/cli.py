@@ -64,11 +64,14 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v10"
+TRACE_SCHEMA = "online-eig-trace-v11"
 BENCH_SCHEMA = "bench-lanczos-v3"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v8"
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v9"
 SDP_SUMMARY_SCHEMA = "sdp-feas-v10"
-#: Older CSVs stay readable: v9 traces have v10's columns, with ``rank1`` values of a spectrum
+#: Older CSVs stay readable: v10 traces have v11's columns, with ``rank1`` values from an anchor at
+#: every step and ``lam_max_running`` on every ``rank1`` row, where v11 anchors only once the drift
+#: bound exceeds ``ANCHOR_TAU / 2`` and fills ``rank1`` rows at its anchors and checkpoints alone;
+#: v9 traces have v10's columns, with ``rank1`` values of a spectrum
 #: too wide for the series from the eigenpairs of the anchor's T, where v10 takes those of
 #: ``eta G`` itself; v8 traces have v9's columns, with ``rank1`` values from the series
 #: in the tridiagonal form of ``eta G``, where v9 sums it in ``eta G`` itself; v7 traces have
@@ -85,7 +88,7 @@ KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
         "online-eig-trace-v5", "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8",
-        "online-eig-trace-v9", TRACE_SCHEMA,
+        "online-eig-trace-v9", "online-eig-trace-v10", TRACE_SCHEMA,
         "bench-lanczos-v1", "bench-lanczos-v2", BENCH_SCHEMA,
     }
 )

@@ -313,9 +313,10 @@ def _clenshaw_exp(m, mid, r, x):
 def anchor(a):
     """The :class:`AnchoredForm` of the symmetric ``a``.
 
-    One ``sytrd`` reduction of ``sym_array(a)`` and two ``stebz`` bisections
-    give the extreme eigenvalues (:func:`_dense_eigenvalues`), so ``top``
-    has the bits of :func:`top_eigenvalue`.  Each end of the interval
+    One symmetry check of ``a`` (:func:`sym_array`), then one ``sytrd``
+    reduction of a copy and two ``stebz`` bisections give the extreme
+    eigenvalues by the route of :func:`_dense_eigenvalues`, so ``top`` has
+    the bits of :func:`top_eigenvalue`.  Each end of the interval
     is moved out by ``4 n eps |a|_2``.  LAPACK bounds the error of the ends
     by ``p(n) eps |a|_2`` for an unspecified, modestly growing ``p(n)``
     (LAPACK Users' Guide, 3rd ed., section 4.7); ``p(n) = 4n`` is a choice,
@@ -328,7 +329,7 @@ def anchor(a):
     arr = sym_array(a, copy=False)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
-    lam_min, lam_max = _dense_eigenvalues(arr, "tridiagonal reduction", 1, n)
+    lam_min, lam_max = _reduce_and_bisect(np.array(arr.T), "tridiagonal reduction", (1, n))
     pad = 4.0 * n * _EPS * max(abs(lam_min), abs(lam_max))
     return AnchoredForm(arr, lam_min - pad, lam_max + pad, lam_max)
 
@@ -464,7 +465,11 @@ def _dense_eigenvalues(a, what, *indices):
     number.
     """
     arr = sym_array(a.toarray(), copy=False) if sp.issparse(a) else sym_array(a)
-    arr = arr.T  # an exactly symmetric copy, in Fortran order for sytrd to reduce in place
+    return _reduce_and_bisect(arr.T, what, indices)  # the transpose of a symmetric copy: itself, in Fortran order
+
+
+def _reduce_and_bisect(arr, what, indices):
+    """:func:`_dense_eigenvalues` of the exactly symmetric, Fortran-ordered ``arr``, scaled and reduced in place."""
     n = arr.shape[0]
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled

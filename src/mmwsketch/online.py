@@ -20,6 +20,7 @@ from numpy.linalg import _umath_linalg
 
 from .lanczos import DEFAULT_K0
 from .linalg import (
+    _EPS,
     ConvergenceError,
     SparseSymOperator,
     _outer_self,
@@ -225,9 +226,10 @@ class RegretTrace:
     """Per-step records and summary statistics of one online run.
 
     ``lam_max_running[t-1]`` is the top eigenvalue of the gain sum after
-    step t.  The dense strategies record it at every step.  ``rank1_lanczos``
-    records it only at its checkpoints, t a power of two and t = T, and
-    holds NaN between them; the CSV row leaves that field empty.
+    step t.  ``exact_mmw`` records it at every step.  ``rank1_exact``
+    records it at each step where it anchors and at the checkpoints, t a
+    power of two and t = T; ``rank1_lanczos`` only at the checkpoints.  Both
+    hold NaN between them, and the CSV row leaves that field empty.
     ``lam_max_final`` is the value at t = T in every strategy.
 
     For ``rank1_lanczos`` runs, ``k_used`` is the Krylov depth run at each
@@ -329,6 +331,48 @@ def require_strategy(strategy, n):
         require_dense(n, f"strategy {strategy!r}")
 
 
+def _drift_bound(eta, t, t_a, n, gain_class):
+    """A bound on ``|R_t - A_a|_2`` over a game's ``rank1_exact`` route, from the anchor at step ``t_a`` to step ``t``.
+
+    The engine sums the gains in place, ``G_s = fl(G_{s-1} + g_s)`` from
+    ``G_0 = 0``, and the player projects ``Y_s = fl(eta G_s)``.  ``A_a`` is
+    the matrix the anchor at ``t_a`` reduced, ``Y_a`` made exactly symmetric
+    (:func:`~mmwsketch.linalg.sym_array`), and ``R_t`` is the one the series
+    reads between anchors, the symmetric matrix that the upper triangle of
+    ``Y_t`` defines (BLAS ``symv``); the spectrum of ``R_t`` thus lies in the
+    anchor's interval widened by the bound (Weyl).
+
+    Every gain passed :func:`_validate_gain`, so with ``(lo, hi)`` its class
+    interval in :data:`GAIN_SPECTRUM` and ``c = max(-lo, hi)``, the upper
+    completion ``U(g)`` of a gain has ``|U(g)|_2 <= c + rho`` and
+    ``|g - g'|_F <= rho``, ``rho = 2.1e-12 n``: the rank-one proof holds both
+    triangles' completions in ``[lo, hi]`` and ``|g - g'|_F`` below 1e-12;
+    the Cholesky proof (or ``eigvalsh``) holds the lower one, ``L(g)``, and
+    the symmetry check keeps each ``|g_ij - g_ji|`` below
+    ``1e-12 (1 + max |g|) < 2.1e-12``, so ``|U(g) - L(g)|_2 <= |g - g'|_F < rho``.
+    Then ``|g|_F <= sqrt(n) (c + rho)``, and with ``u = eps / 2`` each sum
+    rounds by ``|E_s|_F <= u |G_s|_F``, so ``|G_s|_F <= S = t sqrt(n) (c + rho)
+    (1 + t eps)`` for ``s <= t``.  Write ``Y_s = eta G_s + D_s`` with
+    ``|D_s|_F <= u eta S``, and ``A_a = (Y_a + Y_a') / 2 + F`` with
+    ``|F|_F <= u eta S (1 + u)`` for the rounding of that mean.  As
+    ``|U(X)|_2 <= sqrt(2) |X|_F``,
+
+    - ``|U(Y_t - Y_a)|_2 <= eta (t - t_a) (c + rho) + sqrt(2) u eta S (t - t_a + 2)``
+      (the gains, the sums' rounding, ``D_t`` and ``D_a``), and
+    - ``|U(Y_a) - (Y_a + Y_a') / 2|_2 <= |Y_a - Y_a'|_F / 2 <= eta t_a (rho + 2 u S) / 2 + u eta S``,
+
+    so ``|R_t - A_a|_2 <= eta ((t - t_a) c + t rho + eps (t + 3) S)``, with
+    ``u eta S`` to spare for the rounding of the player's ``lo - bound`` and
+    ``hi + bound``; the factor ``1 + 16 eps`` covers the rounding of this
+    bound.  Underflow is not counted, and the class intervals rest on the
+    proofs' own rounding margins.
+    """
+    lo, hi = GAIN_SPECTRUM[gain_class]
+    c, rho = max(-lo, hi), 2.1e-12 * n
+    frobenius = t * math.sqrt(n) * (c + rho) * (1.0 + t * _EPS)
+    return (1.0 + 16.0 * _EPS) * eta * ((t - t_a) * c + t * rho + (t + 3) * _EPS * frobenius)
+
+
 def run_online(adversary, strategy, schedule, rng):
     """Play the online game for ``schedule.T`` steps and return the trace.
 
@@ -341,12 +385,17 @@ def run_online(adversary, strategy, schedule, rng):
     now, and (4) records the earned inner product.  ``G`` is one dense
     running matrix, behind one operator for ``Y`` for the whole game.
 
-    The player is told of each move of ``G``, once the step's gain is in it:
-    the dense strategies decompose ``Y`` then, and its top eigenvalue over
-    ``eta`` is the step's running ``lam_max``.  ``rank1_lanczos`` plays by
-    matvecs alone, so the engine computes the running ``lam_max`` only at
-    the checkpoints t = 1, 2, 4, ... and t = T, by one :func:`top_eigenvalue`
-    call, and records NaN between them.  The regret compares the cumulative
+    The player is told of each move of ``G``, once the step's gain is in it,
+    with :func:`_drift_bound` on how far ``Y`` has moved since the player
+    last decomposed it.  ``exact_mmw`` decomposes ``Y`` at every move;
+    ``rank1_exact`` anchors it (one ``O(n^3)`` reduction) only once that bound
+    exceeds ``ANCHOR_TAU / 2``, about every ``ANCHOR_TAU / (2 eta)`` steps,
+    and otherwise widens the last anchor's interval by the bound.  A
+    decomposition's top eigenvalue over ``eta`` is the step's running
+    ``lam_max``.  At every other checkpoint, t = 1, 2, 4, ... and t = T, the
+    engine computes it by one :func:`top_eigenvalue` call, and it records NaN
+    between them; ``rank1_lanczos`` plays by matvecs alone and decomposes
+    nothing.  The regret compares the cumulative
     gain with the t = T value: exact at dense scale, ``n <= DENSE_LIMIT``;
     above it, where only ``rank1_lanczos`` runs, a Lanczos estimate stable
     to a relative ``LANCZOS_RTOL``, recorded as ``lam_max_tol``.  The Krylov
@@ -370,6 +419,7 @@ def run_online(adversary, strategy, schedule, rng):
     dual_op = SparseSymOperator(n, lambda v: eta * (gain_sum @ v))  # Y = eta * gain_sum, for the whole game
     player = MatrixPlayer(strategy, T, lambda: eta * gain_sum, dual_op, kt_rule)
     player.moved()  # the empty sum projects step 1
+    anchored = 0  # the step whose gain sum the player last decomposed
     running_total = 0.0
     lam_tol_abs = 0.0
 
@@ -387,8 +437,9 @@ def run_online(adversary, strategy, schedule, rng):
         cum_gain[t - 1] = running_total
 
         gain_sum += gain
-        top = player.moved()
+        top = player.moved(lambda: _drift_bound(eta, t, anchored, n, adversary.gain_class))
         if top is not None:
+            anchored = t
             lam_running[t - 1] = top / eta
         elif t & (t - 1) == 0 or t == T:  # no free top: checkpoints at powers of two and T
             lam_running[t - 1], lam_tol_abs = top_eigenvalue(gain_sum)

@@ -218,8 +218,10 @@ class MatrixPlayer:
     eigenpairs at each move.  ``rank1_exact`` sums the sketch's series in
     ``Y`` over an interval that holds its spectrum: an anchor reduces ``Y``
     (:func:`~mmwsketch.linalg.anchor`), and in between the last anchor's
-    interval is widened by the engine's bound on ``|Y - Y_anchor|_2``, past
-    which no eigenvalue moves (Weyl).  An interval too wide for the series,
+    interval is widened by the engine's bound on how far the matrix the
+    series reads has moved from the one the anchor reduced, past which no
+    eigenvalue moves (Weyl); both engines state one (``online._drift_bound``,
+    ``sdp._drift_bound``).  An interval too wide for the series,
     fresh or widened, takes the eigenpairs of ``Y`` instead.
     ``rank1_lanczos`` reads the operator ``op`` of ``Y`` and stops each
     Krylov run once its error estimate is at most ``1/(4T)``, a 2x margin
@@ -241,7 +243,8 @@ class MatrixPlayer:
         """Note that ``Y`` moved; return its top eigenvalue if this decomposed it, else ``None``.
 
         ``drift()`` bounds ``|Y - Y_anchor|_2``, with ``Y_anchor`` the ``Y`` of
-        the last move that returned a value.  ``rank1_exact`` anchors again
+        the last move that returned a value, and ``Y`` read by its upper
+        triangle, as the series reads it.  ``rank1_exact`` anchors again
         once it exceeds ``ANCHOR_TAU / 2``, and at every move without it.
         """
         if self.route == "rank1_lanczos":

@@ -29,6 +29,13 @@ def trace_norm(m):
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
+def exact_rank1_factor(y, u):
+    """The rank-1 sketch factor through all eigenpairs of ``y``, by numpy's ``eigh``."""
+    lam, q = np.linalg.eigh(y)
+    v = q @ (np.exp(0.5 * (lam - lam[-1])) * (q.T @ u))
+    return SpectrahedronAction.rank1(v / np.linalg.norm(v)).factor
+
+
 def random_symmetric(rng, n, op_norm=None):
     a = rng.standard_normal((n, n))
     a = 0.5 * (a + a.T)

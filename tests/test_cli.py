@@ -71,7 +71,7 @@ class TestOnlineEig:
         )
         assert code == 0
         meta, header, rows = cli.read_csv(out / "online-eig-trace-seed2.csv")
-        assert meta["schema"] == "online-eig-trace-v10"
+        assert meta["schema"] == "online-eig-trace-v11"
         assert header == [
             "t", "step_gain", "cum_gain", "lam_max_running",
             "k_used", "k_cap", "matvecs", "krylov_err_est", "wall_ns",
@@ -94,7 +94,7 @@ class TestOnlineEig:
 
     def test_lanczos_trace_leaves_lam_max_empty_between_checkpoints(self, tmp_path):
         out = tmp_path / "checkpoints"
-        for strategy in ("rank1", "rank1-lanczos"):
+        for strategy in ("exact-mmw", "rank1", "rank1-lanczos"):
             args = ["online-eig", "--n", "6", "--T", "10", "--strategy", strategy, "--seed", "1"]
             assert run_cli(args + ["--out", str(out / strategy)]) == 0
         header, lanczos_rows = cli.read_csv(out / "rank1-lanczos" / "online-eig-trace-seed1.csv")[1:]
@@ -103,8 +103,11 @@ class TestOnlineEig:
         assert filled == [1, 2, 4, 8, 10]
         summary = json.loads((out / "rank1-lanczos" / "online-eig-summary.json").read_text())
         assert float(lanczos_rows[-1][col]) == summary["per_seed"][0]["lam_max"]
-        # a dense strategy fills every row
-        dense_rows = cli.read_csv(out / "rank1" / "online-eig-trace-seed1.csv")[2]
+        # rank1 fills the checkpoints and its anchor at t = 9, where eta (t - t_a) first exceeds
+        # ANCHOR_TAU / 2 (eta = 0.46); exact-mmw fills every row
+        rank1_rows = cli.read_csv(out / "rank1" / "online-eig-trace-seed1.csv")[2]
+        assert [int(row[0]) for row in rank1_rows if row[col] != ""] == [1, 2, 4, 8, 9, 10]
+        dense_rows = cli.read_csv(out / "exact-mmw" / "online-eig-trace-seed1.csv")[2]
         assert all(math.isfinite(float(row[col])) for row in dense_rows)
 
     @pytest.mark.parametrize(
@@ -112,14 +115,15 @@ class TestOnlineEig:
         [
             "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4", "online-eig-trace-v5",
             "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8", "online-eig-trace-v9",
-            "bench-lanczos-v1", "bench-lanczos-v2",
+            "online-eig-trace-v10", "bench-lanczos-v1", "bench-lanczos-v2",
         ],
     )
     def test_previous_schemas_still_readable(self, tmp_path, schema):
         # v2-v3 differ from v4 only in the config echo; v4 filled lam_max_running on every row;
         # trace v5 and bench v2 hold Krylov values of the earlier recurrence; trace v6 rank1 values from the
         # eigenpairs of T at every n, v7 below n = 48 and checkpoints from upper-storage syevr; v8 rank1
-        # values from the series in T; v9 rank1 values of a wide spectrum from the eigenpairs of T
+        # values from the series in T; v9 rank1 values of a wide spectrum from the eigenpairs of T; v10 rank1
+        # values from an anchor at every step, with lam_max_running on every rank1 row
         path = tmp_path / "old.csv"
         cli.write_csv(path, schema, {"n": 4, "m": 10}, ["n", "k"], [[4, 2]])
         assert cli.read_csv(path)[0]["schema"] == schema

@@ -425,6 +425,16 @@ class TestTridiagonalize:
         held = anchor(nearly).matrix
         assert held is not nearly and np.array_equal(held, held.T)
 
+    def test_checks_symmetry_once(self, monkeypatch, rng):
+        import mmwsketch.linalg as linalg
+
+        scans, sym = [], linalg.sym_array
+        monkeypatch.setattr(linalg, "sym_array", lambda *args, **kwargs: scans.append(1) or sym(*args, **kwargs))
+        a = random_symmetric(rng, 32)
+        form = anchor(a)
+        assert len(scans) == 1
+        assert form.top == top_eigenvalue(a)[0]
+
 
 class TestExpSeriesCoefficients:
     """``_exp_series_coefficients(r)``: ``e^-r I_0(r)``, ``2 e^-r I_k(r)``, cut where the rest sums below ``2^-60``."""

@@ -18,7 +18,8 @@ from mmwsketch import (
     run_online,
     sample_unit_sphere,
 )
-from mmwsketch.linalg import DENSE_LIMIT, ConvergenceError, top_eigenvalue
+from mmwsketch import online
+from mmwsketch.linalg import DENSE_LIMIT, AnchoredForm, ConvergenceError, anchor, top_eigenvalue
 from mmwsketch.online import (
     Adversary,
     FixedMatrixAdversary,
@@ -29,8 +30,8 @@ from mmwsketch.online import (
     high_probability_regret_bound,
     refined_regret_bound,
 )
-from mmwsketch.projections import estimate_avg_projection_dirichlet, mmw_projection, rank1_projection
-from conftest import random_symmetric, symmetry_defect
+from mmwsketch.projections import ANCHOR_TAU, estimate_avg_projection_dirichlet, mmw_projection, rank1_projection
+from conftest import exact_rank1_factor, random_symmetric, symmetry_defect
 
 
 class TestDefaultEta:
@@ -372,9 +373,10 @@ class TestRunOnline:
         import mmwsketch.online as online
         import mmwsketch.projections as projections
 
+        # at n = 24 every rank1_exact interval, widened by up to ANCHOR_TAU, stays narrow enough for the series
         horizon = 30
         adv_rng, play_rng = SeededRng(5).spawn(2)
-        adversaries = [builtin_adversaries(kind, 10, adv_rng) for kind in ("random_rotation", "streaming_pca")]
+        adversaries = [builtin_adversaries(kind, 24, adv_rng) for kind in ("random_rotation", "streaming_pca")]
         calls = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "anchor": 0}
 
         def counted(owner, name):
@@ -394,13 +396,15 @@ class TestRunOnline:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
-        # the dense strategies decompose once per step, plus once for the empty sum per game;
-        # rank1_lanczos computes lam_max only at its checkpoints t = 1, 2, 4, 8, 16 and 30
+        # exact_mmw decomposes once per step, plus once for the empty sum per game; rank1_exact anchors the
+        # empty sum and then only at t = 20, where 0.2 (t - t_a) first exceeds ANCHOR_TAU / 2; the strategies
+        # that do not decompose at a checkpoint, t = 1, 2, 4, 8, 16 and 30, compute lam_max there
         expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "anchor": 0}
         if strategy == "rank1_lanczos":
             expected["top_eigenvalue"] = games * 6
         elif strategy == "rank1_exact":
-            expected["anchor"] = games * (horizon + 1)
+            expected["anchor"] = games * 2
+            expected["top_eigenvalue"] = games * 6
         else:
             expected["eigh"] = games * (horizon + 1)
         assert calls == expected
@@ -425,43 +429,71 @@ class TestRunOnline:
 
         monkeypatch.setattr(projections, "sample_unit_sphere", recorded)
         trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
-        gain_sum = np.zeros((n, n))
-        for t, gain in enumerate(adv.gains):
-            y = eta * gain_sum
+        # rank1_exact's schedule: an anchor, or the last anchor's interval widened by the drift bound
+        gain_sum, anchored = np.zeros((n, n)), 0
+        form = last = anchor(eta * gain_sum)
+        for t, gain in enumerate(adv.gains, start=1):
             if strategy == "exact_mmw":
-                action = mmw_projection(y)
+                action = mmw_projection(eta * gain_sum)
             else:
-                action = rank1_projection(y, draws[t])
-            # the engine decomposes the same scaled sum, so the play is the same to the bit
-            assert action.inner(gain) == trace.step_gain[t], t
+                action = rank1_projection(form, draws[t - 1])
+            # the engine projects the same scaled sum over the same interval, so the play is the same to the bit
+            assert action.inner(gain) == trace.step_gain[t - 1], t
             gain_sum += gain
-            lam = top_eigenvalue(gain_sum)[0]
-            assert abs(trace.lam_max_running[t] - lam) <= 1e-12 * abs(lam), t
+            y, bound = eta * gain_sum, online._drift_bound(eta, t, anchored, n, adv.gain_class)
+            if 2.0 * bound <= ANCHOR_TAU:
+                form = AnchoredForm(y, last.lo - bound, last.hi + bound, last.top)
+            else:
+                form = last = anchor(y)
+                anchored = t
+            if strategy == "exact_mmw" or not np.isnan(trace.lam_max_running[t - 1]):
+                lam = top_eigenvalue(gain_sum)[0]
+                assert abs(trace.lam_max_running[t - 1] - lam) <= 1e-12 * abs(lam), t
+        if strategy == "rank1_exact":
+            assert anchored == 28  # anchors at t = 14 and 28: the replay took both branches
 
     @pytest.mark.parametrize("kind", ["random_rotation", "fixed_matrix", "psd_random", "streaming_pca"])
     def test_rank1_lam_max_is_the_top_eigenvalue_of_y_over_eta_bitwise(self, kind):
-        # rank1_exact anchors Y = eta G at every step, by the reduction top_eigenvalue runs, and reports
-        # its top over eta, the bits of the tridiagonal form that the previous schema reduced
+        # rank1_exact anchors Y = eta G, by the reduction top_eigenvalue runs, once the drift bound since its
+        # last anchor exceeds ANCHOR_TAU / 2, and reports its top over eta there; every other checkpoint
+        # reduces G itself, and every other step records NaN
         n, horizon, eta = 17, 40, 0.3
         adv = _RecordingAdversary(builtin_adversaries(kind, n, SeededRng(41)))
         trace = run_online(adv, "rank1_exact", Schedule(eta=eta, T=horizon), SeededRng(42))
-        gain_sum = np.zeros((n, n))
-        for t, gain in enumerate(adv.gains):
+        gain_sum, anchored, anchors = np.zeros((n, n)), 0, []
+        for t, gain in enumerate(adv.gains, start=1):
             gain_sum += gain
-            assert trace.lam_max_running[t] == top_eigenvalue(eta * gain_sum)[0] / eta, t
+            lam = trace.lam_max_running[t - 1]
+            if 2.0 * online._drift_bound(eta, t, anchored, n, adv.gain_class) > ANCHOR_TAU:
+                anchored = t
+                anchors.append(t)
+                assert lam == top_eigenvalue(eta * gain_sum)[0] / eta, t
+            elif t & (t - 1) == 0 or t == horizon:
+                assert lam == top_eigenvalue(gain_sum)[0], t
+            else:
+                assert np.isnan(lam), t
+        assert anchors == [14, 28]  # where 0.3 (t - t_a) first exceeds ANCHOR_TAU / 2
 
     def test_headline_game_sums_the_series_at_every_step(self, monkeypatch):
         # README's headline game (online-eig --n 32 --T 5000 --strategy rank1 on random_rotation) keeps
-        # 83 r <= n^2 at every step, so no step takes the eigenpairs of Y
+        # 83 r <= n^2 at every step, so no step takes the eigenpairs of Y; each anchor covers about
+        # (ANCHOR_TAU / 2) / eta steps of drift, so the game reduces Y once per 157 steps, not at every step
         import mmwsketch.linalg as linalg
+        import mmwsketch.projections as projections
 
         n, horizon = 32, 5000
         eigh, solves = linalg.dense_eigh, []
+        original, anchors = projections.anchor, []
         monkeypatch.setattr(linalg, "dense_eigh", lambda a: solves.append(len(a)) or eigh(a))
-        adv_rng, play_rng = SeededRng(5).spawn(2)
-        schedule = Schedule(eta=default_eta(n, horizon), T=horizon)
-        run_online(builtin_adversaries("random_rotation", n, adv_rng), "rank1_exact", schedule, play_rng)
-        assert solves == []
+        monkeypatch.setattr(projections, "anchor", lambda a: anchors.append(len(a)) or original(a))
+        eta = default_eta(n, horizon)
+        for seed in (5, 31001):
+            anchors.clear()
+            adv_rng, play_rng = SeededRng(seed).spawn(2)
+            adv = builtin_adversaries("random_rotation", n, adv_rng)
+            run_online(adv, "rank1_exact", Schedule(eta=eta, T=horizon), play_rng)
+            assert solves == []
+            assert len(anchors) <= math.ceil(horizon * eta * (1.0 + 1e-9) / (ANCHOR_TAU / 2.0)) + 1 == 33
 
     @pytest.mark.parametrize("kind,proofs,cholesky", [("streaming_pca", 1, 0), ("random_rotation", 0, 1)])
     def test_rank_one_gains_skip_the_cholesky_pair(self, monkeypatch, kind, proofs, cholesky):
@@ -675,6 +707,100 @@ class TestRunOnline:
             gain_sum += gain
             lam = scipy.linalg.eigvalsh(gain_sum, subset_by_index=[n - 1, n - 1])[0]  # LAPACK syevr, exact
             assert abs(trace.lam_max_running[t] - lam) <= trace.lam_max_tol, t
+
+
+class _SkewedAdversary(Adversary):
+    """One fixed gain handed out as given, its upper triangle off its lower one by ``skew`` where ``mask`` is set."""
+
+    def __init__(self, symmetric, skew, mask, gain_class):
+        self.n, self.gain_class = len(symmetric), gain_class
+        self.gain = symmetric + skew * np.triu(mask, 1)
+
+    def next_gain(self, history):
+        return self.gain
+
+
+def _projected_forms(monkeypatch, adversary, eta, horizon, seed):
+    """Run ``rank1_exact`` and return, per play, its interval, the spectrum the series reads and the factor's error.
+
+    The series reads the upper triangle of the form's matrix; the factor is compared with the sketch through all
+    eigenpairs of the symmetric part of that matrix.
+    """
+    import mmwsketch.projections as projections
+
+    seen, projection = [], projections.rank1_projection
+
+    def spy(form, u):
+        action = projection(form, u)
+        lam = np.linalg.eigvalsh(form.matrix, UPLO="U")
+        y = 0.5 * (form.matrix + form.matrix.T)
+        seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - exact_rank1_factor(y, u)).max()))
+        return action
+
+    monkeypatch.setattr(projections, "rank1_projection", spy)
+    run_online(adversary, "rank1_exact", Schedule(eta=eta, T=horizon), SeededRng(seed))
+    assert len(seen) == horizon
+    return np.array(seen).T
+
+
+class TestAnchoredOnlineRoute:
+    """``rank1_exact`` reduces ``Y`` only at anchors, and widens the last anchor's interval by ``_drift_bound``."""
+
+    @pytest.mark.parametrize("kind", ["random_rotation", "fixed_matrix", "psd_random", "streaming_pca"])
+    def test_every_projected_y_lies_in_the_players_interval(self, monkeypatch, kind):
+        import mmwsketch.projections as projections
+
+        n, horizon, eta = 32, 64, 0.25
+        original, anchors = projections.anchor, []
+        monkeypatch.setattr(projections, "anchor", lambda a: anchors.append(len(a)) or original(a))
+        adv = builtin_adversaries(kind, n, SeededRng(51))
+        lo, hi, lam_min, lam_max, factor_err = _projected_forms(monkeypatch, adv, eta, horizon, 52)
+        # anchors at t = 0, 16, 32, 48 and 64, where 0.25 (t - t_a) first exceeds ANCHOR_TAU / 2
+        assert len(anchors) == 5
+        assert (lo <= lam_min).all() and (lam_max <= hi).all()
+        # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
+        assert (hi - lam_max).max() <= ANCHOR_TAU
+        assert factor_err.max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drift_bound_covers_the_rounding_of_the_gain_sum(self, seed):
+        # a fixed_matrix game about t = 2^36 steps in: its sums round at the scale of t, so over a few steps
+        # Y moves more than the gains, each of operator norm at most 1 + 1e-9, can move it
+        n, eta, steps = 8, 0.3, 3
+        gain = builtin_adversaries("fixed_matrix", n, SeededRng(seed)).next_gain(())
+        _, hi = online.GAIN_SPECTRUM["bounded_inf_norm_1"]
+        moves = []
+        for t in range(2**36, 2**36 + 20):
+            gain_sum = (t - steps) * gain  # the sum of t - steps gains, up to rounding
+            y_a = eta * gain_sum
+            for _ in range(steps):
+                gain_sum += gain
+            moved = np.abs(np.linalg.eigvalsh(eta * gain_sum - y_a)).max()
+            assert moved <= online._drift_bound(eta, t, t - steps, n, "bounded_inf_norm_1"), t
+            moves.append(moved)
+        assert max(moves) > eta * steps * hi
+
+    @pytest.mark.parametrize("path", ["rank_one", "cholesky"])
+    def test_skewed_gains_keep_the_series_matrix_in_the_interval(self, monkeypatch, path):
+        # the series reads Y's upper triangle, and the checks of a gain hold its lower one (Cholesky) or its
+        # symmetric part (rank-one proof) in the class interval: the bound covers the validated skew
+        n, horizon, eta = 32, 160, 0.2
+        ones = np.full((n, n), 1.0 / n)
+        mask = np.ones((n, n))
+        if path == "rank_one":
+            # a rank-one gain whose pivot column and 2x2 minor are exact, skewed by 4.5e-13 relative elsewhere
+            mask[0, n - 1] = 0.0
+            adv = _SkewedAdversary(ones, 2.0**-46, mask, "psd_unit")
+        else:
+            # a rank-two projection, skewed by 6e-13 relative to the symmetry check's scale, near its 1e-12
+            w = np.zeros(n)
+            w[:2] = [math.sqrt(0.5), -math.sqrt(0.5)]
+            adv = _SkewedAdversary(ones + np.outer(w, w), 2.0**-40, mask, "psd_unit")
+        calls, within = [], online.spectrum_within
+        monkeypatch.setattr(online, "spectrum_within", lambda *args: calls.append(1) or within(*args))
+        lo, hi, lam_min, lam_max, _ = _projected_forms(monkeypatch, adv, eta, horizon, 53)
+        assert len(calls) == (horizon if path == "cholesky" else 0)
+        assert (lo <= lam_min).all() and (lam_max <= hi).all()
 
 
 class TestUnbiasedSketch:

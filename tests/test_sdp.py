@@ -33,6 +33,7 @@ from mmwsketch.sdp import (
 from conftest import (
     dense_constraint,
     doubled_half_costs,
+    exact_rank1_factor,
     random_symmetric,
     replay_simplex,
     simplex_regret_certificate,
@@ -755,13 +756,6 @@ class TestSolveFeasibility:
         assert np.array_equal(r1.x_avg.matrix, r2.x_avg.matrix)
 
 
-def _exact_rank1(y, u):
-    """The rank-1 sketch factor through all eigenpairs of ``y``, by numpy's ``eigh``."""
-    lam, q = np.linalg.eigh(y)
-    v = q @ (np.exp(0.5 * (lam - lam[-1])) * (q.T @ u))
-    return SpectrahedronAction.rank1(v / np.linalg.norm(v)).factor
-
-
 class TestAnchoredExactRoute:
     """The exact route reduces the gain sum only at anchors, and widens the anchor's interval in between."""
 
@@ -783,7 +777,7 @@ class TestAnchoredExactRoute:
             action = projection(form, u)
             y = form.matrix
             lam = np.linalg.eigvalsh(y)
-            seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - _exact_rank1(y, u)).max()))
+            seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - exact_rank1_factor(y, u)).max()))
             return action
 
         monkeypatch.setattr(projections, "rank1_projection", spy)

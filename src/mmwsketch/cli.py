@@ -64,11 +64,15 @@ EXIT_NUMERICAL = 2
 
 ENV_OUTPUT_DIR = "MMWSKETCH_OUTPUT_DIR"
 
-TRACE_SCHEMA = "online-eig-trace-v11"
+TRACE_SCHEMA = "online-eig-trace-v12"
 BENCH_SCHEMA = "bench-lanczos-v3"
-ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v9"
-SDP_SUMMARY_SCHEMA = "sdp-feas-v10"
-#: Older CSVs stay readable: v10 traces have v11's columns, with ``rank1`` values from an anchor at
+ONLINE_SUMMARY_SCHEMA = "online-eig-summary-v10"
+SDP_SUMMARY_SCHEMA = "sdp-feas-v11"
+#: Older CSVs stay readable: v11 traces have v12's columns, with ``rank1`` values of intervals widened
+#: by the drift bound itself, where v12 rounds it up to a multiple of ``WIDEN_STEP``, and ``rank1-lanczos``
+#: rows from Lanczos runs at every step, with ``krylov_err_est`` Saad's estimate, where v12 sums the
+#: certified series on ``rank1``'s intervals at dense scale, records its proved bound and fills
+#: ``lam_max_running`` at the anchors too; v10 traces have v11's columns, with ``rank1`` values from an anchor at
 #: every step and ``lam_max_running`` on every ``rank1`` row, where v11 anchors only once the drift
 #: bound exceeds ``ANCHOR_TAU / 2`` and fills ``rank1`` rows at its anchors and checkpoints alone;
 #: v9 traces have v10's columns, with ``rank1`` values of a spectrum
@@ -88,7 +92,7 @@ KNOWN_CSV_SCHEMAS = frozenset(
     {
         "online-eig-trace-v1", "online-eig-trace-v2", "online-eig-trace-v3", "online-eig-trace-v4",
         "online-eig-trace-v5", "online-eig-trace-v6", "online-eig-trace-v7", "online-eig-trace-v8",
-        "online-eig-trace-v9", "online-eig-trace-v10", TRACE_SCHEMA,
+        "online-eig-trace-v9", "online-eig-trace-v10", "online-eig-trace-v11", TRACE_SCHEMA,
         "bench-lanczos-v1", "bench-lanczos-v2", BENCH_SCHEMA,
     }
 )

@@ -25,6 +25,9 @@ LANCZOS_RTOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 #: The Chebyshev series of ``exp`` stops where the coefficients it drops sum to less than this.
 _SERIES_TAIL = 2.0**-60
+#: Bounds what that cut drops: less than ``2^-60``, plus under ``2^-119`` past the start of Miller's recurrence;
+#: below ``r = 2^-60`` the lone term 1 is within ``2r`` of ``exp(r (t - 1))`` on ``[-1, 1]``.
+_CUT_REMAINDER = 2.0 * _SERIES_TAIL
 #: 2x2 minors of a rank-one ``fl(c b b')`` vanish to this relative rounding.
 _MINOR_RTOL = 64.0 * _EPS
 #: Squares below the smallest subnormal flush to zero, hiding at most ``n 2^-537`` of a Frobenius norm.
@@ -242,6 +245,86 @@ def _exp_series_coefficients(r):
     return coef[: int(np.argmax(dropped[1:] < _SERIES_TAIL)) + 1]
 
 
+@functools.lru_cache(maxsize=32)
+def _series_terms(r):
+    """The coefficients of :func:`_exp_series_coefficients` at ``r`` and their tail bounds, kept for reuse.
+
+    Returns ``(coef, tails)`` as tuples, which every caller shares:
+    ``tails[k]``, for ``k`` up to ``len(coef)``, is the sum of ``coef[k:]``
+    plus :data:`_CUT_REMAINDER`, a bound on what the cut dropped.  As
+    ``|T_k(t)| <= 1`` on ``[-1, 1]``, the
+    series summed to degree ``d`` is within ``tails[d + 1]`` of ``exp(r (t - 1))``
+    there.  The player of :mod:`~mmwsketch.projections` widens its intervals
+    in steps, so a game asks for a few values of ``r`` per anchor, each many
+    times.
+    """
+    coef = _exp_series_coefficients(r)
+    tails = np.zeros(len(coef) + 1)
+    tails[:-1] = np.cumsum(coef[::-1])[::-1]  # smallest first
+    return tuple(coef.tolist()), tuple((tails + _CUT_REMAINDER).tolist())
+
+
+def exp_half_series(m, lo, hi, x, tol, cap=None):
+    """``exp((M - hi I)/2) x`` for the symmetric ``m`` whose spectrum lies in ``[lo, hi]``, to relative error ``tol``.
+
+    Sums the Chebyshev series of ``exp`` on ``[lo, hi]`` (Bergamaschi &
+    Vianello 2000): with ``mid`` the midpoint, ``r`` a quarter of the width
+    and ``S = (M - mid I) / (2r)``, ``exp((lam - hi)/2) = exp(r (t - 1))``,
+    whose coefficients :func:`_series_terms` keeps.  ``r`` is taken from
+    the midpoint as rounded, so that the ends of ``[mid - 2r, mid + 2r]``
+    hold ``[lo, hi]``, and the top end is ``mid + 2r``, which is ``hi`` but
+    for that rounding.  The forward recurrence
+    ``T_(k+1) x = 2 S T_k x - T_(k-1) x`` takes one BLAS ``symv`` with the upper
+    triangle of ``m`` and one ``axpy`` per degree, into buffers that rotate.
+    The shift goes into the diagonal of a copy of ``m`` once: subtracted from
+    each product instead, it would cancel to an error of ``eps |m| / r``,
+    large where ``m`` has an identity part far above its spread.
+
+    With ``E`` the tail bound past degree ``d`` and ``s_d`` the partial sum,
+    ``|s_d - v| <= E |x|`` for the exact ``v``, so ``|v| >= |s_d| - E |x|``.
+    The sum stops at the first degree where ``E |x| <= tol (|s_d| - E |x|)``,
+    which proves a relative error of at most ``tol``, or at ``cap`` or the
+    last kept degree, whichever comes first.  Returns ``(s_d, d, bound)``,
+    ``bound = E |x| / (|s_d| - E |x|)`` (``inf`` when that is not positive).
+    The bound holds for exact arithmetic on an interval that holds the
+    spectrum; the sum's own rounding, of order ``d eps`` relative, is not in
+    it.  With ``tol`` at the cut, ``2^-60``, the sum runs to the last degree.
+    """
+    n = len(x)
+    mid = 0.5 * (hi + lo)
+    r = 0.5 * max(hi - mid, mid - lo)  # the rounded midpoint's own half-width: S keeps the spectrum in [-1, 1]
+    coef, tails = _series_terms(r)
+    last = len(coef) - 1 if cap is None else min(len(coef) - 1, cap)
+    x_norm = math.sqrt(x @ x)
+    s = coef[0] * x
+    d = 0
+    if last > 0 and not _series_stops(tails[1], x_norm, s, tol):
+        shifted = np.array(m, order="C")
+        shifted.flat[:: n + 1] -= mid
+        a = shifted.T  # Fortran-ordered: its lower triangle is the upper one of shifted
+        # positional, as keywords cost f2py about 1 us a call: symv(alpha, a, x, beta, y, offx, incx, offy, incy,
+        # lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
+        symv, axpy = scipy.linalg.blas.dsymv, scipy.linalg.blas.daxpy
+        prev, cur = np.array(x), symv(0.5 / r, a, x, lower=1)  # T_0 x and T_1 x
+        s = axpy(cur, s, n, coef[1])
+        d = 1
+        while d < last and not _series_stops(tails[d + 1], x_norm, s, tol):
+            prev, cur = cur, symv(1.0 / r, a, cur, -1.0, prev, 0, 1, 0, 1, 1, 1)
+            d += 1
+            s = axpy(cur, s, n, coef[d])
+    err = tails[d + 1] * x_norm
+    margin = math.sqrt(s @ s) - err
+    return s, d, err / margin if margin > 0.0 else math.inf
+
+
+def _series_stops(tail, x_norm, s, tol):
+    """Whether ``tail |x| <= tol (|s| - tail |x|)``; ``|s|`` is taken only once ``tail <= tol`` allows it."""
+    if not tail <= tol:  # |s| - tail |x| <= |x|: the test cannot pass
+        return False
+    err = tail * x_norm
+    return err <= tol * (math.sqrt(s @ s) - err)
+
+
 @dataclass
 class AnchoredForm:
     """The dense symmetric ``Y``, bitwise symmetric, with an interval ``[lo, hi]`` that holds its spectrum.
@@ -256,19 +339,23 @@ class AnchoredForm:
     hi: float
     top: float
 
-    def exp_half(self, x):
-        """``exp((Y - hi I)/2) x``, by the Chebyshev series of ``exp`` on ``[lo, hi]`` (Bergamaschi & Vianello 2000).
+    @property
+    def fits_series(self):
+        """Whether the series of ``exp`` on ``[lo, hi]``, cut at ``2^-60``, takes at most ``n`` products.
 
-        With ``r`` a quarter of the width and ``t`` the image of ``lam`` in
-        ``[-1, 1]``, ``exp((lam - hi)/2) = exp(r (t - 1))``, whose series
-        :func:`_exp_series_coefficients` gives.  Clenshaw's recurrence sums it
-        with one product by ``matrix`` (BLAS ``symv``) and two ``axpy`` per
-        degree.  As ``|T_k(t)| <= 1`` on the interval, the cut series is within
-        ``2^-60 |x|`` of the exponential; the result shrinks by
+        Its degree is about ``sqrt(83 r)`` for ``r`` a quarter of the width.
+        """
+        return 83.0 * 0.25 * (self.hi - self.lo) <= self.matrix.shape[0] ** 2
+
+    def exp_half(self, x):
+        """``exp((Y - hi I)/2) x``, by :func:`exp_half_series` cut at ``2^-60``, or by the eigenpairs of ``Y``.
+
+        As ``|T_k(t)| <= 1`` on the interval, the cut series is within
+        ``2^-59 |x|`` of the exponential; the result shrinks by
         ``exp((lam_max - hi)/2)`` and that error does not, so a top end
         ``delta`` above ``lam_max`` multiplies the relative error by up to
         ``exp(delta/2)``.  A width whose series would take more products than
-        Y has rows (degree about ``sqrt(83 r)``) takes the eigenpairs of
+        Y has rows (not :attr:`fits_series`) takes the eigenpairs of
         ``matrix`` from :func:`dense_eigh` instead, ``V exp((lam - lam_max)/2) V' x``,
         the same direction shifted by their own largest eigenvalue, so the
         top's exponential is 1 however far ``hi`` or ``top`` lie from it.
@@ -277,37 +364,11 @@ class AnchoredForm:
         n = self.matrix.shape[0]
         if x.shape != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
-        r = 0.25 * (self.hi - self.lo)
-        if 83.0 * r <= n * n:
-            return _clenshaw_exp(self.matrix, 0.5 * (self.hi + self.lo), r, x)
+        if self.fits_series:
+            return exp_half_series(self.matrix, self.lo, self.hi, x, _SERIES_TAIL)[0]
         dec = dense_eigh(self.matrix)
         v = dec.eigenvectors
         return v @ (np.exp(0.5 * (dec.eigenvalues - dec.top)) * (v.T @ x))
-
-
-def _clenshaw_exp(m, mid, r, x):
-    """``exp(r (S - I)) x`` for ``S = (m - mid I) / (2r)``, by Clenshaw's recurrence on the series of ``exp``.
-
-    The shift goes into the diagonal of a copy of ``m`` once: subtracted from
-    each product instead, it would cancel to an error of ``eps |m| / r``,
-    large where ``m`` has an identity part far above its spread.
-    """
-    coef = _exp_series_coefficients(r)
-    if len(coef) == 1:
-        return coef[0] * x
-    n = len(x)
-    shifted = np.array(m, order="C")
-    shifted.flat[:: n + 1] -= mid
-    a = shifted.T  # symmetric, so this Fortran-ordered view is m - mid I for BLAS
-    # positional, as keywords cost f2py about 1 us a call: symv(alpha, a, x, beta, y, offx, incx, offy, incy,
-    # lower, overwrite_y) = alpha A x + beta y into y, and axpy(x, y, n, a) = a x + y into y
-    symv, axpy = scipy.linalg.blas.dsymv, scipy.linalg.blas.daxpy
-    b1, b2 = coef[-1] * x, np.zeros(n)  # b_{k+1} and b_{k+2}
-    for c in coef[-2:0:-1].tolist():
-        # b_k = c_k x + 2S b_{k+1} - b_{k+2}
-        b2 = axpy(x, symv(1.0 / r, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, c)
-        b1, b2 = b2, b1
-    return axpy(x, symv(0.5 / r, a, b1, -1.0, b2, 0, 1, 0, 1, 1, 1), n, coef[0])
 
 
 def anchor(a):

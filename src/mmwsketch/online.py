@@ -226,16 +226,20 @@ class RegretTrace:
     """Per-step records and summary statistics of one online run.
 
     ``lam_max_running[t-1]`` is the top eigenvalue of the gain sum after
-    step t.  ``exact_mmw`` records it at every step.  ``rank1_exact``
-    records it at each step where it anchors and at the checkpoints, t a
-    power of two and t = T; ``rank1_lanczos`` only at the checkpoints.  Both
+    step t.  ``exact_mmw`` records it at every step.  ``rank1_exact``, and
+    ``rank1_lanczos`` at dense scale, record it at each step where the
+    player anchors and at the checkpoints, t a power of two and t = T;
+    ``rank1_lanczos`` above the dense limit only at the checkpoints.  All
     hold NaN between them, and the CSV row leaves that field empty.
     ``lam_max_final`` is the value at t = T in every strategy.
 
-    For ``rank1_lanczos`` runs, ``k_used`` is the Krylov depth run at each
-    step (equal to its matvec count), ``k_cap`` the depth rule's cap
-    ``min(kt_rule(t), n)``, and ``krylov_err_est`` the a posteriori error
-    estimate at the stop; all three are 0 for the dense strategies.
+    For ``rank1_lanczos`` runs, ``matvecs`` (and ``k_used``, equal to it)
+    is the number of products with ``Y`` a step ran: the series degree, 0
+    at t = 1 where ``Y = 0``, or the Lanczos depth.  ``k_cap`` is the depth
+    rule's cap ``min(kt_rule(t), n)`` on either, and ``krylov_err_est`` the
+    error at the stop: the bound the series proved on the relative error of
+    ``exp(Y/2) u``, or Lanczos's estimate of it.  All three are 0 for the
+    dense strategies.
     """
 
     n: int
@@ -332,7 +336,7 @@ def require_strategy(strategy, n):
 
 
 def _drift_bound(eta, t, t_a, n, gain_class):
-    """A bound on ``|R_t - A_a|_2`` over a game's ``rank1_exact`` route, from the anchor at step ``t_a`` to step ``t``.
+    """A bound on ``|R_t - A_a|_2`` over a game's anchored route, from the anchor at step ``t_a`` to step ``t``.
 
     The engine sums the gains in place, ``G_s = fl(G_{s-1} + g_s)`` from
     ``G_0 = 0``, and the player projects ``Y_s = fl(eta G_s)``.  ``A_a`` is
@@ -388,19 +392,21 @@ def run_online(adversary, strategy, schedule, rng):
     The player is told of each move of ``G``, once the step's gain is in it,
     with :func:`_drift_bound` on how far ``Y`` has moved since the player
     last decomposed it.  ``exact_mmw`` decomposes ``Y`` at every move;
-    ``rank1_exact`` anchors it (one ``O(n^3)`` reduction) only once that bound
-    exceeds ``ANCHOR_TAU / 2``, about every ``ANCHOR_TAU / (2 eta)`` steps,
-    and otherwise widens the last anchor's interval by the bound.  A
-    decomposition's top eigenvalue over ``eta`` is the step's running
-    ``lam_max``.  At every other checkpoint, t = 1, 2, 4, ... and t = T, the
-    engine computes it by one :func:`top_eigenvalue` call, and it records NaN
-    between them; ``rank1_lanczos`` plays by matvecs alone and decomposes
-    nothing.  The regret compares the cumulative
+    ``rank1_exact``, and ``rank1_lanczos`` at dense scale, anchor it (one
+    ``O(n^3)`` reduction) only once that bound exceeds ``ANCHOR_TAU / 2``,
+    about every ``ANCHOR_TAU / (2 eta)`` steps, and otherwise widen the last
+    anchor's interval by the bound, rounded up to a multiple of
+    ``WIDEN_STEP``.  A decomposition's top eigenvalue over ``eta`` is the
+    step's running ``lam_max``.  At every other checkpoint, t = 1, 2, 4, ...
+    and t = T, the engine computes it by one :func:`top_eigenvalue` call,
+    and it records NaN between them; above the dense limit
+    ``rank1_lanczos`` plays by matvecs alone and decomposes nothing.  The
+    regret compares the cumulative
     gain with the t = T value: exact at dense scale, ``n <= DENSE_LIMIT``;
     above it, where only ``rank1_lanczos`` runs, a Lanczos estimate stable
     to a relative ``LANCZOS_RTOL``, recorded as ``lam_max_tol``.  The Krylov
-    depth cap is ``min(kt_rule(t), n)``, by :func:`kt_schedule` when the
-    schedule sets no rule.
+    cap, on the series degree or the Lanczos depth, is ``min(kt_rule(t), n)``,
+    by :func:`kt_schedule` when the schedule sets no rule.
     """
     n = adversary.n
     require_strategy(strategy, n)

@@ -3,7 +3,8 @@
 Implements the exact matrix-multiplicative-weights projection
 ``Y -> exp(Y)/tr exp(Y)``, its rank-1 randomized sketch
 ``Y, u -> v v' / (v'v)`` with ``v = exp(Y/2) u`` (exact via a Chebyshev series
-in Y, or approximate via Krylov iterations), Monte-Carlo estimators for the
+in Y, or approximate: the same series stopped where its tail proves an error
+bound, or Krylov iterations), Monte-Carlo estimators for the
 sphere-averaged projection and its potential, the Bregman-divergence
 estimator used by the curvature tests, and the :class:`MatrixPlayer` of both
 games.  Every exponential is evaluated after subtracting the top eigenvalue
@@ -20,11 +21,13 @@ import numpy as np
 
 from .lanczos import lanczos_decompose
 from .linalg import (
+    DENSE_LIMIT,
     AnchoredForm,
     EigenDecomposition,
     anchor,
     as_operator,
     dense_eigh,
+    exp_half_series,
     sample_unit_sphere,
     sym_array,
 )
@@ -184,6 +187,22 @@ def rank1_projection(y, u):
     return _direction_action(form.exp_half(u), "exp(Y/2) u underflowed after shifting")
 
 
+def rank1_projection_series(form, u, tol, cap):
+    """Rank-1 sketch from the series of :func:`~mmwsketch.linalg.exp_half_series` on the interval of ``form``.
+
+    ``form`` is an :class:`AnchoredForm` whose interval holds the spectrum
+    of Y.  The series stops once it proves that ``exp(Y/2) u`` is within a
+    relative ``tol``, or at degree ``cap`` unless that is ``None``.  Returns
+    ``(action, degree)``; the action's ``error_estimate`` is the bound the
+    series proved at its stop, and the sketch is within twice that in trace
+    distance.
+    """
+    v, degree, bound = exp_half_series(form.matrix, form.lo, form.hi, u, tol, cap)
+    action = _direction_action(v, "exp(Y/2) u underflowed after shifting")
+    action.error_estimate = bound
+    return action, degree
+
+
 def rank1_projection_lanczos(y, u, k, tol=None):
     """Approximate rank-1 sketch from a Krylov exponential of depth at most k.
 
@@ -205,10 +224,17 @@ def rank1_projection_lanczos(y, u, k, tol=None):
 ROUTES = ("exact_mmw", "rank1_exact", "rank1_lanczos")
 
 
-#: tau: ``rank1_exact`` reduces ``Y`` again once the engine's bound on its move since the last reduction exceeds
+#: tau: the player anchors ``Y`` again once the engine's bound on its move since the last anchor exceeds
 #: ``tau / 2``, so the widened top end stays within ``tau`` of ``lam_max(Y)``, and the series' truncation and
 #: rounding grow by at most ``e^(tau/2)``, about 55 or 6 bits, relative to ``v`` (``AnchoredForm.exp_half``).
 ANCHOR_TAU = 8.0
+
+#: The player widens an anchor's interval by the engine's drift bound rounded up to a multiple of this, so that
+#: a few series widths recur over an anchor's span and their coefficients are kept.  ``tau / 2`` is a whole
+#: number of steps, so the anchors fall where the bound itself passes ``tau / 2``.  On the benchmark workloads a
+#: step of ``tau / 4`` adds 0.4 to 0.8 products a sketch and ``tau / 2`` 1.3 to 2.3, ``tau / 32`` computes 3.3 to
+#: 3.6 times as many coefficient sets, and ``tau / 16`` (1.8 times as many, 0.2 to 0.5 fewer products) timed alike.
+WIDEN_STEP = ANCHOR_TAU / 8
 
 
 class MatrixPlayer:
@@ -221,13 +247,22 @@ class MatrixPlayer:
     interval is widened by the engine's bound on how far the matrix the
     series reads has moved from the one the anchor reduced, past which no
     eigenvalue moves (Weyl); both engines state one (``online._drift_bound``,
-    ``sdp._drift_bound``).  An interval too wide for the series,
+    ``sdp._drift_bound``), and the player rounds it up to a multiple of
+    :data:`WIDEN_STEP`.  An interval too wide for the series,
     fresh or widened, takes the eigenpairs of ``Y`` instead.
-    ``rank1_lanczos`` reads the operator ``op`` of ``Y`` and stops each
-    Krylov run once its error estimate is at most ``1/(4T)``, a 2x margin
-    on a ``1/T`` trace-distance budget, or at depth ``min(cap(t), n)``.
-    :attr:`record` is the last play's ``(k_cap, matvecs, error_estimate)``,
-    zeros on the exact routes.
+
+    ``rank1_lanczos`` stops each sketch once its error is at most ``1/(4T)``,
+    a 2x margin on a ``1/T`` trace-distance budget, or at degree or depth
+    ``min(cap(t), n)``.  At dense scale, ``n <= DENSE_LIMIT``, with ``Y`` a
+    dense array, it anchors and widens as ``rank1_exact`` does and sums the
+    same series (:func:`rank1_projection_series`), whose stop is a proof
+    given the interval; an interval too wide for the series takes a Lanczos
+    run on the operator ``op`` of ``Y`` instead.  Above the dense limit, or
+    with ``Y`` a sparse matrix, every step is a Lanczos run
+    (:func:`rank1_projection_lanczos`), stopped on Saad's estimate.
+    :attr:`record` is the last play's ``(k_cap, matvecs, error)``: the cap,
+    the products run, and the series' proved bound or Lanczos's estimate at
+    the stop; zeros on the exact routes.
     Functions are looked up by their module-level names at each call, so a
     wrapper installed on a name sees every call.
     """
@@ -235,8 +270,10 @@ class MatrixPlayer:
     def __init__(self, route, T, y, op, cap):
         self.route, self._y, self._op, self._cap = route, y, op, cap
         self._budget = 0.25 / T
+        series = route == "rank1_lanczos" and op.n <= DENSE_LIMIT and isinstance(y(), np.ndarray)
+        self._anchors = route == "rank1_exact" or series  # whether moved() keeps an anchored interval
         self._dual = None  # the exact routes' decomposition or interval of Y, made by moved()
-        self._anchor = None  # rank1_exact's last anchored form
+        self._anchor = None  # the last anchored form
         self.record = (0, 0, 0.0)
 
     def moved(self, drift=None):
@@ -244,19 +281,19 @@ class MatrixPlayer:
 
         ``drift()`` bounds ``|Y - Y_anchor|_2``, with ``Y_anchor`` the ``Y`` of
         the last move that returned a value, and ``Y`` read by its upper
-        triangle, as the series reads it.  ``rank1_exact`` anchors again
-        once it exceeds ``ANCHOR_TAU / 2``, and at every move without it.
+        triangle, as the series reads it.  A route that anchors does so again
+        once the bound exceeds ``ANCHOR_TAU / 2``, and at every move without it.
         """
-        if self.route == "rank1_lanczos":
+        if self.route == "exact_mmw":
+            self._dual = dense_eigh(self._y())
+            return self._dual.top
+        if not self._anchors:
             return None
         y = self._y()
-        if self.route == "exact_mmw":
-            self._dual = dense_eigh(y)
-            return self._dual.top
         if drift is not None and self._anchor is not None:
-            bound, last = drift(), self._anchor
-            if 2.0 * bound <= ANCHOR_TAU:
-                self._dual = AnchoredForm(y, last.lo - bound, last.hi + bound, last.top)
+            widen, last = math.ceil(drift() / WIDEN_STEP) * WIDEN_STEP, self._anchor
+            if 2.0 * widen <= ANCHOR_TAU:
+                self._dual = AnchoredForm(y, last.lo - widen, last.hi + widen, last.top)
                 return None
         self._dual = self._anchor = anchor(y)
         return self._anchor.top
@@ -269,6 +306,10 @@ class MatrixPlayer:
         if self.route == "rank1_exact":
             return rank1_projection(self._dual, u)
         cap = min(self._cap(t), self._op.n)
+        if self._anchors and self._dual.fits_series:
+            action, degree = rank1_projection_series(self._dual, u, self._budget, cap)
+            self.record = (cap, degree, action.error_estimate)
+            return action
         self._op.matvec_count = 0
         action = rank1_projection_lanczos(self._op, u, cap, tol=self._budget)
         self.record = (cap, self._op.matvec_count, action.error_estimate)

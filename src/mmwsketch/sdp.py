@@ -461,10 +461,15 @@ def solve_feasibility(instance, epsilon, delta=0.1, rng=None, use_lanczos=False)
     for all i has the witness ``X_avg``, 'infeasible' means ``y_avg``
     certifies that no such X exists.  The exact sketch reduces the gain sum
     only at anchors, and in between widens the last anchor's interval by
-    :func:`_drift_bound`, about ``eta omega`` per step.  Krylov projections
-    stop once their error estimate is at most ``1/(4 T)``, with
-    :func:`required_iterations` as the cap.  Only the played unit factors are
-    kept: the costs and simplex plays follow from them.
+    :func:`_drift_bound`, about ``eta omega`` per step, rounded up to a
+    multiple of ``WIDEN_STEP``.  Krylov projections stop once their error
+    is at most ``1/(4 T)``, with :func:`required_iterations` as the cap.
+    With the gain sum kept dense (:func:`_gain_storage`) at dense scale they
+    anchor and widen as the exact sketch does and sum the same series, whose
+    stop proves that error bound given the interval; with it kept in CSR
+    form, or above the dense limit, they are Lanczos runs stopped on Saad's
+    estimate.  ``matvecs`` counts the products of either.  Only the played
+    unit factors are kept: the costs and simplex plays follow from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

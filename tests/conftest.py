@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from mmwsketch import SeededRng, SparseSymOperator, lanczos_decompose, sample_unit_sphere
+from mmwsketch import SeededRng, SparseSymOperator, anchor, lanczos_decompose, sample_unit_sphere
 from mmwsketch.linalg import LANCZOS_RTOL
 from mmwsketch.projections import SpectrahedronAction, softmax_grad
 from mmwsketch.sdp import costs
@@ -48,6 +48,35 @@ def random_symmetric(rng, n, op_norm=None):
 def haar_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def with_spectrum(rng, spectrum):
+    """A symmetric matrix with the given eigenvalues, in a Haar-random basis."""
+    q = haar_orthogonal(rng, len(spectrum))
+    a = (q * spectrum) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def certified_stop_cases(rng):
+    """``(name, Y, lo, hi)``: matrices with an interval that holds their spectrum, from an anchor or exact."""
+    n = 12
+    named = (
+        ("random", random_symmetric(rng, n, op_norm=3.0)),
+        ("clustered", with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))),
+        ("graded", with_spectrum(rng, 20.0 * 0.5 ** np.arange(n))),
+        ("zero", np.zeros((5, 5))),
+        ("identity", -4.0 * np.eye(5)),
+        ("large_identity", 3e3 * np.eye(5)),
+        ("one_by_one", np.array([[-2.5]])),
+    )
+    for name, a in named:
+        form = anchor(a)
+        yield name, a, form.lo, form.hi
+    # |Y| ~ 1e19: a permuted diagonal, whose spectrum and interval ends (multiples of 2048 = ulp(1e19), the midpoint
+    # among them) are exact, so that the shift in the series and the oracle's Y - hi I are exact too
+    perm = np.eye(6)[[3, 0, 5, 1, 4, 2]]
+    yield "huge", perm @ np.diag(1e19 + 2048.0 * np.array([0, 1, 2, 5, 5, 8])) @ perm.T, 1e19, 1e19 + 2048.0 * 8
+    yield "one_by_one_wide", np.array([[7.0]]), 5.0, 9.0
 
 
 def tridiagonal(dec):

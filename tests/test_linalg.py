@@ -28,6 +28,7 @@ from mmwsketch.linalg import (
     _dense_extremes,
     _exp_series_coefficients,
     _lanczos_extremes,
+    exp_half_series,
     operator_norm,
     rank_one_within,
     spectrum_within,
@@ -36,11 +37,14 @@ from mmwsketch.linalg import (
 )
 from mmwsketch.online import GAIN_SPECTRUM
 from conftest import (
+    certified_stop_cases,
+    expm_dense,
     haar_orthogonal,
     lanczos_extremes_by_restart,
     random_symmetric,
     rank_one_within_by_outer,
     symmetry_defect,
+    with_spectrum,
 )
 
 
@@ -144,19 +148,13 @@ def _eigvalsh_within(a, lo, hi):
     return bool(lo <= lam[0] and lam[-1] <= hi)
 
 
-def _with_spectrum(rng, spectrum):
-    q = haar_orthogonal(rng, len(spectrum))
-    a = (q * spectrum) @ q.T
-    return 0.5 * (a + a.T)
-
-
 def _threshold_gains(rng, n, lo, hi):
     """Gains with an extreme eigenvalue at each end of [lo, hi], offset by +-1e-11 and +-1e-6."""
     for end in (lo, hi):
         for offset in (-1e-6, -1e-11, 1e-11, 1e-6):
             extreme = end + offset
             rest = rng.uniform(max(lo, -1.0) + 0.1, hi - 0.1, n - 1)
-            yield _with_spectrum(rng, np.append(rest, extreme))
+            yield with_spectrum(rng, np.append(rest, extreme))
             if extreme > 0.0:  # rank-1 gain a a' with |a|^2 = extreme
                 a = sample_unit_sphere(n, rng) * np.sqrt(extreme)
                 yield np.outer(a, a)
@@ -183,7 +181,7 @@ class TestSpectrumWithin:
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         for lo, hi in GAIN_SPECTRUM.values():
             assert spectrum_within(rank1, lo, hi)
-        assert spectrum_within(_with_spectrum(rng, signs), *GAIN_SPECTRUM["bounded_inf_norm_1"])
+        assert spectrum_within(with_spectrum(rng, signs), *GAIN_SPECTRUM["bounded_inf_norm_1"])
         assert spectrum_within(np.eye(n), *GAIN_SPECTRUM["psd_unit"])
         assert not spectrum_within(-np.eye(n), *GAIN_SPECTRUM["psd_unit"])
 
@@ -258,7 +256,7 @@ class TestRankOneWithin:
     def test_full_rank_leaves_early(self, rng):
         for lo, hi in GAIN_SPECTRUM.values():
             assert not rank_one_within(0.5 * np.eye(4), lo, hi)
-            assert not rank_one_within(_with_spectrum(rng, np.linspace(0.1, 0.9, 6)), lo, hi)
+            assert not rank_one_within(with_spectrum(rng, np.linspace(0.1, 0.9, 6)), lo, hi)
 
     @pytest.mark.parametrize("n", [1, 2, 33, 128, 257])
     def test_residual_and_decision_match_the_outer_oracle(self, monkeypatch, rng, n):
@@ -302,7 +300,7 @@ class TestRankOneWithin:
 class TestTopEigenvalue:
     @pytest.mark.parametrize("n", [1, 2, 17, 128])
     def test_matches_eigvalsh(self, rng, n):
-        clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
+        clustered = with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
         for a in (random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), clustered):
             expected = np.linalg.eigvalsh(a)[-1]
             lam, tol = top_eigenvalue(a)
@@ -349,9 +347,9 @@ class TestTridiagonalize:
         # every dense top eigenvalue is one lower-storage sytrd with syevr's workspace, then one stebz
         # bisection: the bits of scipy's syevr driver, for each input with its largest entry in syevr's
         # unscaled range
-        clustered = _with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
+        clustered = with_spectrum(rng, 3.0 + 1e-10 * rng.standard_normal(n))
         top = 2.0 + 1e-12 * rng.standard_normal(n // 2)
-        top_cluster = _with_spectrum(rng, np.concatenate([top, np.linspace(-1.0, 1.0, n - n // 2)]))
+        top_cluster = with_spectrum(rng, np.concatenate([top, np.linspace(-1.0, 1.0, n - n // 2)]))
         factors = sample_unit_sphere(n, rng, size=max(1, n // 2))
         rank_deficient = 0.7 * (factors.T @ factors)  # a streaming-PCA gain sum: repeated zero eigenvalues
         cases = [random_symmetric(rng, n), 1e6 * random_symmetric(rng, n), 30.0 * random_symmetric(rng, n)]
@@ -376,7 +374,7 @@ class TestTridiagonalize:
         for trial in range(60 if n < 200 else 12):
             a = random_symmetric(rng, n, op_norm=10.0 ** rng.uniform(-3.0, 3.0))
             if trial % 3 == 1:
-                a = _with_spectrum(rng, np.repeat([2.0, -1.0], -(-n // 2))[:n] + 1e-13 * rng.standard_normal(n))
+                a = with_spectrum(rng, np.repeat([2.0, -1.0], -(-n // 2))[:n] + 1e-13 * rng.standard_normal(n))
             if trial % 3 == 2:
                 a = 0.5 * ((q * rng.standard_normal(n)) @ q.T)
                 a = a + a.T
@@ -454,6 +452,66 @@ class TestExpSeriesCoefficients:
 
     def test_zero_width(self):
         assert np.array_equal(_exp_series_coefficients(0.0), [1.0])
+
+
+#: Budgets ``1/(4T)`` for T = 10, 600 and 5000, and wider tolerances, at which the bound is nearer ``tol``.
+_TOLERANCES = (0.5, 0.3, 0.1, 1.0 / 40.0, 1.0 / 2400.0, 1.0 / 20000.0)
+
+
+class TestExpHalfSeries:
+    """``exp_half_series``: the series of ``exp`` on an interval, stopped where its tail proves the relative error."""
+
+    def test_certified_stop_against_the_dense_exponential(self, rng):
+        for name, a, lo, hi in certified_stop_cases(rng):
+            n = len(a)
+            for _ in range(6):
+                x = sample_unit_sphere(n, rng)
+                exact = expm_dense(0.5 * (a - hi * np.eye(n))) @ x
+                for tol in _TOLERANCES:
+                    v, degree, bound = exp_half_series(a, lo, hi, x, tol)
+                    error = np.linalg.norm(v - exact) / np.linalg.norm(exact)
+                    # the bound leaves out the rounding of the sum and of the oracle, here below 1e-13
+                    assert bound <= tol and error <= tol and error <= bound + 1e-13, (name, tol, degree)
+                    if degree > 0:  # the first degree that proves tol: the one before it does not
+                        assert exp_half_series(a, lo, hi, x, tol, cap=degree - 1)[2] > tol, (name, tol, degree)
+
+    def test_a_cap_stops_the_sum_unproved(self, rng):
+        a = random_symmetric(rng, 10, op_norm=3.0)
+        form, x = anchor(a), sample_unit_sphere(10, rng)
+        full = exp_half_series(a, form.lo, form.hi, x, 1e-6)
+        capped = exp_half_series(a, form.lo, form.hi, x, 1e-6, cap=2)
+        assert full[1] > 2 and capped[1] == 2 and capped[2] > 1e-6
+        exact = expm_dense(0.5 * (a - form.hi * np.eye(10))) @ x
+        assert np.linalg.norm(capped[0] - exact) <= capped[2] * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("r", [0.5, 3.0, 40.0])
+    def test_bound_covers_what_the_cut_dropped(self, r):
+        # at the top end every T_k is 1, so the series summed to its last kept degree misses exactly the Bessel
+        # coefficients past it: positive, and below 2^-60
+        x = np.ones(1)
+        v, degree, bound = exp_half_series(np.zeros((1, 1)), -4.0 * r, 0.0, x, 2.0**-60)
+        assert degree == len(_exp_series_coefficients(r)) - 1
+        dropped = math.fsum(2.0 * scipy.special.ive(np.arange(degree + 1, degree + 1000), r))
+        assert 0.0 < dropped <= bound * abs(v[0])
+
+    def test_bound_covers_the_lone_term_of_a_tiny_width(self):
+        # below r = 2^-60 the series is the term 1, within 1 - e^-2r of exp(r (t - 1)) at the bottom end t = -1
+        r = 1e-19
+        v, degree, bound = exp_half_series(np.full((1, 1), -4.0 * r), -4.0 * r, 0.0, np.ones(1), 2.0**-60)
+        assert degree == 0 and v[0] == 1.0
+        assert 0.0 < -math.expm1(-2.0 * r) <= bound
+
+    def test_coefficients_are_kept(self, monkeypatch):
+        import mmwsketch.linalg as linalg
+
+        linalg._series_terms.cache_clear()
+        made, coefficients = [], linalg._exp_series_coefficients
+        monkeypatch.setattr(linalg, "_exp_series_coefficients", lambda r: made.append(r) or coefficients(r))
+        a, x = np.diag([0.0, 1.0, 3.0]), np.ones(3) / math.sqrt(3.0)
+        for _ in range(3):
+            for hi in (3.0, 4.0):
+                exp_half_series(a, 0.0, hi, x, 1e-3)
+        assert made == [0.75, 1.0]
 
 
 class TestSeededRng:

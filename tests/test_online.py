@@ -30,7 +30,15 @@ from mmwsketch.online import (
     high_probability_regret_bound,
     refined_regret_bound,
 )
-from mmwsketch.projections import ANCHOR_TAU, estimate_avg_projection_dirichlet, mmw_projection, rank1_projection
+from mmwsketch.projections import (
+    ANCHOR_TAU,
+    WIDEN_STEP,
+    SpectrahedronAction,
+    estimate_avg_projection_dirichlet,
+    mmw_projection,
+    rank1_projection,
+    trace_norm_distance,
+)
 from conftest import exact_rank1_factor, random_symmetric, symmetry_defect
 
 
@@ -396,17 +404,15 @@ class TestRunOnline:
             trace = run_online(adv, strategy, Schedule(eta=0.2, T=horizon), play_rng)
             trace.validate()
         games = len(adversaries)
-        # exact_mmw decomposes once per step, plus once for the empty sum per game; rank1_exact anchors the
+        # exact_mmw decomposes once per step, plus once for the empty sum per game; both sketches anchor the
         # empty sum and then only at t = 20, where 0.2 (t - t_a) first exceeds ANCHOR_TAU / 2; the strategies
         # that do not decompose at a checkpoint, t = 1, 2, 4, 8, 16 and 30, compute lam_max there
         expected = {"eigvalsh": 0, "eigh": 0, "top_eigenvalue": 0, "anchor": 0}
-        if strategy == "rank1_lanczos":
-            expected["top_eigenvalue"] = games * 6
-        elif strategy == "rank1_exact":
+        if strategy == "exact_mmw":
+            expected["eigh"] = games * (horizon + 1)
+        else:
             expected["anchor"] = games * 2
             expected["top_eigenvalue"] = games * 6
-        else:
-            expected["eigh"] = games * (horizon + 1)
         assert calls == expected
 
     # streaming_pca sums are rank-deficient for t < n: their degenerate eigenspaces leave
@@ -429,7 +435,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(projections, "sample_unit_sphere", recorded)
         trace = run_online(adv, strategy, Schedule(eta=eta, T=horizon), play_rng)
-        # rank1_exact's schedule: an anchor, or the last anchor's interval widened by the drift bound
+        # rank1_exact's schedule: an anchor, or the last anchor's interval widened by the rounded drift bound
         gain_sum, anchored = np.zeros((n, n)), 0
         form = last = anchor(eta * gain_sum)
         for t, gain in enumerate(adv.gains, start=1):
@@ -441,8 +447,9 @@ class TestRunOnline:
             assert action.inner(gain) == trace.step_gain[t - 1], t
             gain_sum += gain
             y, bound = eta * gain_sum, online._drift_bound(eta, t, anchored, n, adv.gain_class)
-            if 2.0 * bound <= ANCHOR_TAU:
-                form = AnchoredForm(y, last.lo - bound, last.hi + bound, last.top)
+            widen = math.ceil(bound / WIDEN_STEP) * WIDEN_STEP  # the player widens in steps
+            if 2.0 * widen <= ANCHOR_TAU:
+                form = AnchoredForm(y, last.lo - widen, last.hi + widen, last.top)
             else:
                 form = last = anchor(y)
                 anchored = t
@@ -588,8 +595,9 @@ class TestRunOnline:
         adv = _NearlySymmetricAdversary(n, adv_rng)
         trace = run_online(adv, "rank1_lanczos", Schedule(eta=0.2, T=horizon), play_rng)
         trace.validate()
-        assert len(operators) == horizon
-        # the step-T operator reads the live sum of all T gains
+        # at n = 10 a widened interval is soon too wide for the series: those steps run Lanczos on the
+        # game's one operator, which after the game reads the live sum of all T gains
+        assert 0 < len(operators) < horizon and all(op is operators[0] for op in operators)
         assert symmetry_defect(operators[-1], SeededRng(1)) <= 1e-8
 
     def test_zero_gains_are_legal(self, rng):
@@ -611,7 +619,8 @@ class TestRunOnline:
         rule = kt_schedule(n, horizon, eta, 0.1)
         assert np.array_equal(trace.matvecs, trace.k_used)
         assert np.array_equal(trace.k_cap, [min(rule(t), n) for t in range(1, horizon + 1)])
-        assert np.all((trace.k_used >= 1) & (trace.k_used <= trace.k_cap))
+        # the series of Y = 0 at t = 1 runs no product
+        assert trace.k_used[0] == 0 and np.all((trace.k_used[1:] >= 1) & (trace.k_used <= trace.k_cap)[1:])
         # every run that stopped below its cap met the 1/(4T) budget
         below = trace.k_used < trace.k_cap
         assert below.any()
@@ -636,10 +645,12 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="strategy"):
             run_online(adv, "nope", Schedule(eta=0.1, T=2), rng)
 
-    def test_lanczos_lam_max_only_at_checkpoints(self, monkeypatch):
+    def test_lanczos_lam_max_at_checkpoints_and_anchors(self, monkeypatch):
+        # at dense scale rank1_lanczos anchors as rank1_exact does and takes each anchor's top for free; every
+        # other checkpoint computes lam_max, and every other step records NaN
         import mmwsketch.online as online
 
-        n, horizon = 9, 37
+        n, horizon, eta = 9, 37, 0.2
         checkpoints = {1, 2, 4, 8, 16, 32, 37}
         adv = _RecordingAdversary(builtin_adversaries("random_rotation", n, SeededRng(31)))
         calls = []
@@ -649,17 +660,21 @@ class TestRunOnline:
             return top_eigenvalue(a)
 
         monkeypatch.setattr(online, "top_eigenvalue", counted)
-        trace = run_online(adv, "rank1_lanczos", Schedule(eta=0.2, T=horizon), SeededRng(32))
+        trace = run_online(adv, "rank1_lanczos", Schedule(eta=eta, T=horizon), SeededRng(32))
         trace.validate()
-        assert len(calls) == len(checkpoints)
-        gain_sum = np.zeros((n, n))
+        gain_sum, anchored, anchors = np.zeros((n, n)), 0, []
         for t, gain in enumerate(adv.gains, start=1):
             gain_sum += gain
-            if t in checkpoints:
+            if 2.0 * online._drift_bound(eta, t, anchored, n, adv.gain_class) > ANCHOR_TAU:
+                anchored = t
+                anchors.append(t)
+                assert trace.lam_max_running[t - 1] == top_eigenvalue(eta * gain_sum)[0] / eta, t
+            elif t in checkpoints:
                 # the same sum, summed in the same order: the same bits
                 assert trace.lam_max_running[t - 1] == top_eigenvalue(gain_sum)[0], t
             else:
                 assert np.isnan(trace.lam_max_running[t - 1]), t
+        assert anchors == [20] and len(calls) == len(checkpoints)
         assert trace.lam_max_final == trace.lam_max_running[-1]
         assert trace.total_regret == trace.lam_max_final - trace.cum_gain[-1]
 
@@ -720,47 +735,78 @@ class _SkewedAdversary(Adversary):
         return self.gain
 
 
-def _projected_forms(monkeypatch, adversary, eta, horizon, seed):
-    """Run ``rank1_exact`` and return, per play, its interval, the spectrum the series reads and the factor's error.
+def _projected_forms(monkeypatch, adversary, eta, horizon, seed, strategy="rank1_exact"):
+    """Run a game of an anchored route and return, per play, its interval, what the series reads and the error.
 
-    The series reads the upper triangle of the form's matrix; the factor is compared with the sketch through all
-    eigenpairs of the symmetric part of that matrix.
+    Returns a dict of arrays, one entry per play: the interval ``lo`` and ``hi``; ``lam_min`` and ``lam_max``
+    of the matrix the series reads, by the upper triangle of the form's matrix; ``factor_err``, the factor's
+    largest entry error, and ``distance``, its trace distance, against the sketch through all eigenpairs of
+    the symmetric part of that matrix; ``claimed``, twice the bound the series proved (0 for ``rank1_exact``);
+    and ``short`` and ``excess``, by how much the interval is narrower (``short > 0``) or wider than the last
+    anchor's widened by the engine's drift bound itself.  ``anchors`` counts the anchors.
     """
     import mmwsketch.projections as projections
 
-    seen, projection = [], projections.rank1_projection
+    seen, anchors, bounds = [], [], []
+    anchor, drift = projections.anchor, online._drift_bound
+    monkeypatch.setattr(projections, "anchor", lambda a: anchors.append(anchor(a)) or anchors[-1])
+    monkeypatch.setattr(online, "_drift_bound", lambda *args: bounds.append(drift(*args)) or bounds[-1])
 
-    def spy(form, u):
-        action = projection(form, u)
+    def record(form, u, action, claimed):
         lam = np.linalg.eigvalsh(form.matrix, UPLO="U")
-        y = 0.5 * (form.matrix + form.matrix.T)
-        seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - exact_rank1_factor(y, u)).max()))
-        return action
+        exact = SpectrahedronAction.rank1(exact_rank1_factor(0.5 * (form.matrix + form.matrix.T), u))
+        last = anchors[-1]
+        bound = 0.0 if form is last else bounds[-1]
+        short = max(form.lo - (last.lo - bound), (last.hi + bound) - form.hi)
+        excess = (form.hi - form.lo) - (last.hi - last.lo + 2.0 * bound)
+        error = np.abs(action.factor - exact.factor).max()
+        seen.append((form.lo, form.hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed, short, excess))
 
-    monkeypatch.setattr(projections, "rank1_projection", spy)
-    run_online(adversary, "rank1_exact", Schedule(eta=eta, T=horizon), SeededRng(seed))
+    if strategy == "rank1_exact":
+        projection = projections.rank1_projection
+
+        def spy(form, u):
+            action = projection(form, u)
+            record(form, u, action, 0.0)
+            return action
+
+        monkeypatch.setattr(projections, "rank1_projection", spy)
+    else:
+        series = projections.rank1_projection_series
+
+        def spy(form, u, tol, cap):
+            action, degree = series(form, u, tol, cap)
+            record(form, u, action, 2.0 * action.error_estimate)
+            return action, degree
+
+        monkeypatch.setattr(projections, "rank1_projection_series", spy)
+    run_online(adversary, strategy, Schedule(eta=eta, T=horizon), SeededRng(seed))
     assert len(seen) == horizon
-    return np.array(seen).T
+    names = ("lo", "hi", "lam_min", "lam_max", "factor_err", "distance", "claimed", "short", "excess")
+    return dict(zip(names, np.array(seen).T), anchors=len(anchors))
 
 
 class TestAnchoredOnlineRoute:
-    """``rank1_exact`` reduces ``Y`` only at anchors, and widens the last anchor's interval by ``_drift_bound``."""
+    """Both sketches reduce ``Y`` only at anchors, and widen the last anchor's interval by ``_drift_bound``."""
 
     @pytest.mark.parametrize("kind", ["random_rotation", "fixed_matrix", "psd_random", "streaming_pca"])
     def test_every_projected_y_lies_in_the_players_interval(self, monkeypatch, kind):
-        import mmwsketch.projections as projections
-
         n, horizon, eta = 32, 64, 0.25
-        original, anchors = projections.anchor, []
-        monkeypatch.setattr(projections, "anchor", lambda a: anchors.append(len(a)) or original(a))
-        adv = builtin_adversaries(kind, n, SeededRng(51))
-        lo, hi, lam_min, lam_max, factor_err = _projected_forms(monkeypatch, adv, eta, horizon, 52)
-        # anchors at t = 0, 16, 32, 48 and 64, where 0.25 (t - t_a) first exceeds ANCHOR_TAU / 2
-        assert len(anchors) == 5
-        assert (lo <= lam_min).all() and (lam_max <= hi).all()
-        # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
-        assert (hi - lam_max).max() <= ANCHOR_TAU
-        assert factor_err.max() <= 1e-12
+        for strategy in ("rank1_exact", "rank1_lanczos"):
+            adv = builtin_adversaries(kind, n, SeededRng(51))
+            seen = _projected_forms(monkeypatch, adv, eta, horizon, 52, strategy)
+            # anchors at t = 0, 16, 32, 48 and 64, where 0.25 (t - t_a) first exceeds ANCHOR_TAU / 2
+            assert seen["anchors"] == 5
+            assert (seen["lo"] <= seen["lam_min"]).all() and (seen["lam_max"] <= seen["hi"]).all()
+            # the stepped widening never narrows the interval, and widens it by less than a step per end more
+            assert (seen["short"] <= 0.0).all() and (seen["excess"] < 2.0 * WIDEN_STEP).all()
+            # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
+            assert (seen["hi"] - seen["lam_max"]).max() <= ANCHOR_TAU
+            if strategy == "rank1_exact":
+                assert seen["factor_err"].max() <= 1e-12
+            else:  # the certified series: within twice its proved bound, itself within the budget 1/(4T)
+                assert (seen["distance"] <= seen["claimed"] + 1e-12).all()
+                assert seen["claimed"].max() <= 0.5 / horizon
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_drift_bound_covers_the_rounding_of_the_gain_sum(self, seed):
@@ -798,9 +844,9 @@ class TestAnchoredOnlineRoute:
             adv = _SkewedAdversary(ones + np.outer(w, w), 2.0**-40, mask, "psd_unit")
         calls, within = [], online.spectrum_within
         monkeypatch.setattr(online, "spectrum_within", lambda *args: calls.append(1) or within(*args))
-        lo, hi, lam_min, lam_max, _ = _projected_forms(monkeypatch, adv, eta, horizon, 53)
+        seen = _projected_forms(monkeypatch, adv, eta, horizon, 53)
         assert len(calls) == (horizon if path == "cholesky" else 0)
-        assert (lo <= lam_min).all() and (lam_max <= hi).all()
+        assert (seen["lo"] <= seen["lam_min"]).all() and (seen["lam_max"] <= seen["hi"]).all()
 
 
 class TestUnbiasedSketch:

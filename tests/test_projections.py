@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,11 +29,13 @@ from mmwsketch import (
 from mmwsketch import linalg
 from mmwsketch.linalg import AnchoredForm, ConvergenceError, anchor, dense_eigh
 from mmwsketch.online import REFINED_ETA_MAX
-from mmwsketch.projections import SpectrahedronAction
+from mmwsketch.projections import SpectrahedronAction, rank1_projection_series
 from mmwsketch.lanczos import required_iterations
-from mmwsketch.sdp import _adjoint_csr, _gain_storage, builtin_instance, make_random_instance
+from mmwsketch.sdp import DENSE_GAIN_FILL, _adjoint_csr, _gain_storage, builtin_instance, make_random_instance
 from conftest import (
     budgeted_sketch_by_layers,
+    certified_stop_cases,
+    exact_rank1_factor,
     expm_dense,
     haar_orthogonal,
     random_symmetric,
@@ -428,6 +431,31 @@ BUDGET_GAMES = [
 ]
 
 
+class TestCertifiedSeriesSketch:
+    """``rank1_projection_series``: within twice the bound its series proved of the exact sketch."""
+
+    def test_within_twice_the_proved_bound(self, rng):
+        for name, y, lo, hi in certified_stop_cases(rng):
+            n = len(y)
+            form = AnchoredForm(y, lo, hi, hi)
+            for _ in range(4):
+                u = sample_unit_sphere(n, rng)
+                exact = SpectrahedronAction.rank1(exact_rank1_factor(y, u))
+                for horizon in (10, 600, 5000):
+                    action, degree = rank1_projection_series(form, u, 0.25 / horizon, None)
+                    bound = action.error_estimate
+                    assert bound <= 0.25 / horizon, (name, horizon)
+                    assert trace_norm_distance(action, exact) <= 2.0 * bound + 1e-12, (name, horizon, degree)
+
+    def test_cap_and_degree(self, rng):
+        y = random_symmetric(rng, 16, op_norm=4.0)
+        form, u = anchor(y), sample_unit_sphere(16, rng)
+        free = rank1_projection_series(form, u, 1e-6, 100)
+        capped = rank1_projection_series(form, u, 1e-6, 3)
+        assert free[1] > 3 and capped[1] == 3
+        assert free[0].error_estimate <= 1e-6 < capped[0].error_estimate
+
+
 class TestBudgetedKrylovSketch:
     """At a budget of 1/(4T) the Krylov sketch stays within 1/T of the exact sketch."""
 
@@ -507,10 +535,13 @@ class TestLeanKrylovSketch:
             gain_sum += adversary.next_gain(())
 
     def test_every_step_of_a_krylov_solve(self):
-        instance = builtin_instance("rand20x10")
+        # a union pattern below DENSE_GAIN_FILL keeps the gain sum in CSR form, and every step runs Lanczos
+        instance = _sparse_instance()
         result = solve_feasibility(instance, 0.5, rng=SeededRng(6), use_lanczos=True)
         horizon, eta, n = result.T, result.eta, instance.n
         gain, gain_data, gain_values = _gain_storage(instance, use_lanczos=True)
+        assert sp.issparse(gain) and gain.nnz < DENSE_GAIN_FILL * n * n
+        assert result.verdict == solve_feasibility(instance, 0.5, rng=SeededRng(6)).verdict == "feasible"
         rng, eta_y_sum, matvecs = SeededRng(6), np.zeros(instance.m), 0
         ys = replay_simplex(instance, result)[1]
         for t in range(1, horizon + 1):
@@ -524,37 +555,58 @@ class TestLeanKrylovSketch:
         assert matvecs == result.matvecs
 
 
+def _sparse_instance():
+    """n = 30, m = 4: a union pattern that fills 32% of n x n, below ``DENSE_GAIN_FILL``."""
+    return make_random_instance(30, 4, SeededRng(3), density=0.05)
+
+
 class TestMatrixPlayer:
     def test_one_krylov_call_per_step_in_both_games(self, monkeypatch):
-        # one call per step, with the cap third and positional (perfbench's tracer notes args[2] as the depth)
+        # one sketch call per step: the series on the player's interval, or a Lanczos run with the cap third and
+        # positional (perfbench's tracer notes args[2] as the depth)
         import mmwsketch.projections as projections
 
-        calls, projection = [], projections.rank1_projection_lanczos
+        calls, lanczos, series = [], projections.rank1_projection_lanczos, projections.rank1_projection_series
 
-        def spy(*args, **kwargs):
+        def lanczos_spy(*args, **kwargs):
             before = args[0].matvec_count
-            action = projection(*args, **kwargs)
-            calls.append((len(args), args[2], kwargs, args[0].matvec_count - before))
+            action = lanczos(*args, **kwargs)
+            calls.append(("lanczos", len(args), args[2], kwargs, args[0].matvec_count - before))
             return action
 
-        monkeypatch.setattr(projections, "rank1_projection_lanczos", spy)
+        def series_spy(form, u, tol, cap):
+            action, degree = series(form, u, tol, cap)
+            calls.append(("series", 4, cap, {"tol": tol}, degree))
+            return action, degree
+
+        monkeypatch.setattr(projections, "rank1_projection_lanczos", lanczos_spy)
+        monkeypatch.setattr(projections, "rank1_projection_series", series_spy)
         n, horizon = 12, 30
         adv_rng, play_rng = SeededRng(4).spawn(2)
         adversary = builtin_adversaries("random_rotation", n, adv_rng)
         trace = run_online(adversary, "rank1_lanczos", Schedule(eta=0.2, T=horizon), play_rng)
-        assert [c[:3] for c in calls] == [(3, cap, {"tol": 0.25 / horizon}) for cap in trace.k_cap.tolist()]
-        assert trace.k_used.tolist() == trace.matvecs.tolist() == [c[3] for c in calls]
+        assert {c[0] for c in calls} == {"lanczos", "series"}  # at n = 12 the wide intervals take Lanczos
+        assert [c[:4] for c in calls] == [_call(c[0], cap, horizon) for c, cap in zip(calls, trace.k_cap.tolist())]
+        assert trace.k_used.tolist() == trace.matvecs.tolist() == [c[4] for c in calls]
 
-        calls.clear()
-        instance = builtin_instance("rand20x10")
-        result = solve_feasibility(instance, 0.5, rng=SeededRng(6), use_lanczos=True)
-        horizon, n = result.T, instance.n
-        caps = [
-            min(required_iterations(result.eta * t * result.omega, min(1.0 / horizon, 0.5), 0.1 / (2.0 * horizon), n), n)
-            for t in range(1, horizon + 1)
-        ]
-        assert [c[:3] for c in calls] == [(3, cap, {"tol": 0.25 / horizon}) for cap in caps]
-        assert sum(c[3] for c in calls) == result.matvecs
+        # rand20x10 keeps a dense gain sum, and so sums the series wherever the interval fits it; the sparse
+        # instance keeps a CSR one, and runs Lanczos at every step
+        for instance, routes in ((builtin_instance("rand20x10"), {"series", "lanczos"}), (_sparse_instance(), {"lanczos"})):
+            calls.clear()
+            result = solve_feasibility(instance, 0.5, rng=SeededRng(6), use_lanczos=True)
+            horizon, n = result.T, instance.n
+            caps = [
+                min(required_iterations(result.eta * t * result.omega, min(1.0 / horizon, 0.5), 0.1 / (2.0 * horizon), n), n)
+                for t in range(1, horizon + 1)
+            ]
+            assert {c[0] for c in calls} == routes
+            assert [c[:4] for c in calls] == [_call(c[0], cap, horizon) for c, cap in zip(calls, caps)]
+            assert sum(c[4] for c in calls) == result.matvecs
+
+
+def _call(route, cap, horizon):
+    """A sketch call as the player makes it: ``(route, positional arguments, cap, tolerance by name)``."""
+    return (route, 3 if route == "lanczos" else 4, cap, {"tol": 0.25 / horizon})
 
 
 class TestTraceNormDistance:

@@ -21,7 +21,7 @@ from mmwsketch import (
     solve_feasibility,
 )
 from mmwsketch.linalg import operator_norm
-from mmwsketch.projections import ANCHOR_TAU, SpectrahedronAction
+from mmwsketch.projections import ANCHOR_TAU, SpectrahedronAction, trace_norm_distance
 from mmwsketch import sdp
 from mmwsketch.sdp import (
     X_AVG_BLOCK,
@@ -663,10 +663,15 @@ class TestGainStorage:
         for fill in (0.0, math.inf):  # every pattern dense, then every pattern CSR
             monkeypatch.setattr(sdp, "DENSE_GAIN_FILL", fill)
             results[fill] = solve_feasibility(inst, 0.5, rng=SeededRng(seed), use_lanczos=True)
+        # the dense layout sums the series on the player's interval, the CSR one runs Lanczos: each play is
+        # within 1/(2T) of the exact sketch, so the two games' plays stay within 1/T of each other
         dense, csr = results[0.0], results[math.inf]
-        assert (dense.T, dense.verdict, dense.matvecs) == (csr.T, csr.verdict, csr.matvecs)
-        assert np.abs(dense.x_factor_history - csr.x_factor_history).max() <= 1e-12
-        assert np.abs(replay_simplex(inst, dense)[1] - replay_simplex(inst, csr)[1]).max() <= 1e-12
+        assert (dense.T, dense.verdict) == (csr.T, csr.verdict)
+        distance = [
+            trace_norm_distance(SpectrahedronAction.rank1(a), SpectrahedronAction.rank1(b))
+            for a, b in zip(dense.x_factor_history, csr.x_factor_history)
+        ]
+        assert max(distance) <= 1.0 / dense.T
 
 
 class TestSolveFeasibility:
@@ -757,7 +762,7 @@ class TestSolveFeasibility:
 
 
 class TestAnchoredExactRoute:
-    """The exact route reduces the gain sum only at anchors, and widens the anchor's interval in between."""
+    """The exact route, and the Krylov one on a dense gain sum, reduce it only at anchors and widen in between."""
 
     @pytest.mark.parametrize(
         "name, epsilon",
@@ -771,23 +776,44 @@ class TestAnchoredExactRoute:
             "rand20x10": lambda: builtin_instance("rand20x10"),
             "sparse60x8": lambda: make_random_instance(60, 8, SeededRng(31), density=0.1),
         }[name]()
-        seen, projection = [], projections.rank1_projection
+        # the exact sketch, then the certified series of a Krylov solve on the same dense gain sum; a Krylov
+        # step whose interval is too wide for the series runs Lanczos instead
+        projection, series, lanczos = (
+            projections.rank1_projection, projections.rank1_projection_series, projections.rank1_projection_lanczos,
+        )
+        for use_lanczos in (False, True):
+            seen, lanczos_steps = [], []
 
-        def spy(form, u):
-            action = projection(form, u)
-            y = form.matrix
-            lam = np.linalg.eigvalsh(y)
-            seen.append((form.lo, form.hi, lam[0], lam[-1], np.abs(action.factor - exact_rank1_factor(y, u)).max()))
-            return action
+            def record(form, u, action, claimed):
+                y = form.matrix
+                lam = np.linalg.eigvalsh(y)
+                exact = SpectrahedronAction.rank1(exact_rank1_factor(y, u))
+                error = np.abs(action.factor - exact.factor).max()
+                seen.append((form.lo, form.hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed))
 
-        monkeypatch.setattr(projections, "rank1_projection", spy)
-        result = solve_feasibility(inst, epsilon, rng=SeededRng(12))
-        assert len(seen) == result.T
-        lo, hi, lam_min, lam_max, factor_err = np.array(seen).T
-        assert (lo <= lam_min).all() and (lam_max <= hi).all()
-        # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
-        assert (hi - lam_max).max() <= ANCHOR_TAU
-        assert factor_err.max() <= 1e-12
+            def exact_spy(form, u):
+                action = projection(form, u)
+                record(form, u, action, 0.0)
+                return action
+
+            def series_spy(form, u, tol, cap):
+                action, degree = series(form, u, tol, cap)
+                record(form, u, action, 2.0 * action.error_estimate)
+                return action, degree
+
+            monkeypatch.setattr(projections, "rank1_projection", exact_spy)
+            monkeypatch.setattr(projections, "rank1_projection_series", series_spy)
+            monkeypatch.setattr(projections, "rank1_projection_lanczos", lambda *a, **k: lanczos_steps.append(1) or lanczos(*a, **k))
+            result = solve_feasibility(inst, epsilon, rng=SeededRng(12), use_lanczos=use_lanczos)
+            assert len(seen) + len(lanczos_steps) == result.T and len(seen) > 0
+            lo, hi, lam_min, lam_max, factor_err, distance, claimed = np.array(seen).T
+            assert (lo <= lam_min).all() and (lam_max <= hi).all()
+            # a re-anchor keeps the top end within tau of lam_max, so the series keeps its precision
+            assert (hi - lam_max).max() <= ANCHOR_TAU
+            if use_lanczos:  # within twice the bound the series proved, itself within the budget 1/(4T)
+                assert (distance <= claimed + 1e-12).all() and claimed.max() <= 0.5 / result.T
+            else:
+                assert not lanczos_steps and factor_err.max() <= 1e-12
 
     def test_one_reduction_per_constraint_gap_and_anchor(self, monkeypatch):
         import mmwsketch.linalg as linalg

@@ -197,6 +197,8 @@ def rank1_projection_series(form, u, tol, cap):
     series proved at its stop, and the sketch is within twice that in trace
     distance.
     """
+    u = np.asarray(u, dtype=float)
+    _unit_norm(u, "u")
     v, degree, bound = exp_half_series(form.matrix, form.lo, form.hi, u, tol, cap)
     action = _direction_action(v, "exp(Y/2) u underflowed after shifting")
     action.error_estimate = bound

@@ -658,13 +658,31 @@ class TestGainStorage:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_both_layouts_play_the_same_game(self, monkeypatch, seed):
+        import mmwsketch.projections as projections
+
+        # with no dense scale the player runs Lanczos on either layout, as it does above the dense limit for
+        # a gain sum whose fill keeps it dense
+        monkeypatch.setattr(projections, "DENSE_LIMIT", 0)
         inst = builtin_instance("rand20x10")
         results = {}
         for fill in (0.0, math.inf):  # every pattern dense, then every pattern CSR
             monkeypatch.setattr(sdp, "DENSE_GAIN_FILL", fill)
             results[fill] = solve_feasibility(inst, 0.5, rng=SeededRng(seed), use_lanczos=True)
-        # the dense layout sums the series on the player's interval, the CSR one runs Lanczos: each play is
-        # within 1/(2T) of the exact sketch, so the two games' plays stay within 1/T of each other
+        dense, csr = results[0.0], results[math.inf]
+        assert (dense.T, dense.verdict, dense.matvecs) == (csr.T, csr.verdict, csr.matvecs)
+        assert np.abs(dense.x_factor_history - csr.x_factor_history).max() <= 1e-12
+        assert np.abs(replay_simplex(inst, dense)[1] - replay_simplex(inst, csr)[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_series_and_csr_lanczos_reach_one_verdict(self, monkeypatch, seed):
+        # at dense scale the dense layout sums the certified series and the CSR one runs Lanczos; once two
+        # plays differ so do the games, so the tolerance on the plays is empirical: rand20x10's games stay
+        # within 0.33/T of each other on seeds 0 to 5
+        inst = builtin_instance("rand20x10")
+        results = {}
+        for fill in (0.0, math.inf):
+            monkeypatch.setattr(sdp, "DENSE_GAIN_FILL", fill)
+            results[fill] = solve_feasibility(inst, 0.5, rng=SeededRng(seed), use_lanczos=True)
         dense, csr = results[0.0], results[math.inf]
         assert (dense.T, dense.verdict) == (csr.T, csr.verdict)
         distance = [

@@ -604,8 +604,8 @@ def main(argv=None):
     except (UsageError, InstanceFormatError, DenseLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (GainValidationError, ConvergenceError, ArithmeticError, ValueError) as err:
-        # a ValueError past the two above comes from the numerics, e.g. an unallocatable horizon
+    except (GainValidationError, ConvergenceError, ArithmeticError, ValueError, MemoryError) as err:
+        # a ValueError past the two above, or a MemoryError, comes from the numerics, e.g. an unallocatable horizon
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

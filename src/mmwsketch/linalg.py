@@ -183,23 +183,23 @@ def _sytrd_lwork(n):
     return max(1, int(work) - 5 * n)
 
 
-def _reduce(arr, what):
+def _reduce(arr):
     """The diagonal and subdiagonal ``(d, e)`` of T from LAPACK ``sytrd`` on the lower triangle of ``arr``.
 
     ``arr`` is Fortran-ordered and reduced in place.  Raises
-    :class:`ConvergenceError` naming ``what`` and the size if LAPACK fails or
-    T is not finite (a NaN or inf entry of ``arr``).
+    :class:`ConvergenceError` naming the size if LAPACK fails or T is not
+    finite (a NaN or inf entry of ``arr``).
     """
     n = arr.shape[0]
     _, d, e, _, info = scipy.linalg.lapack.dsytrd(arr, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1)
     if info != 0:
-        raise ConvergenceError(f"{what} failed for n={n} (info={info})")
+        raise ConvergenceError(f"tridiagonal reduction failed for n={n} (info={info})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ConvergenceError(f"{what} failed for n={n}: T is not finite")
+        raise ConvergenceError(f"tridiagonal reduction failed for n={n}: T is not finite")
     return d, e
 
 
-def _bisect_eigenvalue(d, e, i, what):
+def _bisect_eigenvalue(d, e, i):
     """Eigenvalue ``i`` (1-based, ascending) of the tridiagonal ``(d, e)`` by one LAPACK ``stebz`` bisection.
 
     Order 1 returns ``d[0]``, as ``syevr`` does; scipy's ``stebz`` wrapper rejects an empty ``e``.
@@ -208,7 +208,7 @@ def _bisect_eigenvalue(d, e, i, what):
         return float(d[0])
     _, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, 3, 0.0, 0.0, i, i, 0.0, "E")
     if info != 0:
-        raise ConvergenceError(f"{what} failed for n={len(d)}: bisection (info={info})")
+        raise ConvergenceError(f"tridiagonal eigenvalue failed for n={len(d)}: bisection (info={info})")
     return float(w[0])
 
 
@@ -376,7 +376,7 @@ def anchor(a):
 
     One symmetry check of ``a`` (:func:`sym_array`), then one ``sytrd``
     reduction of a copy and two ``stebz`` bisections give the extreme
-    eigenvalues by the route of :func:`_dense_eigenvalues`, so ``top`` has
+    eigenvalues by the route of :func:`_spectrum_ends`, so ``top`` has
     the bits of :func:`top_eigenvalue`.  Each end of the interval
     is moved out by ``4 n eps |a|_2``.  LAPACK bounds the error of the ends
     by ``p(n) eps |a|_2`` for an unspecified, modestly growing ``p(n)``
@@ -390,7 +390,7 @@ def anchor(a):
     arr = sym_array(a, copy=False)
     n = arr.shape[0]
     require_dense(n, "tridiagonal reduction")
-    lam_min, lam_max = _reduce_and_bisect(np.array(arr.T), "tridiagonal reduction", (1, n))
+    lam_min, lam_max = _reduce_and_bisect(np.array(arr.T), (1, n))
     pad = 4.0 * n * _EPS * max(abs(lam_min), abs(lam_max))
     return AnchoredForm(arr, lam_min - pad, lam_max + pad, lam_max)
 
@@ -478,59 +478,49 @@ def _outer_self(v):
 def top_eigenvalue(a):
     """Largest eigenvalue of the symmetric dense or scipy-sparse ``a``, and its uncertainty.
 
-    Returns ``(lam_max, tol)``.  At dense scale, ``n <= DENSE_LIMIT``,
-    ``lam_max`` is the top end of :func:`_dense_extremes`, from the same
-    reduction and one bisection (:func:`_dense_eigenvalues`), and ``tol`` is
-    0; a LAPACK failure or a NaN or inf entry raises :class:`ConvergenceError`,
-    and an asymmetry above :func:`sym_array`'s ``1e-8`` raises ``ValueError``.
-    Above it, ``lam_max`` is the Lanczos estimate of :func:`_lanczos_extremes`
-    and ``tol = LANCZOS_RTOL * max(1, |lam_max|)``; stable Ritz values are an
-    estimate, not a bound.
+    Returns ``(lam_max, tol)``, the top end of :func:`_spectrum_ends`: exact,
+    by one bisection, with ``tol`` 0 at dense scale, a Lanczos estimate above.
     """
-    n = a.shape[0]
-    if n > DENSE_LIMIT:
-        lam_max = _lanczos_extremes(a)[1]
-        return lam_max, LANCZOS_RTOL * max(1.0, abs(lam_max))
-    return _dense_eigenvalues(a, "top eigenvalue", n)[0], 0.0
+    ends, tol = _spectrum_ends(a, top_only=True)
+    return ends[-1], tol
 
 
 def operator_norm(a):
-    """``max |lam_i|`` of the symmetric dense or scipy-sparse ``a``.
+    """``max |lam_i|`` of the symmetric dense or scipy-sparse ``a`` from both ends of :func:`_spectrum_ends`.
 
-    Exact at dense scale, ``n <= DENSE_LIMIT``: the two extreme eigenvalues
-    of :func:`_dense_extremes`, which raises :class:`ConvergenceError` on a
-    NaN or inf entry and ``ValueError`` on an asymmetry above
-    :func:`sym_array`'s ``1e-8``.  Above it, the Lanczos estimate of
-    :func:`_lanczos_extremes`.
+    Exact at dense scale, ``n <= DENSE_LIMIT``; a Lanczos estimate above it.
     """
-    extremes = _lanczos_extremes if a.shape[0] > DENSE_LIMIT else _dense_extremes
-    lam_min, lam_max = extremes(a)
-    return max(abs(lam_min), abs(lam_max))
+    return max(abs(lam) for lam in _spectrum_ends(a, top_only=False)[0])
 
 
-def _dense_extremes(a):
-    """``(lam_min, lam_max)`` of the symmetric dense or scipy-sparse ``a``, one reduction for both ends."""
-    return _dense_eigenvalues(a, "extreme eigenvalues", 1, a.shape[0])
+def _spectrum_ends(a, top_only):
+    """``((lam_min, lam_max), tol)`` of the symmetric dense or scipy-sparse ``a``, or ``((lam_max,), tol)``.
 
-
-def _dense_eigenvalues(a, what, *indices):
-    """Eigenvalues ``indices`` (1-based, ascending) of the dense or scipy-sparse ``a``, as ``syevr`` gives each.
-
-    Takes the route of LAPACK ``syevr`` for one eigenvalue by index, with
-    ``UPLO='L'``: its scaling of a largest entry outside
-    ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one blocked ``sytrd`` reduction of
-    ``sym_array(a)``, then one ``stebz`` bisection per index.  A sparse ``a``
-    is copied once, by ``toarray``.  Raises :class:`ConvergenceError` naming
-    ``what`` if LAPACK reports a failure or the tridiagonal matrix is not
-    finite (a NaN or inf entry), where an unchecked bisection returns a
-    number.
+    At dense scale, ``n <= DENSE_LIMIT``, each end is exact, the eigenvalue
+    ``syevr`` gives by index with ``UPLO='L'`` (:func:`_reduce_and_bisect`
+    of ``sym_array(a)``, a sparse ``a`` copied once by ``toarray``); the top
+    end alone with ``top_only``, and ``tol`` is 0.  A LAPACK failure or a
+    NaN or inf entry, where an unchecked bisection returns a number, raises
+    :class:`ConvergenceError`, and an asymmetry above :func:`sym_array`'s
+    ``1e-8`` raises ``ValueError``.  Above it, both ends are the Lanczos
+    estimates of :func:`_lanczos_extremes`, not bounds, and
+    ``tol = LANCZOS_RTOL * max(1, |lam_max|)``.
     """
+    n = a.shape[0]
+    if n > DENSE_LIMIT:
+        ends = _lanczos_extremes(a)
+        return ends, LANCZOS_RTOL * max(1.0, abs(ends[1]))
     arr = sym_array(a.toarray(), copy=False) if sp.issparse(a) else sym_array(a)
-    return _reduce_and_bisect(arr.T, what, indices)  # the transpose of a symmetric copy: itself, in Fortran order
+    return _reduce_and_bisect(arr.T, (n,) if top_only else (1, n)), 0.0  # arr.T: arr itself, in Fortran order
 
 
-def _reduce_and_bisect(arr, what, indices):
-    """:func:`_dense_eigenvalues` of the exactly symmetric, Fortran-ordered ``arr``, scaled and reduced in place."""
+def _reduce_and_bisect(arr, indices):
+    """Eigenvalues ``indices`` (1-based, ascending) of the symmetric, Fortran-ordered ``arr``, reduced in place.
+
+    Takes the route of LAPACK ``syevr`` for one eigenvalue by index: its
+    scaling of a largest entry outside ``[_SYEVR_RMIN, _SYEVR_RMAX]``, one
+    blocked ``sytrd`` reduction, then one ``stebz`` bisection per index.
+    """
     n = arr.shape[0]
     sigma = 1.0
     if n > 1:  # syevr returns a 1 x 1 matrix's entry unscaled
@@ -541,8 +531,8 @@ def _reduce_and_bisect(arr, what, indices):
             sigma = _SYEVR_RMAX / top
         if sigma != 1.0:
             arr *= sigma
-    d, e = _reduce(arr, what)
-    return tuple(_bisect_eigenvalue(d, e, i, what) * (1.0 / sigma) for i in indices)
+    d, e = _reduce(arr)
+    return tuple(_bisect_eigenvalue(d, e, i) * (1.0 / sigma) for i in indices)
 
 
 def _lanczos_extremes(a):

@@ -249,7 +249,6 @@ class RegretTrace:
     step_gain: np.ndarray = field(repr=False)
     cum_gain: np.ndarray = field(repr=False)
     lam_max_running: np.ndarray = field(repr=False)
-    k_used: np.ndarray = field(repr=False)
     k_cap: np.ndarray = field(repr=False)
     matvecs: np.ndarray = field(repr=False)
     krylov_err_est: np.ndarray = field(repr=False)
@@ -258,6 +257,11 @@ class RegretTrace:
     lam_max_tol: float = 0.0
     total_regret: float = 0.0
     avg_regret: float = 0.0
+
+    @property
+    def k_used(self):
+        """The products each step ran: ``matvecs`` itself, kept as the trace's ``k_used`` column."""
+        return self.matvecs
 
     def validate(self):
         """Check to within 1e-9 that cumulative fields are prefix sums of the per-step fields."""
@@ -460,7 +464,6 @@ def run_online(adversary, strategy, schedule, rng):
         step_gain=step_gain,
         cum_gain=cum_gain,
         lam_max_running=lam_running,
-        k_used=matvecs.copy(),
         k_cap=k_cap,
         matvecs=matvecs,
         krylov_err_est=krylov_err_est,

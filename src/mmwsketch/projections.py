@@ -187,24 +187,6 @@ def rank1_projection(y, u):
     return _direction_action(form.exp_half(u), "exp(Y/2) u underflowed after shifting")
 
 
-def rank1_projection_series(form, u, tol, cap):
-    """Rank-1 sketch from the series of :func:`~mmwsketch.linalg.exp_half_series` on the interval of ``form``.
-
-    ``form`` is an :class:`AnchoredForm` whose interval holds the spectrum
-    of Y.  The series stops once it proves that ``exp(Y/2) u`` is within a
-    relative ``tol``, or at degree ``cap`` unless that is ``None``.  Returns
-    ``(action, degree)``; the action's ``error_estimate`` is the bound the
-    series proved at its stop, and the sketch is within twice that in trace
-    distance.
-    """
-    u = np.asarray(u, dtype=float)
-    _unit_norm(u, "u")
-    v, degree, bound = exp_half_series(form.matrix, form.lo, form.hi, u, tol, cap)
-    action = _direction_action(v, "exp(Y/2) u underflowed after shifting")
-    action.error_estimate = bound
-    return action, degree
-
-
 def rank1_projection_lanczos(y, u, k, tol=None):
     """Approximate rank-1 sketch from a Krylov exponential of depth at most k.
 
@@ -257,11 +239,12 @@ class MatrixPlayer:
     a 2x margin on a ``1/T`` trace-distance budget, or at degree or depth
     ``min(cap(t), n)``.  At dense scale, ``n <= DENSE_LIMIT``, with ``Y`` a
     dense array, it anchors and widens as ``rank1_exact`` does and sums the
-    same series (:func:`rank1_projection_series`), whose stop is a proof
-    given the interval; an interval too wide for the series takes a Lanczos
-    run on the operator ``op`` of ``Y`` instead.  Above the dense limit, or
-    with ``Y`` a sparse matrix, every step is a Lanczos run
-    (:func:`rank1_projection_lanczos`), stopped on Saad's estimate.
+    same series (:func:`~mmwsketch.linalg.exp_half_series` at tolerance
+    ``1/(4T)``), whose stop is a proof given the interval; an interval too
+    wide for the series takes a Lanczos run on the operator ``op`` of ``Y``
+    instead.  Above the dense limit, or with ``Y`` a sparse matrix, every
+    step is a Lanczos run (:func:`rank1_projection_lanczos`), stopped on
+    Saad's estimate.
     :attr:`record` is the last play's ``(k_cap, matvecs, error)``: the cap,
     the products run, and the series' proved bound or Lanczos's estimate at
     the stop; zeros on the exact routes.
@@ -272,8 +255,8 @@ class MatrixPlayer:
     def __init__(self, route, T, y, op, cap):
         self.route, self._y, self._op, self._cap = route, y, op, cap
         self._budget = 0.25 / T
-        series = route == "rank1_lanczos" and op.n <= DENSE_LIMIT and isinstance(y(), np.ndarray)
-        self._anchors = route == "rank1_exact" or series  # whether moved() keeps an anchored interval
+        # whether moved() keeps an anchored interval; both engines run rank1_exact only on a dense Y at dense scale
+        self._anchors = route != "exact_mmw" and op.n <= DENSE_LIMIT and isinstance(y(), np.ndarray)
         self._dual = None  # the exact routes' decomposition or interval of Y, made by moved()
         self._anchor = None  # the last anchored form
         self.record = (0, 0, 0.0)
@@ -308,10 +291,11 @@ class MatrixPlayer:
         if self.route == "rank1_exact":
             return rank1_projection(self._dual, u)
         cap = min(self._cap(t), self._op.n)
-        if self._anchors and self._dual.fits_series:
-            action, degree = rank1_projection_series(self._dual, u, self._budget, cap)
-            self.record = (cap, degree, action.error_estimate)
-            return action
+        form = self._dual
+        if self._anchors and form.fits_series:
+            v, degree, bound = exp_half_series(form.matrix, form.lo, form.hi, u, self._budget, cap)
+            self.record = (cap, degree, bound)
+            return _direction_action(v, "exp(Y/2) u underflowed after shifting")
         self._op.matvec_count = 0
         action = rank1_projection_lanczos(self._op, u, cap, tol=self._budget)
         self.record = (cap, self._op.matvec_count, action.error_estimate)

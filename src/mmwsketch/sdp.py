@@ -30,8 +30,6 @@ from .linalg import (
 )
 from .projections import MatrixPlayer, SpectrahedronAction, softmax_grad
 
-VERDICTS = ("feasible", "infeasible", "undetermined-at-epsilon")
-
 #: Played unit factors are folded into the dense average in blocks of this
 #: many rows, with one ``F' F`` product per block.
 X_AVG_BLOCK = 64
@@ -159,15 +157,9 @@ class SdpInstance:
             index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
             ends = np.zeros(m + 1, dtype=index)
             np.cumsum(np.bincount(con, minlength=m), out=ends[1:])
-            # the union pattern from one sort: a key opens a slot where it differs from its predecessor
-            order = np.argsort(keys)
-            opens = np.empty(len(keys), dtype=bool)
-            opens[:1] = True
-            np.not_equal(keys[order[1:]], keys[order[:-1]], out=opens[1:])
-            union = keys[order[opens]]
-            slot = np.empty(len(keys), dtype=index)
-            slot[order] = np.cumsum(opens) - 1
-            del keys, order, opens
+            union, slot = np.unique(keys, return_inverse=True)  # the union pattern, and each key's slot in it
+            slot = slot.astype(index, copy=False)
+            del keys
             indptr = np.zeros(n + 1, dtype=index)
             np.cumsum(np.bincount(union // n, minlength=n), out=indptr[1:])
             indices = (union % n).astype(index)

@@ -92,14 +92,14 @@ def test_traced_toy_run_shows_every_product_and_decomposition(monkeypatch, name)
 
     tracing, workloads = _load_tracing(), _load_workloads()
     wl = dataclasses.replace(workloads.WORKLOADS[name], **TOY_SIZES[name])
-    series, degrees = projections.rank1_projection_series, []
+    series, degrees = projections.exp_half_series, []
 
     def counted(*args):
-        action, degree = series(*args)
+        v, degree, bound = series(*args)
         degrees.append(degree)
-        return action, degree
+        return v, degree, bound
 
-    monkeypatch.setattr(projections, "rank1_projection_series", counted)
+    monkeypatch.setattr(projections, "exp_half_series", counted)
     inputs = wl.setup(7)
     degrees.clear()
     tracer = tracing.Tracer()

@@ -422,6 +422,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["online-eig", "sdp-feas"])
+    def test_unallocatable_horizon_maps_to_two(self, tmp_path, capsys, command):
+        # horizons whose per-step arrays (7.1 and 3.8 PiB) exceed the address space: the allocator refuses
+        # at once, and no memory is touched
+        if command == "online-eig":
+            args = ["online-eig", "--T", str(10**15)]
+        else:
+            path = tmp_path / "wide.sdpi"
+            path.write_text("2 1\n1 1 1 1e6\n1 2 2 -1e6\n")  # width 1e6 at epsilon 0.25: T about 2.7e14
+            args = ["sdp-feas", "--instance", str(path)]
+        assert run_cli(args + ["--out", str(tmp_path / "D")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "D").exists()
+
     def test_failed_run_leaves_no_output_directory(self, tmp_path, monkeypatch):
         def boom(args):
             raise ConvergenceError("synthetic failure")

@@ -752,34 +752,35 @@ def _projected_forms(monkeypatch, adversary, eta, horizon, seed, strategy="rank1
     monkeypatch.setattr(projections, "anchor", lambda a: anchors.append(anchor(a)) or anchors[-1])
     monkeypatch.setattr(online, "_drift_bound", lambda *args: bounds.append(drift(*args)) or bounds[-1])
 
-    def record(form, u, action, claimed):
-        lam = np.linalg.eigvalsh(form.matrix, UPLO="U")
-        exact = SpectrahedronAction.rank1(exact_rank1_factor(0.5 * (form.matrix + form.matrix.T), u))
+    def record(y, lo, hi, u, action, claimed):
+        lam = np.linalg.eigvalsh(y, UPLO="U")
+        exact = SpectrahedronAction.rank1(exact_rank1_factor(0.5 * (y + y.T), u))
         last = anchors[-1]
-        bound = 0.0 if form is last else bounds[-1]
-        short = max(form.lo - (last.lo - bound), (last.hi + bound) - form.hi)
-        excess = (form.hi - form.lo) - (last.hi - last.lo + 2.0 * bound)
+        # the anchor's own interval, or the anchor's widened by a drift bound of at least WIDEN_STEP
+        bound = 0.0 if (lo, hi) == (last.lo, last.hi) else bounds[-1]
+        short = max(lo - (last.lo - bound), (last.hi + bound) - hi)
+        excess = (hi - lo) - (last.hi - last.lo + 2.0 * bound)
         error = np.abs(action.factor - exact.factor).max()
-        seen.append((form.lo, form.hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed, short, excess))
+        seen.append((lo, hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed, short, excess))
 
     if strategy == "rank1_exact":
         projection = projections.rank1_projection
 
         def spy(form, u):
             action = projection(form, u)
-            record(form, u, action, 0.0)
+            record(form.matrix, form.lo, form.hi, u, action, 0.0)
             return action
 
         monkeypatch.setattr(projections, "rank1_projection", spy)
     else:
-        series = projections.rank1_projection_series
+        series = projections.exp_half_series
 
-        def spy(form, u, tol, cap):
-            action, degree = series(form, u, tol, cap)
-            record(form, u, action, 2.0 * action.error_estimate)
-            return action, degree
+        def spy(y, lo, hi, u, tol, cap):
+            v, degree, bound = series(y, lo, hi, u, tol, cap)
+            record(y, lo, hi, u, SpectrahedronAction.rank1(v / math.sqrt(v @ v)), 2.0 * bound)
+            return v, degree, bound
 
-        monkeypatch.setattr(projections, "rank1_projection_series", spy)
+        monkeypatch.setattr(projections, "exp_half_series", spy)
     run_online(adversary, strategy, Schedule(eta=eta, T=horizon), SeededRng(seed))
     assert len(seen) == horizon
     names = ("lo", "hi", "lam_min", "lam_max", "factor_err", "distance", "claimed", "short", "excess")

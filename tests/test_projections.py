@@ -29,7 +29,7 @@ from mmwsketch import (
 from mmwsketch import linalg
 from mmwsketch.linalg import AnchoredForm, ConvergenceError, anchor, dense_eigh
 from mmwsketch.online import REFINED_ETA_MAX
-from mmwsketch.projections import SpectrahedronAction, rank1_projection_series
+from mmwsketch.projections import SpectrahedronAction, exp_half_series
 from mmwsketch.lanczos import required_iterations
 from mmwsketch.sdp import DENSE_GAIN_FILL, _adjoint_csr, _gain_storage, builtin_instance, make_random_instance
 from conftest import (
@@ -432,28 +432,27 @@ BUDGET_GAMES = [
 
 
 class TestCertifiedSeriesSketch:
-    """``rank1_projection_series``: within twice the bound its series proved of the exact sketch."""
+    """The Krylov sketch's series, ``exp_half_series`` at ``1/(4T)``: within twice the bound it proved of the exact sketch."""
 
     def test_within_twice_the_proved_bound(self, rng):
         for name, y, lo, hi in certified_stop_cases(rng):
             n = len(y)
-            form = AnchoredForm(y, lo, hi, hi)
             for _ in range(4):
                 u = sample_unit_sphere(n, rng)
                 exact = SpectrahedronAction.rank1(exact_rank1_factor(y, u))
                 for horizon in (10, 600, 5000):
-                    action, degree = rank1_projection_series(form, u, 0.25 / horizon, None)
-                    bound = action.error_estimate
+                    v, degree, bound = exp_half_series(y, lo, hi, u, 0.25 / horizon, None)
+                    action = SpectrahedronAction.rank1(v / math.sqrt(v @ v))
                     assert bound <= 0.25 / horizon, (name, horizon)
                     assert trace_norm_distance(action, exact) <= 2.0 * bound + 1e-12, (name, horizon, degree)
 
     def test_cap_and_degree(self, rng):
         y = random_symmetric(rng, 16, op_norm=4.0)
         form, u = anchor(y), sample_unit_sphere(16, rng)
-        free = rank1_projection_series(form, u, 1e-6, 100)
-        capped = rank1_projection_series(form, u, 1e-6, 3)
+        free = exp_half_series(form.matrix, form.lo, form.hi, u, 1e-6, 100)
+        capped = exp_half_series(form.matrix, form.lo, form.hi, u, 1e-6, 3)
         assert free[1] > 3 and capped[1] == 3
-        assert free[0].error_estimate <= 1e-6 < capped[0].error_estimate
+        assert free[2] <= 1e-6 < capped[2]
 
 
 class TestBudgetedKrylovSketch:
@@ -566,7 +565,7 @@ class TestMatrixPlayer:
         # positional (perfbench's tracer notes args[2] as the depth)
         import mmwsketch.projections as projections
 
-        calls, lanczos, series = [], projections.rank1_projection_lanczos, projections.rank1_projection_series
+        calls, lanczos, series = [], projections.rank1_projection_lanczos, projections.exp_half_series
 
         def lanczos_spy(*args, **kwargs):
             before = args[0].matvec_count
@@ -574,13 +573,13 @@ class TestMatrixPlayer:
             calls.append(("lanczos", len(args), args[2], kwargs, args[0].matvec_count - before))
             return action
 
-        def series_spy(form, u, tol, cap):
-            action, degree = series(form, u, tol, cap)
-            calls.append(("series", 4, cap, {"tol": tol}, degree))
-            return action, degree
+        def series_spy(y, lo, hi, u, tol, cap):
+            v, degree, bound = series(y, lo, hi, u, tol, cap)
+            calls.append(("series", 6, cap, {"tol": tol}, degree))
+            return v, degree, bound
 
         monkeypatch.setattr(projections, "rank1_projection_lanczos", lanczos_spy)
-        monkeypatch.setattr(projections, "rank1_projection_series", series_spy)
+        monkeypatch.setattr(projections, "exp_half_series", series_spy)
         n, horizon = 12, 30
         adv_rng, play_rng = SeededRng(4).spawn(2)
         adversary = builtin_adversaries("random_rotation", n, adv_rng)
@@ -606,7 +605,7 @@ class TestMatrixPlayer:
 
 def _call(route, cap, horizon):
     """A sketch call as the player makes it: ``(route, positional arguments, cap, tolerance by name)``."""
-    return (route, 3 if route == "lanczos" else 4, cap, {"tol": 0.25 / horizon})
+    return (route, 3 if route == "lanczos" else 6, cap, {"tol": 0.25 / horizon})
 
 
 class TestTraceNormDistance:

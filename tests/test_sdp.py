@@ -797,30 +797,29 @@ class TestAnchoredExactRoute:
         # the exact sketch, then the certified series of a Krylov solve on the same dense gain sum; a Krylov
         # step whose interval is too wide for the series runs Lanczos instead
         projection, series, lanczos = (
-            projections.rank1_projection, projections.rank1_projection_series, projections.rank1_projection_lanczos,
+            projections.rank1_projection, projections.exp_half_series, projections.rank1_projection_lanczos,
         )
         for use_lanczos in (False, True):
             seen, lanczos_steps = [], []
 
-            def record(form, u, action, claimed):
-                y = form.matrix
+            def record(y, lo, hi, u, action, claimed):
                 lam = np.linalg.eigvalsh(y)
                 exact = SpectrahedronAction.rank1(exact_rank1_factor(y, u))
                 error = np.abs(action.factor - exact.factor).max()
-                seen.append((form.lo, form.hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed))
+                seen.append((lo, hi, lam[0], lam[-1], error, trace_norm_distance(action, exact), claimed))
 
             def exact_spy(form, u):
                 action = projection(form, u)
-                record(form, u, action, 0.0)
+                record(form.matrix, form.lo, form.hi, u, action, 0.0)
                 return action
 
-            def series_spy(form, u, tol, cap):
-                action, degree = series(form, u, tol, cap)
-                record(form, u, action, 2.0 * action.error_estimate)
-                return action, degree
+            def series_spy(y, lo, hi, u, tol, cap):
+                v, degree, bound = series(y, lo, hi, u, tol, cap)
+                record(y, lo, hi, u, SpectrahedronAction.rank1(v / math.sqrt(v @ v)), 2.0 * bound)
+                return v, degree, bound
 
             monkeypatch.setattr(projections, "rank1_projection", exact_spy)
-            monkeypatch.setattr(projections, "rank1_projection_series", series_spy)
+            monkeypatch.setattr(projections, "exp_half_series", series_spy)
             monkeypatch.setattr(projections, "rank1_projection_lanczos", lambda *a, **k: lanczos_steps.append(1) or lanczos(*a, **k))
             result = solve_feasibility(inst, epsilon, rng=SeededRng(12), use_lanczos=use_lanczos)
             assert len(seen) + len(lanczos_steps) == result.T and len(seen) > 0
